@@ -118,8 +118,3 @@ def similarity(e_tokens: Tensor, r_tokens: Tensor, cfg: PoolConfig) -> Tensor:
     enhanced = biha_enhance(hard_align_word(fine), hard_align_region(fine))
     return lse_pool(enhanced, cfg.alpha)
 
-
-def early_similarity(e_features: Tensor, r_features: Tensor,
-                     cfg: PoolConfig) -> Tensor:
-    """Same pipeline applied to the pre-spike projected float features."""
-    return similarity(e_features, r_features, cfg)

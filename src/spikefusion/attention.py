@@ -14,13 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .layers import BatchNorm, Linear, prefixed
+from .layers import BatchNorm, Linear, Module
 from .neurons import LIFNeuron, LIFParams
 from .tensor import Tensor, as_tensor, matmul
 from .encoding import GeneratorConfig, SpikeGenerator, project_features
 
 
-class SpikeSelfAttention:
+class SpikeSelfAttention(Module):
     """Spike Q/K/V attention with binary outputs, shapes (T, B, K, D)."""
 
     def __init__(self, d: int, lif: LIFParams, rng: np.random.Generator,
@@ -65,33 +65,8 @@ class SpikeSelfAttention:
             recorder.record_linear(f"{tag}attn_out", attn, self.w_a.w, t, "spiking")
         return self.neuron_out(self.bn_out(self.w_a(attn), train))
 
-    def param_dict(self) -> dict[str, Tensor]:
-        params: dict[str, Tensor] = {}
-        for name, mod in (("w_q", self.w_q), ("w_k", self.w_k), ("w_v", self.w_v),
-                          ("w_a", self.w_a), ("bn_q", self.bn_q),
-                          ("bn_k", self.bn_k), ("bn_v", self.bn_v),
-                          ("bn_attn", self.bn_attn), ("bn_out", self.bn_out)):
-            params.update(prefixed(mod.param_dict(), name))
-        return params
 
-    def buffer_dict(self) -> dict[str, np.ndarray]:
-        buffers: dict[str, np.ndarray] = {}
-        for name, mod in (("bn_q", self.bn_q), ("bn_k", self.bn_k),
-                          ("bn_v", self.bn_v), ("bn_attn", self.bn_attn),
-                          ("bn_out", self.bn_out)):
-            buffers.update(prefixed(mod.buffer_dict(), name))
-        return buffers
-
-    def load_buffers(self, buffers: dict[str, np.ndarray]):
-        for name, mod in (("bn_q", self.bn_q), ("bn_k", self.bn_k),
-                          ("bn_v", self.bn_v), ("bn_attn", self.bn_attn),
-                          ("bn_out", self.bn_out)):
-            sub = {k.split("/", 1)[1]: v for k, v in buffers.items()
-                   if k.startswith(f"{name}/")}
-            mod.load_buffers(sub)
-
-
-class SpikeGatedMLP:
+class SpikeGatedMLP(Module):
     """Spiking gate times a float value path: out = SN((G . P) W_o).
 
     The value path deliberately skips the neuron so pre-activation
@@ -122,14 +97,8 @@ class SpikeGatedMLP:
             recorder.record_linear(f"{tag}mlp_out", gated, self.w_o.w, t, "spiking")
         return self.neuron_out(self.w_o(gated))
 
-    def param_dict(self) -> dict[str, Tensor]:
-        params: dict[str, Tensor] = {}
-        for name, mod in (("w_g", self.w_g), ("w_p", self.w_p), ("w_o", self.w_o)):
-            params.update(prefixed(mod.param_dict(), name))
-        return params
 
-
-class TemporalPool:
+class TemporalPool(Module):
     """Convex combination over the time axis with learned weights.
 
     Raw weights are unconstrained; a softmax at application time keeps the
@@ -137,11 +106,11 @@ class TemporalPool:
     """
 
     def __init__(self, t: int):
-        self.raw = Tensor.param(np.zeros(t, dtype=np.float32))
+        self.w = Tensor.param(np.zeros(t, dtype=np.float32))
         self.t = t
 
     def weights(self) -> Tensor:
-        e = self.raw.exp()
+        e = self.w.exp()
         return e / e.sum()
 
     def __call__(self, x_s: Tensor) -> Tensor:
@@ -153,13 +122,6 @@ class TemporalPool:
         w = self.weights().reshape((self.t,) + (1,) * (x_s.ndim - 1))
         return (w * x_s).sum(axis=0)
 
-    def param_dict(self) -> dict[str, Tensor]:
-        return {"w": self.raw}
-
-
-def temporal_pool(x_s: Tensor, pool: TemporalPool) -> Tensor:
-    return pool(x_s)
-
 
 @dataclass
 class EncoderOutput:
@@ -168,13 +130,13 @@ class EncoderOutput:
     spikes: Tensor    # pre-pool spike tensor (T, B, K, D)
 
 
-class UnimodalEncoder:
+class UnimodalEncoder(Module):
     """Linear projection, spike generator, one {SSA + SG-MLP} block, pooling."""
 
     def __init__(self, d_raw: int, cfg: GeneratorConfig, lif: LIFParams,
                  rng: np.random.Generator, scale: float = 0.125):
-        self.projection = Linear(d_raw, cfg.d, rng)
-        self.generator = SpikeGenerator(cfg, lif, rng)
+        self.proj = Linear(d_raw, cfg.d, rng)
+        self.gen = SpikeGenerator(cfg, lif, rng)
         self.attn = SpikeSelfAttention(cfg.d, lif, rng, scale)
         self.mlp = SpikeGatedMLP(cfg.d, lif, rng)
         self.pool = TemporalPool(cfg.t)
@@ -182,10 +144,10 @@ class UnimodalEncoder:
     def __call__(self, x_raw: Tensor, train: bool = False, recorder=None,
                  tag: str = "", intermediates: dict | None = None) -> EncoderOutput:
         if recorder is not None:
-            recorder.record_linear(f"{tag}linear", x_raw, self.projection.w, 1,
+            recorder.record_linear(f"{tag}linear", x_raw, self.proj.w, 1,
                                    "float")
-        x_f = project_features(x_raw, self.projection)
-        x_s = self.generator(x_f, train)
+        x_f = project_features(x_raw, self.proj)
+        x_s = self.gen(x_f, train)
         x_s1 = x_s + self.attn(x_s, train, recorder, tag)
         x_s2 = x_s1 + self.mlp(x_s1, recorder, tag)
         pooled = self.pool(x_s2)
@@ -194,33 +156,3 @@ class UnimodalEncoder:
                 {"x_f": x_f, "x_s": x_s, "residual1": x_s1, "residual2": x_s2}
             )
         return EncoderOutput(features=x_f, pooled=pooled, spikes=x_s2)
-
-    def param_dict(self) -> dict[str, Tensor]:
-        params = prefixed(self.projection.param_dict(), "proj")
-        params.update(prefixed(self.generator.param_dict(), "gen"))
-        params.update(prefixed(self.attn.param_dict(), "attn"))
-        params.update(prefixed(self.mlp.param_dict(), "mlp"))
-        params.update(prefixed(self.pool.param_dict(), "pool"))
-        return params
-
-    def buffer_dict(self) -> dict[str, np.ndarray]:
-        buffers = prefixed(self.generator.buffer_dict(), "gen")
-        buffers.update(prefixed(self.attn.buffer_dict(), "attn"))
-        return buffers
-
-    def load_buffers(self, buffers: dict[str, np.ndarray]):
-        self.generator.load_buffers(
-            {k.split("/", 1)[1]: v for k, v in buffers.items()
-             if k.startswith("gen/")}
-        )
-        self.attn.load_buffers(
-            {k.split("/", 1)[1]: v for k, v in buffers.items()
-             if k.startswith("attn/")}
-        )
-
-
-def unimodal_forward(x_raw: Tensor, encoder: UnimodalEncoder,
-                     train: bool = False):
-    """Run the pipeline; returns (pooled embedding, pre-pool spike tensor)."""
-    out = encoder(x_raw, train=train)
-    return out.pooled, out.spikes

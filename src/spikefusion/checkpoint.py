@@ -18,6 +18,7 @@ prefix) and optimizer moments (``adam_m/``, ``adam_v/``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,30 +94,47 @@ def load_checkpoint(path) -> Checkpoint:
     payload = blob[cut + len(sep):]
     if not lines or lines[0] != MAGIC:
         raise UsageError(f"{path}: unsupported checkpoint format {lines[:1]!r}")
-    epoch = int(lines[1].split()[1])
-    adam_step = int(lines[2].split()[1])
-    n_config = int(lines[3].split()[1])
-    config_text = "\n".join(lines[4:4 + n_config]) + "\n"
-    pos = 4 + n_config
-    n_arrays = int(lines[pos].split()[1])
+    try:
+        epoch = _header_int(lines[1], "epoch")
+        adam_step = _header_int(lines[2], "adam_step")
+        n_config = _header_int(lines[3], "config")
+        config_text = "\n".join(lines[4:4 + n_config]) + "\n"
+        pos = 4 + n_config
+        n_arrays = _header_int(lines[pos], "arrays")
+        if len(lines) != pos + 1 + n_arrays:
+            raise ValueError(f"{n_arrays} arrays declared, "
+                             f"{len(lines) - pos - 1} index lines present")
+        entries = [_index_entry(line) for line in lines[pos + 1:]]
+    except (IndexError, ValueError) as exc:
+        raise UsageError(f"{path}: malformed checkpoint header ({exc})") from exc
     arrays: dict[str, np.ndarray] = {}
-    for line in lines[pos + 1: pos + 1 + n_arrays]:
-        name, shape_s, offset_s, nbytes_s = line.rsplit(" ", 3)
-        offset, nbytes = int(offset_s), int(nbytes_s)
+    for name, shape, offset, nbytes in entries:
         if offset + nbytes > len(payload):
             raise UsageError(f"{path}: array {name!r} overruns the payload")
         flat = np.frombuffer(payload[offset:offset + nbytes], dtype="<f4")
-        if shape_s == "scalar":
-            arrays[name] = flat.reshape(())
-        else:
-            shape = tuple(int(s) for s in shape_s.split(","))
-            if int(np.prod(shape)) * 4 != nbytes:
-                raise UsageError(
-                    f"{path}: array {name!r} byte length does not match shape"
-                )
-            arrays[name] = flat.reshape(shape)
+        arrays[name] = flat.reshape(shape)
     return Checkpoint(arrays=arrays, epoch=epoch, adam_step=adam_step,
                       config_text=config_text)
+
+
+def _header_int(line: str, key: str) -> int:
+    """Value of a ``<key> <non-negative int>`` header line."""
+    parts = line.split()
+    if len(parts) != 2 or parts[0] != key or not parts[1].isdigit():
+        raise ValueError(f"expected '{key} <count>', got {line!r}")
+    return int(parts[1])
+
+
+def _index_entry(line: str):
+    """(name, shape, offset, nbytes) of one ``<name> <shape> <offset>
+    <nbytes>`` index line; the byte length must match the shape."""
+    name, shape_s, offset_s, nbytes_s = line.rsplit(" ", 3)
+    shape = () if shape_s == "scalar" else tuple(
+        int(s) for s in shape_s.split(","))
+    offset, nbytes = int(offset_s), int(nbytes_s)
+    if min((offset, nbytes) + shape) < 0 or math.prod(shape) * 4 != nbytes:
+        raise ValueError(f"array {name!r} byte length does not match shape")
+    return name, shape, offset, nbytes
 
 
 def restore_model(checkpoint: Checkpoint, region_width: int, word_width: int):
@@ -126,6 +144,6 @@ def restore_model(checkpoint: Checkpoint, region_width: int, word_width: int):
 
     config = parse_config(checkpoint.config_text)
     model = RetrievalModel(config, region_width, word_width)
-    model.load_param_data(checkpoint.params())
-    model.load_buffer_data(checkpoint.buffers())
+    model.load_params(checkpoint.params())
+    model.load_buffers(checkpoint.buffers())
     return model

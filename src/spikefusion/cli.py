@@ -12,7 +12,7 @@ from . import data as data_mod
 from .checkpoint import load_checkpoint, restore_model
 from .config import RunConfig, load_config
 from .energy import EnergyConstants, energy_report
-from .errors import UsageError
+from .errors import ContractError, StateError, UsageError
 from .tensor import Tensor
 from .train import ablation_sweep, evaluate_recall, train
 
@@ -185,7 +185,8 @@ def main(argv=None) -> int:
         parser.error("synth-data requires --out")
     try:
         return args.func(args)
-    except (UsageError, ValueError, FloatingPointError, OSError) as exc:
+    except (UsageError, ValueError, FloatingPointError, OSError, ContractError,
+            StateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

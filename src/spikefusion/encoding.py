@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .layers import BatchNorm, LayerNorm, Linear, prefixed
-from .neurons import LIFParams, ThresholdNeuron
+from .layers import BatchNorm, LayerNorm, Linear, Module
+from .neurons import LIFParams, TLSNParams
 from .tensor import Tensor, as_tensor, concat, repeat_steps, stack
 
 GENERATOR_VARIANTS = (
@@ -68,11 +68,11 @@ def _shift_tokens(x: Tensor, offset: int) -> Tensor:
     return concat([body, zeros], axis=-2)
 
 
-class SpikeGenerator:
+class SpikeGenerator(Module):
     def __init__(self, cfg: GeneratorConfig, lif: LIFParams,
                  rng: np.random.Generator):
         self.cfg = cfg
-        self.neuron = ThresholdNeuron(lif)
+        self.tlsn = TLSNParams.create(lif)
         d = cfg.d
         base, norm_kind = cfg.variant.split("-")
         self.base = base
@@ -81,13 +81,13 @@ class SpikeGenerator:
         else:
             self.norm = BatchNorm(d)
         self.norm_kind = norm_kind
-        self.step_maps: list[Linear] = []
-        self.conv_taps: list[Linear] = []
+        self.step: list[Linear] = []  # one map per time step (linear)
+        self.tap: list[Linear] = []   # token-axis conv taps (conv)
         if base == "linear":
-            self.step_maps = [Linear(d, d, rng, bias=False) for _ in range(cfg.t)]
+            self.step = [Linear(d, d, rng, bias=False) for _ in range(cfg.t)]
         elif base == "conv":
             # kernel-size-3, same-padding convolution over the token axis
-            self.conv_taps = [Linear(d, d, rng, bias=False) for _ in range(3)]
+            self.tap = [Linear(d, d, rng, bias=False) for _ in range(3)]
 
     def expand(self, x_f: Tensor) -> Tensor:
         """Temporal expansion producing a (T, ..., K, D) float tensor."""
@@ -96,9 +96,9 @@ class SpikeGenerator:
         if self.base == "repeat":
             return repeat_steps(x_f, t)
         if self.base == "linear":
-            return stack([m(x_f) for m in self.step_maps], axis=0)
+            return stack([m(x_f) for m in self.step], axis=0)
         if self.base == "conv":
-            prev_tap, mid_tap, next_tap = self.conv_taps
+            prev_tap, mid_tap, next_tap = self.tap
             y = prev_tap(_shift_tokens(x_f, 1)) + mid_tap(x_f) \
                 + next_tap(_shift_tokens(x_f, -1))
             return repeat_steps(y, t)
@@ -114,23 +114,4 @@ class SpikeGenerator:
         return self.norm(expanded, train)
 
     def __call__(self, x_f: Tensor, train: bool = False) -> Tensor:
-        return self.neuron(self.pre_neuron(x_f, train))
-
-    def param_dict(self) -> dict[str, Tensor]:
-        params = prefixed(self.neuron.param_dict(), "tlsn")
-        params.update(prefixed(self.norm.param_dict(), "norm"))
-        for i, m in enumerate(self.step_maps):
-            params.update(prefixed(m.param_dict(), f"step{i}"))
-        for i, m in enumerate(self.conv_taps):
-            params.update(prefixed(m.param_dict(), f"tap{i}"))
-        return params
-
-    def buffer_dict(self) -> dict[str, np.ndarray]:
-        return prefixed(self.norm.buffer_dict(), "norm")
-
-    def load_buffers(self, buffers: dict[str, np.ndarray]):
-        if isinstance(self.norm, BatchNorm):
-            self.norm.load_buffers(
-                {k.split("/", 1)[1]: v for k, v in buffers.items()
-                 if k.startswith("norm/")}
-            )
+        return self.tlsn(self.pre_neuron(x_f, train))

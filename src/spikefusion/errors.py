@@ -24,6 +24,8 @@ class UsageError(ValueError):
 class ContractError(KeyError):
     """A required input (for example a named similarity matrix) is missing."""
 
+    __str__ = Exception.__str__  # the plain message, not KeyError's repr
+
 
 class AccountingError(RuntimeError):
     """The energy ledger encountered a layer it cannot account for."""

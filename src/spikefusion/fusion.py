@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .layers import BatchNorm, Linear, prefixed
+from .layers import BatchNorm, Linear, Module
 from .neurons import LIFNeuron, LIFParams
 from .attention import TemporalPool
 from .tensor import Tensor, as_tensor, concat, matmul
@@ -114,7 +114,7 @@ def qkv_attention(q: Tensor, k: Tensor, v: Tensor,
     return out
 
 
-class _ProjectSpike:
+class _ProjectSpike(Module):
     """{Linear, BN, LIF} stage in front of the fusion attention products."""
 
     def __init__(self, d: int, lif: LIFParams, rng: np.random.Generator):
@@ -125,63 +125,26 @@ class _ProjectSpike:
     def __call__(self, x: Tensor, train: bool) -> Tensor:
         return self.neuron(self.bn(self.linear(x), train))
 
-    def param_dict(self):
-        params = prefixed(self.linear.param_dict(), "linear")
-        params.update(prefixed(self.bn.param_dict(), "bn"))
-        return params
 
-    def buffer_dict(self):
-        return prefixed(self.bn.buffer_dict(), "bn")
-
-    def load_buffers(self, buffers):
-        self.bn.load_buffers({k.split("/", 1)[1]: v for k, v in buffers.items()
-                              if k.startswith("bn/")})
-
-
-class SpikeCrossAttention:
+class SpikeCrossAttention(Module):
     """One direction of spike cross attention: query tokens attend to the
     other modality's keys/values, output keeps the query token count."""
 
     def __init__(self, d: int, lif: LIFParams, rng: np.random.Generator):
-        self.proj_q = _ProjectSpike(d, lif, rng)
-        self.proj_k = _ProjectSpike(d, lif, rng)
-        self.proj_v = _ProjectSpike(d, lif, rng)
-        self.w_out = Linear(d, d, rng, bias=False)
+        self.q = _ProjectSpike(d, lif, rng)
+        self.k = _ProjectSpike(d, lif, rng)
+        self.v = _ProjectSpike(d, lif, rng)
+        self.out = Linear(d, d, rng, bias=False)
         self.bn_out = BatchNorm(d)
         self.neuron_out = LIFNeuron(lif)
 
     def __call__(self, x_q: Tensor, x_kv: Tensor, train: bool,
                  counter: OpCounter | None = None) -> Tensor:
-        q = self.proj_q(x_q, train)
-        k = self.proj_k(x_kv, train)
-        v = self.proj_v(x_kv, train)
+        q = self.q(x_q, train)
+        k = self.k(x_kv, train)
+        v = self.v(x_kv, train)
         attn = qkv_attention(q, k, v, counter)
-        return self.neuron_out(self.bn_out(self.w_out(attn), train))
-
-    def param_dict(self):
-        params: dict[str, Tensor] = {}
-        for name, mod in (("q", self.proj_q), ("k", self.proj_k),
-                          ("v", self.proj_v)):
-            params.update(prefixed(mod.param_dict(), name))
-        params.update(prefixed(self.w_out.param_dict(), "out"))
-        params.update(prefixed(self.bn_out.param_dict(), "bn_out"))
-        return params
-
-    def buffer_dict(self):
-        buffers: dict[str, np.ndarray] = {}
-        for name, mod in (("q", self.proj_q), ("k", self.proj_k),
-                          ("v", self.proj_v)):
-            buffers.update(prefixed(mod.buffer_dict(), name))
-        buffers.update(prefixed(self.bn_out.buffer_dict(), "bn_out"))
-        return buffers
-
-    def load_buffers(self, buffers):
-        for name, mod in (("q", self.proj_q), ("k", self.proj_k),
-                          ("v", self.proj_v)):
-            mod.load_buffers({k.split("/", 1)[1]: v for k, v in buffers.items()
-                              if k.startswith(f"{name}/")})
-        self.bn_out.load_buffers({k.split("/", 1)[1]: v for k, v in buffers.items()
-                                  if k.startswith("bn_out/")})
+        return self.neuron_out(self.bn_out(self.out(attn), train))
 
 
 class ConcatSelfAttention(SpikeCrossAttention):
@@ -202,18 +165,18 @@ class ConcatSelfAttention(SpikeCrossAttention):
             )
         n = r.shape[2]
         x = concat([r, e], axis=2)
-        q = self.proj_q(x, train)
-        k = self.proj_k(x, train)
-        v = self.proj_v(x, train)
+        q = self.q(x, train)
+        k = self.k(x, train)
+        v = self.v(x, train)
         attn = qkv_attention(q, k, v, counter)
-        out = self.neuron_out(self.bn_out(self.w_out(attn), train))
+        out = self.neuron_out(self.bn_out(self.out(attn), train))
         k_total = out.shape[2]
         r_bar = out[:, :, :n, :]
         e_bar = out[:, :, n:k_total, :]
         return r_bar, e_bar
 
 
-class SpikeFusion:
+class SpikeFusion(Module):
     """Kind-dispatched fusion plus temporal pooling of both fused streams.
 
     ``call_count`` instruments the training-only contract: evaluation code
@@ -233,7 +196,7 @@ class SpikeFusion:
             self.cross_r = SpikeCrossAttention(d, lif, rng)
             self.cross_e = SpikeCrossAttention(d, lif, rng)
         else:
-            self.concat_attn = ConcatSelfAttention(d, lif, rng)
+            self.concat = ConcatSelfAttention(d, lif, rng)
 
     def fuse_and_pool(self, r_spikes: Tensor, e_spikes: Tensor,
                       train: bool = True, counter: OpCounter | None = None):
@@ -253,34 +216,5 @@ class SpikeFusion:
             r_fused = self.cross_r(r_spikes, e_spikes, train, counter)
             e_fused = self.cross_e(e_spikes, r_spikes, train, counter)
         else:
-            r_fused, e_fused = self.concat_attn(r_spikes, e_spikes, train, counter)
+            r_fused, e_fused = self.concat(r_spikes, e_spikes, train, counter)
         return self.pool(r_fused), self.pool(e_fused)
-
-    def param_dict(self) -> dict[str, Tensor]:
-        params = prefixed(self.pool.param_dict(), "pool")
-        if self.cfg.kind == "sca":
-            params.update(prefixed(self.cross_r.param_dict(), "cross_r"))
-            params.update(prefixed(self.cross_e.param_dict(), "cross_e"))
-        elif self.cfg.kind == "scsa":
-            params.update(prefixed(self.concat_attn.param_dict(), "concat"))
-        return params
-
-    def buffer_dict(self) -> dict[str, np.ndarray]:
-        if self.cfg.kind == "sca":
-            buffers = prefixed(self.cross_r.buffer_dict(), "cross_r")
-            buffers.update(prefixed(self.cross_e.buffer_dict(), "cross_e"))
-            return buffers
-        if self.cfg.kind == "scsa":
-            return prefixed(self.concat_attn.buffer_dict(), "concat")
-        return {}
-
-    def load_buffers(self, buffers: dict[str, np.ndarray]):
-        def sub(prefix):
-            return {k.split("/", 1)[1]: v for k, v in buffers.items()
-                    if k.startswith(f"{prefix}/")}
-
-        if self.cfg.kind == "sca":
-            self.cross_r.load_buffers(sub("cross_r"))
-            self.cross_e.load_buffers(sub("cross_e"))
-        elif self.cfg.kind == "scsa":
-            self.concat_attn.load_buffers(sub("concat"))

@@ -1,10 +1,83 @@
-"""Parameter-owning building blocks: linear maps and normalization layers."""
+"""Parameter-owning building blocks and the registry that names their state.
+
+``Module`` finds a block's parameters and batch-norm buffers by walking its
+attributes in insertion order, PyTorch ``named_parameters`` style.  The
+``/``-joined attribute paths are the checkpoint array names, so renaming an
+attribute of any block is a checkpoint format change.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import ContractError
 from .tensor import RunningStats, Tensor, batch_norm, layer_norm, matmul
+
+
+class Module:
+    """Registry base for every parameter-owning block.
+
+    The walk visits child modules, lists of them (list attribute ``x`` yields
+    children ``x0``, ``x1``, ...), parameter tensors, and ``RunningStats``,
+    which contribute ``running_mean``/``running_var`` once initialized.
+    """
+
+    def _walk(self, prefix: str = ""):
+        """Yield (name, tensor) for parameters and (prefix, stats) for
+        running stats, depth first in attribute order."""
+        for name, value in vars(self).items():
+            if isinstance(value, Module):
+                yield from value._walk(f"{prefix}{name}/")
+            elif isinstance(value, list):
+                for i, child in enumerate(value):
+                    if isinstance(child, Module):
+                        yield from child._walk(f"{prefix}{name}{i}/")
+            elif isinstance(value, Tensor):
+                yield prefix + name, value
+            elif isinstance(value, RunningStats):
+                yield prefix, value
+
+    def _stats(self):
+        return [(p, s) for p, s in self._walk() if isinstance(s, RunningStats)]
+
+    def params(self) -> dict[str, Tensor]:
+        return {n: v for n, v in self._walk() if isinstance(v, Tensor)}
+
+    def buffers(self) -> dict[str, np.ndarray]:
+        buffers: dict[str, np.ndarray] = {}
+        for prefix, stats in self._stats():
+            if stats.initialized:
+                buffers[f"{prefix}running_mean"] = stats.mean
+                buffers[f"{prefix}running_var"] = stats.var
+        return buffers
+
+    def load_params(self, arrays: dict[str, np.ndarray]):
+        """Copy every parameter from ``arrays``; each must be present with
+        its current shape."""
+        for name, param in self.params().items():
+            data = _required(arrays, name, "parameter")
+            if data.shape != param.data.shape:
+                raise ValueError(
+                    f"checkpoint parameter {name!r} has shape {data.shape}, "
+                    f"expected {param.data.shape}"
+                )
+            param.data = data
+
+    def load_buffers(self, arrays: dict[str, np.ndarray]):
+        """Restore every running-stats pair present in ``arrays``; half a
+        pair is an error."""
+        for prefix, stats in self._stats():
+            names = (f"{prefix}running_mean", f"{prefix}running_var")
+            if names[0] in arrays or names[1] in arrays:
+                stats.mean, stats.var = (_required(arrays, n, "buffer")
+                                         for n in names)
+                stats.initialized = True
+
+
+def _required(arrays: dict[str, np.ndarray], name: str, kind: str) -> np.ndarray:
+    if name not in arrays:
+        raise ContractError(f"checkpoint missing {kind} {name!r}")
+    return arrays[name].astype(np.float32).copy()
 
 
 def xavier_uniform(rng: np.random.Generator, d_in: int, d_out: int,
@@ -13,7 +86,7 @@ def xavier_uniform(rng: np.random.Generator, d_in: int, d_out: int,
     return rng.uniform(-r, r, size=(d_in, d_out)).astype(np.float32)
 
 
-class Linear:
+class Linear(Module):
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator,
                  bias: bool = True, gain: float = 1.0):
         self.w = Tensor.param(xavier_uniform(rng, d_in, d_out, gain))
@@ -25,14 +98,8 @@ class Linear:
             y = y + self.b
         return y
 
-    def param_dict(self) -> dict[str, Tensor]:
-        d = {"w": self.w}
-        if self.b is not None:
-            d["b"] = self.b
-        return d
 
-
-class LayerNorm:
+class LayerNorm(Module):
     def __init__(self, d: int, eps: float = 1e-5):
         self.gamma = Tensor.param(np.ones(d, dtype=np.float32))
         self.beta = Tensor.param(np.zeros(d, dtype=np.float32))
@@ -41,14 +108,8 @@ class LayerNorm:
     def __call__(self, x: Tensor) -> Tensor:
         return layer_norm(x, self.gamma, self.beta, self.eps)
 
-    def param_dict(self) -> dict[str, Tensor]:
-        return {"gamma": self.gamma, "beta": self.beta}
 
-    def buffer_dict(self) -> dict[str, np.ndarray]:
-        return {}
-
-
-class BatchNorm:
+class BatchNorm(Module):
     """Channel batch norm with stats pooled over time, batch and token axes."""
 
     def __init__(self, d: int, eps: float = 1e-5, momentum: float = 0.1):
@@ -68,21 +129,3 @@ class BatchNorm:
         self.stats.mean = np.zeros(self.d, dtype=np.float32)
         self.stats.var = np.ones(self.d, dtype=np.float32)
         self.stats.initialized = True
-
-    def param_dict(self) -> dict[str, Tensor]:
-        return {"gamma": self.gamma, "beta": self.beta}
-
-    def buffer_dict(self) -> dict[str, np.ndarray]:
-        if not self.stats.initialized:
-            return {}
-        return {"running_mean": self.stats.mean, "running_var": self.stats.var}
-
-    def load_buffers(self, buffers: dict[str, np.ndarray]):
-        if "running_mean" in buffers:
-            self.stats.mean = buffers["running_mean"].astype(np.float32).copy()
-            self.stats.var = buffers["running_var"].astype(np.float32).copy()
-            self.stats.initialized = True
-
-
-def prefixed(d: dict, prefix: str) -> dict:
-    return {f"{prefix}/{k}": v for k, v in d.items()}

@@ -10,13 +10,15 @@ from .attention import UnimodalEncoder
 from .config import RunConfig
 from .encoding import GeneratorConfig
 from .fusion import FusionConfig, SpikeFusion
-from .layers import prefixed
+from .layers import Module
 from .losses import LossWeights, infonce_pair, total_loss
 from .neurons import LIFParams
 from .tensor import Tensor, no_grad
 
 
-class RetrievalModel:
+class RetrievalModel(Module):
+    """Registry names start ``image/``, ``text/`` and ``fusion/``."""
+
     def __init__(self, config: RunConfig, region_width: int, word_width: int,
                  n_regions: int | None = None, n_words: int | None = None):
         config.validate()
@@ -25,10 +27,10 @@ class RetrievalModel:
         lif = LIFParams(tau=config.tau, v_th=config.v_th, v_reset=config.v_reset,
                         surrogate_alpha=config.surrogate_alpha)
         gen_cfg = GeneratorConfig(variant=config.generator, t=config.t, d=config.d)
-        self.image_encoder = UnimodalEncoder(region_width, gen_cfg, lif, rng,
-                                             config.ssa_scale)
-        self.text_encoder = UnimodalEncoder(word_width, gen_cfg, lif, rng,
-                                            config.ssa_scale)
+        self.image = UnimodalEncoder(region_width, gen_cfg, lif, rng,
+                                     config.ssa_scale)
+        self.text = UnimodalEncoder(word_width, gen_cfg, lif, rng,
+                                    config.ssa_scale)
         self.pool_cfg = PoolConfig(alpha=config.alpha, mode=config.alignment)
         self.loss_weights = LossWeights(lam=config.lam,
                                         temperature=config.temperature)
@@ -43,14 +45,11 @@ class RetrievalModel:
             self.fusion = SpikeFusion(fusion_cfg, config.d, config.t, lif, rng,
                                       comb_lif)
 
-    # -- forward passes -------------------------------------------------------
-
     def encode(self, regions: Tensor, words: Tensor, train: bool,
                recorder=None):
-        r_out = self.image_encoder(regions, train=train, recorder=recorder,
-                                   tag="region/")
-        e_out = self.text_encoder(words, train=train, recorder=recorder,
-                                  tag="word/")
+        r_out = self.image(regions, train=train, recorder=recorder,
+                           tag="region/")
+        e_out = self.text(words, train=train, recorder=recorder, tag="word/")
         return r_out, e_out
 
     def eval_similarity(self, regions: Tensor, words: Tensor,
@@ -103,41 +102,3 @@ class RetrievalModel:
         """One train-mode pass to populate batch-norm running statistics."""
         with no_grad():
             self.encode(regions, words, train=True)
-
-    # -- parameter registry ---------------------------------------------------
-
-    def params(self) -> dict[str, Tensor]:
-        params = prefixed(self.image_encoder.param_dict(), "image")
-        params.update(prefixed(self.text_encoder.param_dict(), "text"))
-        if self.fusion is not None:
-            params.update(prefixed(self.fusion.param_dict(), "fusion"))
-        return params
-
-    def buffers(self) -> dict[str, np.ndarray]:
-        buffers = prefixed(self.image_encoder.buffer_dict(), "image")
-        buffers.update(prefixed(self.text_encoder.buffer_dict(), "text"))
-        if self.fusion is not None:
-            buffers.update(prefixed(self.fusion.buffer_dict(), "fusion"))
-        return buffers
-
-    def load_param_data(self, arrays: dict[str, np.ndarray]):
-        params = self.params()
-        for name, param in params.items():
-            if name not in arrays:
-                raise KeyError(f"checkpoint missing parameter {name!r}")
-            if arrays[name].shape != param.data.shape:
-                raise ValueError(
-                    f"checkpoint parameter {name!r} has shape "
-                    f"{arrays[name].shape}, expected {param.data.shape}"
-                )
-            param.data = arrays[name].astype(np.float32).copy()
-
-    def load_buffer_data(self, arrays: dict[str, np.ndarray]):
-        def sub(prefix):
-            return {k.split("/", 1)[1]: v for k, v in arrays.items()
-                    if k.startswith(f"{prefix}/")}
-
-        self.image_encoder.load_buffers(sub("image"))
-        self.text_encoder.load_buffers(sub("text"))
-        if self.fusion is not None:
-            self.fusion.load_buffers(sub("fusion"))

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError, UsageError
+from .layers import Module
 from .tensor import (
     Tensor,
     as_tensor,
@@ -81,25 +82,34 @@ def lif_step(state: NeuronState, x_t: Tensor, params: LIFParams):
     return s, NeuronState(v_new)
 
 
-def lif_sequence(x: Tensor, params: LIFParams) -> Tensor:
-    """Fold :func:`lif_step` over the leading time axis of ``x``.
+def _fold(x: Tensor, tau: float, v_th, v_reset: float, alpha: float,
+          caller: str) -> Tensor:
+    """Fold :func:`_step` over the leading time axis of ``x``.
 
-    State starts at the reset potential and is private to this call.
+    ``v_th`` is a float or a (learnable) scalar tensor.  State starts at the
+    reset potential and is private to this call.
     """
     x = as_tensor(x)
     if x.ndim < 1 or x.shape[0] == 0:
-        raise UsageError("lif_sequence: empty time axis")
-    state = NeuronState.initial(x.shape[1:], params.v_reset)
+        raise UsageError(f"{caller}: empty time axis")
+    v = NeuronState.initial(x.shape[1:], v_reset).v
     spikes = []
     for t in range(x.shape[0]):
-        s, state = lif_step(state, x[t], params)
+        s, v = _step(v, x[t], tau, v_th, v_reset, alpha)
         spikes.append(s)
     return stack(spikes, axis=0)
 
 
+def lif_sequence(x: Tensor, params: LIFParams) -> Tensor:
+    """Fold the LIF membrane update over the leading time axis of ``x``."""
+    return _fold(x, params.tau, params.v_th, params.v_reset,
+                 params.surrogate_alpha, "lif_sequence")
+
+
 @dataclass
-class TLSNParams:
-    """Threshold-learnable spiking neuron parameters.
+class TLSNParams(Module):
+    """Threshold-learnable spiking neuron: a LIF fold whose firing threshold
+    is a trained parameter.
 
     The effective threshold is ``softplus(raw) + v_reset + 0.01`` so it can
     never cross below the reset potential.
@@ -122,25 +132,18 @@ class TLSNParams:
     def effective_threshold(self) -> Tensor:
         return softplus(self.v_th_raw) + np.float32(self.lif.v_reset + THRESHOLD_FLOOR)
 
+    def __call__(self, x: Tensor) -> Tensor:
+        return tlsn_forward(x, self)
+
 
 def tlsn_forward(x: Tensor, params: TLSNParams) -> Tensor:
     """LIF fold with a learnable threshold; gradient reaches the threshold."""
-    x = as_tensor(x)
-    if x.ndim < 1 or x.shape[0] == 0:
-        raise UsageError("tlsn_forward: empty time axis")
     lif = params.lif
-    v_th = params.effective_threshold()
-    state = NeuronState.initial(x.shape[1:], lif.v_reset)
-    spikes = []
-    for t in range(x.shape[0]):
-        s, v_new = _step(state.v, x[t], lif.tau, v_th, lif.v_reset,
-                         lif.surrogate_alpha)
-        state = NeuronState(v_new)
-        spikes.append(s)
-    return stack(spikes, axis=0)
+    return _fold(x, lif.tau, params.effective_threshold(), lif.v_reset,
+                 lif.surrogate_alpha, "tlsn_forward")
 
 
-class LIFNeuron:
+class LIFNeuron(Module):
     """Stateless callable: spikes = fold of LIF dynamics over the time axis."""
 
     def __init__(self, params: LIFParams | None = None):
@@ -148,16 +151,3 @@ class LIFNeuron:
 
     def __call__(self, x: Tensor) -> Tensor:
         return lif_sequence(x, self.params)
-
-
-class ThresholdNeuron:
-    """LIF fold whose firing threshold is a trained parameter."""
-
-    def __init__(self, lif: LIFParams, init_v_th: float | None = None):
-        self.tlsn = TLSNParams.create(lif, init_v_th)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return tlsn_forward(x, self.tlsn)
-
-    def param_dict(self) -> dict[str, Tensor]:
-        return {"v_th_raw": self.tlsn.v_th_raw}

@@ -92,10 +92,6 @@ def train(config: RunConfig, dataset: Dataset, out_dir: str | None = None,
     ``start_epoch`` to resume.
     """
     config.validate()
-    if config.fusion == "scca":
-        from .fusion import FusionConfig
-        FusionConfig(kind="scca", h=config.heads).check_token_counts(
-            dataset.n_regions, dataset.n_words)
     train_set, val_set = train_val_split(dataset, config.val_fraction,
                                          config.seed)
     if val_set.pairs < 2:

@@ -9,7 +9,6 @@ from spikefusion.alignment import (
     POOL_MODES,
     PoolConfig,
     biha_enhance,
-    early_similarity,
     fine_similarity,
     hard_align_region,
     hard_align_word,
@@ -243,10 +242,3 @@ class TestSimilarityModes:
             tol = np.maximum(1e-2 * np.abs(fd), 2e-3)
             assert (err <= tol).all(), f"{mode}: max err {err.max()}"
 
-    def test_early_similarity_mirrors_similarity(self):
-        e = RNG.standard_normal((3, 2, 4)).astype(np.float32)
-        r = RNG.standard_normal((3, 2, 4)).astype(np.float32)
-        cfg = PoolConfig(alpha=0.1, mode="biha")
-        np.testing.assert_array_equal(
-            early_similarity(Tensor(e), Tensor(r), cfg).data,
-            similarity(Tensor(e), Tensor(r), cfg).data)

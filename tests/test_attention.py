@@ -8,7 +8,6 @@ from spikefusion.attention import (
     SpikeSelfAttention,
     TemporalPool,
     UnimodalEncoder,
-    unimodal_forward,
 )
 from spikefusion.encoding import GeneratorConfig
 from spikefusion.errors import DimensionError
@@ -88,7 +87,7 @@ class TestTemporalPool:
 
     def test_all_ones_convexity(self):
         pool = TemporalPool(3)
-        pool.raw.data = RNG.standard_normal(3).astype(np.float32)
+        pool.w.data = RNG.standard_normal(3).astype(np.float32)
         x = Tensor(np.ones((3, 2, 2, 2), dtype=np.float32))
         np.testing.assert_allclose(pool(x).data, 1.0, rtol=1e-5)
 
@@ -99,7 +98,7 @@ class TestTemporalPool:
 
     def test_weights_sum_to_one(self):
         pool = TemporalPool(4)
-        pool.raw.data = RNG.standard_normal(4).astype(np.float32)
+        pool.w.data = RNG.standard_normal(4).astype(np.float32)
         np.testing.assert_allclose(pool.weights().data.sum(), 1.0, rtol=1e-6)
 
 
@@ -126,12 +125,11 @@ class TestUnimodalEncoder:
 
     def test_unimodal_forward_returns_pooled_and_spikes(self):
         enc = make_encoder()
-        pooled, spikes = unimodal_forward(
-            Tensor(RNG.standard_normal((3, 4, 10)).astype(np.float32)), enc,
-            train=True)
-        assert pooled.shape == (3, 4, 8)
-        assert spikes.shape == (2, 3, 4, 8)
-        assert set(np.unique(spikes.data)) <= {0.0, 1.0, 2.0}
+        out = enc(Tensor(RNG.standard_normal((3, 4, 10)).astype(np.float32)),
+                  train=True)
+        assert out.pooled.shape == (3, 4, 8)
+        assert out.spikes.shape == (2, 3, 4, 8)
+        assert set(np.unique(out.spikes.data)) <= {0.0, 1.0, 2.0}
 
     def test_residual_sum_reaches_two_and_is_not_clipped(self):
         """Craft a forward where x_s + SSA(x_s) == 2 somewhere and verify the
@@ -161,7 +159,7 @@ class TestUnimodalEncoder:
             out = enc(x, train=True)
             (out.pooled * out.pooled).sum().backward()
             got = {name: p.grad is not None and np.abs(p.grad).sum() > 0
-                   for name, p in enc.param_dict().items()}
+                   for name, p in enc.params().items()}
             if reached is None:
                 reached = got
             else:

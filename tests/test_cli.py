@@ -1,8 +1,23 @@
 """End-to-end command-line workflows."""
 
-import pytest
+import contextlib
+import io
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spikefusion.checkpoint import save_checkpoint
 from spikefusion.cli import main
+from spikefusion.config import RunConfig
+from spikefusion.data import synth_dataset
+from spikefusion.model import RetrievalModel
+
+# tiny sca checkpoint (d=8, region/word widths 6/5, 4 tokens per side)
+FIXTURE = Path(__file__).parent / "golden" / "sca_linear_bn_d8.ckpt"
+FIXTURE_HEADER, FIXTURE_PAYLOAD = FIXTURE.read_bytes().split(b"\n---\n", 1)
+HEADER_LINES = FIXTURE_HEADER.decode("utf-8").splitlines()
 
 CONFIG_TEXT = """
 # desk-scale toy setup
@@ -145,3 +160,90 @@ def test_bad_config_value_fails_cleanly(tmp_path, capsys):
 def test_synth_data_requires_out(capsys):
     with pytest.raises(SystemExit):
         main(["synth-data", "--pairs", "4"])
+
+
+@pytest.fixture(scope="module")
+def fixture_workspace(tmp_path_factory):
+    """A dataset matching the fixture checkpoint's widths and token counts."""
+    root = tmp_path_factory.mktemp("malformed")
+    synth_dataset(root / "data", seed=1, pairs=6, n_regions=4, n_words=4,
+                  region_width=6, word_width=5, noise=0.1)
+    return root
+
+
+def with_header(header_lines):
+    """The fixture checkpoint with its header replaced."""
+    return ("\n".join(header_lines).encode("utf-8") + b"\n---\n"
+            + FIXTURE_PAYLOAD)
+
+
+def eval_checkpoint(root, blob):
+    path = root / "under_test.ckpt"
+    path.write_bytes(blob)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = main(["eval", "--data", str(root / "data"),
+                   "--checkpoint", str(path)])
+    return rc, err.getvalue()
+
+
+def assert_one_line_error(rc, err):
+    assert rc == 1
+    assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1, err
+
+
+def test_fixture_checkpoint_evaluates(fixture_workspace):
+    assert eval_checkpoint(fixture_workspace, with_header(HEADER_LINES)) \
+        == (0, "")
+
+
+def test_eval_rejects_truncated_header(fixture_workspace):
+    rc, err = eval_checkpoint(fixture_workspace,
+                              b"spikefusion-checkpoint v1\nepoch\n---\n")
+    assert_one_line_error(rc, err)
+    assert "malformed checkpoint header" in err
+
+
+def test_eval_rejects_checkpoint_missing_a_parameter(fixture_workspace):
+    pos = next(i for i, l in enumerate(HEADER_LINES)
+               if l.startswith("arrays "))
+    n_arrays = int(HEADER_LINES[pos].split()[1])
+    param = next(i for i, l in enumerate(HEADER_LINES)
+                 if i > pos and not l.startswith("buffer/"))
+    lines = HEADER_LINES[:pos] + [f"arrays {n_arrays - 1}"] \
+        + HEADER_LINES[pos + 1:param] + HEADER_LINES[param + 1:]
+    rc, err = eval_checkpoint(fixture_workspace, with_header(lines))
+    assert_one_line_error(rc, err)
+    assert "checkpoint missing parameter" in err
+
+
+def test_eval_rejects_checkpoint_saved_before_calibration(fixture_workspace):
+    model = RetrievalModel(RunConfig(d=8, heads=2, fusion="sca"), 6, 5)
+    path = save_checkpoint(fixture_workspace / "fresh.ckpt", model)
+    rc, err = eval_checkpoint(fixture_workspace, path.read_bytes())
+    assert_one_line_error(rc, err)
+    assert "running stats" in err
+
+
+# Every mutation below makes the checkpoint invalid.  A cut drops index lines
+# that the array count declares.  No valid header line is built from this
+# alphabet alone, so a replaced line breaks the header or the config, or
+# drops an array that restoring needs (every fixture array is needed: a
+# parameter, or half of a running-stats pair).
+header_mutations = st.one_of(
+    st.integers(0, len(HEADER_LINES) - 1).map(lambda k: HEADER_LINES[:k]),
+    st.tuples(st.integers(0, len(HEADER_LINES) - 1),
+              st.text(alphabet=" ab019=,.-", min_size=1).filter(str.strip))
+    .map(lambda iv: HEADER_LINES[:iv[0]] + [iv[1]]
+         + HEADER_LINES[iv[0] + 1:]),
+)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(lines=header_mutations)
+def test_mutated_checkpoint_header_is_one_line_error(fixture_workspace,
+                                                     lines):
+    assert_one_line_error(*eval_checkpoint(fixture_workspace,
+                                           with_header(lines)))

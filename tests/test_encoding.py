@@ -119,7 +119,7 @@ class TestGenerate:
 
     def test_conv_uses_token_neighborhood(self):
         gen = make_generator("conv-bn", t=1, d=4)
-        for tap in gen.conv_taps:
+        for tap in gen.tap:
             tap.w.data = np.eye(4, dtype=np.float32)
         x = np.zeros((3, 4), dtype=np.float32)
         x[1] = 1.0

@@ -46,7 +46,7 @@ class TestRegistry:
         arrays = {n: p.data for n, p in model.params().items()}
         arrays.pop(next(iter(arrays)))
         with pytest.raises(KeyError):
-            model.load_param_data(arrays)
+            model.load_params(arrays)
 
     def test_load_rejects_shape_mismatch(self):
         model = toy_model()
@@ -54,7 +54,7 @@ class TestRegistry:
         first = next(iter(arrays))
         arrays[first] = np.zeros((1, 1), dtype=np.float32)
         with pytest.raises(ValueError, match="shape"):
-            model.load_param_data(arrays)
+            model.load_params(arrays)
 
 
 class TestGradientFlow:

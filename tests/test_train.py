@@ -120,7 +120,7 @@ class TestTrainLoop:
         data = tiny_dataset(tmp_path)
         cfg = tiny_config()
         model = RetrievalModel(cfg, 12, 10, 4, 4)
-        model.image_encoder.projection.w.data[0, 0] = np.nan
+        model.image.proj.w.data[0, 0] = np.nan
         with pytest.raises(FloatingPointError, match="early="):
             train(cfg, data, model=model)
 
