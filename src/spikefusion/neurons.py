@@ -82,8 +82,7 @@ def lif_step(state: NeuronState, x_t: Tensor, params: LIFParams):
     return s, NeuronState(v_new)
 
 
-def _fold(x: Tensor, tau: float, v_th, v_reset: float, alpha: float,
-          caller: str) -> Tensor:
+def _fold(x: Tensor, tau: float, v_th, v_reset: float, alpha: float) -> Tensor:
     """Fold :func:`_step` over the leading time axis of ``x``.
 
     ``v_th`` is a float or a (learnable) scalar tensor.  State starts at the
@@ -91,7 +90,7 @@ def _fold(x: Tensor, tau: float, v_th, v_reset: float, alpha: float,
     """
     x = as_tensor(x)
     if x.ndim < 1 or x.shape[0] == 0:
-        raise UsageError(f"{caller}: empty time axis")
+        raise UsageError("neuron fold: empty time axis")
     v = NeuronState.initial(x.shape[1:], v_reset).v
     spikes = []
     for t in range(x.shape[0]):
@@ -103,7 +102,7 @@ def _fold(x: Tensor, tau: float, v_th, v_reset: float, alpha: float,
 def lif_sequence(x: Tensor, params: LIFParams) -> Tensor:
     """Fold the LIF membrane update over the leading time axis of ``x``."""
     return _fold(x, params.tau, params.v_th, params.v_reset,
-                 params.surrogate_alpha, "lif_sequence")
+                 params.surrogate_alpha)
 
 
 @dataclass
@@ -140,7 +139,7 @@ def tlsn_forward(x: Tensor, params: TLSNParams) -> Tensor:
     """LIF fold with a learnable threshold; gradient reaches the threshold."""
     lif = params.lif
     return _fold(x, lif.tau, params.effective_threshold(), lif.v_reset,
-                 lif.surrogate_alpha, "tlsn_forward")
+                 lif.surrogate_alpha)
 
 
 class LIFNeuron(Module):
