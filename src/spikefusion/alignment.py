@@ -31,7 +31,7 @@ class PoolConfig:
     mode: str = "biha"
 
     def __post_init__(self):
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ParameterError(f"pool alpha must be > 0, got {self.alpha}")
         if self.mode not in POOL_MODES:
             raise ConfigError(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError
 from .layers import BatchNorm, Linear, Module
 from .neurons import LIFNeuron, LIFParams
 from .tensor import Tensor, as_tensor, matmul
@@ -25,8 +25,6 @@ class SpikeSelfAttention(Module):
 
     def __init__(self, d: int, lif: LIFParams, rng: np.random.Generator,
                  scale: float = 0.125):
-        if scale <= 0:
-            raise ParameterError(f"attention scale must be > 0, got {scale}")
         self.scale = scale
         self.w_q = Linear(d, d, rng, bias=False)
         self.w_k = Linear(d, d, rng, bias=False)

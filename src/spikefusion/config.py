@@ -2,15 +2,24 @@
 
 from __future__ import annotations
 
+import math
+from collections import namedtuple
 from dataclasses import dataclass, fields, replace
 
-from .alignment import POOL_MODES
-from .encoding import GENERATOR_VARIANTS
-from .errors import ConfigError
-from .fusion import FUSION_KINDS
+from .alignment import PoolConfig
+from .encoding import GeneratorConfig
+from .errors import ConfigError, ParameterError
+from .fusion import FusionConfig
+from .losses import LossWeights
+from .neurons import LIFParams
 
-# file keys that do not match the dataclass attribute name
-_KEY_ALIASES = {"lambda": "lam"}
+# dataclass attribute names that differ from their file key
+_FILE_KEYS = {"lam": "lambda"}
+_KEY_ALIASES = {v: k for k, v in _FILE_KEYS.items()}
+
+
+# the component configs of one run; fusion is None for fusion = none
+Components = namedtuple("Components", "lif comb_lif generator pool loss fusion")
 
 
 @dataclass
@@ -44,48 +53,46 @@ class RunConfig:
     val_fraction: float = 0.1
     seed: int = 0
 
+    def components(self) -> Components:
+        """The component configs this run builds; each checks its own ranges."""
+        try:
+            lif = LIFParams(tau=self.tau, v_th=self.v_th, v_reset=self.v_reset,
+                            surrogate_alpha=self.surrogate_alpha)
+            comb_lif = lif if self.comb_tau is None else replace(
+                lif, tau=self.comb_tau)
+            return Components(
+                lif, comb_lif,
+                GeneratorConfig(variant=self.generator, t=self.t, d=self.d),
+                PoolConfig(alpha=self.alpha, mode=self.alignment),
+                LossWeights(lam=self.lam, temperature=self.temperature),
+                None if self.fusion == "none"
+                else FusionConfig(kind=self.fusion, h=self.heads))
+        except ParameterError as exc:
+            raise ConfigError(str(exc)) from exc
+
     def validate(self) -> "RunConfig":
-        if self.d < 1 or self.t < 1:
-            raise ConfigError(f"d and t must be >= 1 (got d={self.d}, t={self.t})")
-        if self.generator not in GENERATOR_VARIANTS:
-            raise ConfigError(
-                f"unknown generator {self.generator!r}; "
-                f"expected one of {GENERATOR_VARIANTS}"
-            )
-        if self.alignment not in POOL_MODES:
-            raise ConfigError(
-                f"unknown alignment mode {self.alignment!r}; "
-                f"expected one of {POOL_MODES}"
-            )
-        if self.fusion != "none" and self.fusion not in FUSION_KINDS:
-            raise ConfigError(
-                f"unknown fusion kind {self.fusion!r}; expected one of "
-                f"{FUSION_KINDS + ('none',)}"
-            )
-        if self.heads < 1:
-            raise ConfigError(f"heads must be >= 1, got {self.heads}")
-        if self.alpha <= 0:
-            raise ConfigError(f"alpha must be > 0, got {self.alpha}")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ConfigError(f"lambda must be in [0, 1], got {self.lam}")
-        if self.temperature <= 0:
-            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                key = _FILE_KEYS.get(f.name, f.name)
+                raise ConfigError(f"{key} must be finite, got {value}")
+        if self.d < 1:
+            raise ConfigError(f"d must be >= 1, got {self.d}")
         if self.batch < 2:
             raise ConfigError(f"batch must be >= 2, got {self.batch}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.lr_encoder <= 0 or self.lr_fusion <= 0:
+        if not (self.lr_encoder > 0 and self.lr_fusion > 0):
             raise ConfigError("learning rates must be > 0")
-        if self.tau < 1.0:
-            raise ConfigError(f"tau must be >= 1, got {self.tau}")
-        if self.v_th <= self.v_reset:
-            raise ConfigError(
-                f"v_th ({self.v_th}) must exceed v_reset ({self.v_reset})"
-            )
         if not 0.0 <= self.val_fraction < 1.0:
             raise ConfigError(
                 f"val_fraction must be in [0, 1), got {self.val_fraction}"
             )
+        if not self.ssa_scale > 0:
+            raise ConfigError(f"ssa_scale must be > 0, got {self.ssa_scale}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        self.components()
         return self
 
     def to_text(self) -> str:
@@ -94,7 +101,7 @@ class RunConfig:
             value = getattr(self, f.name)
             if value is None:
                 continue
-            key = "lambda" if f.name == "lam" else f.name
+            key = _FILE_KEYS.get(f.name, f.name)
             lines.append(f"{key} = {value}")
         return "\n".join(lines) + "\n"
 

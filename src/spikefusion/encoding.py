@@ -39,7 +39,7 @@ class GeneratorConfig:
                 f"unknown spike generator variant {self.variant!r}; "
                 f"expected one of {GENERATOR_VARIANTS}"
             )
-        if self.t < 1:
+        if not self.t >= 1:
             raise ConfigError(f"spike generator needs t >= 1, got {self.t}")
 
 

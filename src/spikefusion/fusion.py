@@ -49,8 +49,8 @@ class FusionConfig:
             raise ConfigError(
                 f"unknown fusion kind {self.kind!r}; expected one of {FUSION_KINDS}"
             )
-        if self.kind == "scca" and self.h < 1:
-            raise ConfigError(f"comb count must be >= 1, got {self.h}")
+        if not self.h >= 1:
+            raise ConfigError(f"heads must be >= 1, got {self.h}")
 
     def check_token_counts(self, n_regions: int, n_words: int):
         if self.kind != "scca":

@@ -12,6 +12,9 @@ the late terms over pooled and fused embeddings:
 
     L_total = lambda * L_early + (1 - lambda) * (L_basic + L_fusion
               + L_inter + L_intra)
+
+Zero-weight terms need not be computed.  Without fusion the fused terms are
+0, leaving the dual-stream objective lambda * L_early + (1 - lambda) * L_basic.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ SIMILARITY_KEYS = (
     "intra_e",    # S(E~, E-)
     "intra_r",    # S(R~, R-)
 )
+FUSED_KEYS = SIMILARITY_KEYS[2:]
 
 LOSS_NAMES = ("early", "basic", "fusion", "inter", "intra", "total")
 
@@ -44,7 +48,7 @@ class LossWeights:
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise ParameterError(f"lambda must be in [0, 1], got {self.lam}")
-        if self.temperature <= 0:
+        if not self.temperature > 0:
             raise ParameterError(
                 f"temperature must be > 0, got {self.temperature}"
             )
@@ -74,31 +78,35 @@ def infonce_pair(s: Tensor, temperature: float) -> Tensor:
 
 
 def total_loss(sim_set: dict[str, Tensor], weights: LossWeights):
-    """Combine the seven similarity matrices into the training objective.
+    """Combine the similarity matrices into the training objective.
+
+    A zero-weight matrix may be left out and counts as a 0 loss (``early``
+    at lambda 0, ``basic`` at lambda 1); the fused matrices may be left out
+    only all together.  Any other missing matrix is a ``ContractError``.
 
     Returns (total, parts) where parts maps the component names
     early/basic/fusion/inter/intra/total to scalar Tensors.
     """
-    for key in SIMILARITY_KEYS:
-        if key not in sim_set:
-            raise ContractError(f"similarity matrix {key!r} missing from sim_set")
-    tau = weights.temperature
-    early = infonce_pair(sim_set["early"], tau)
-    basic = infonce_pair(sim_set["basic"], tau)
-    fusion = infonce_pair(sim_set["fusion"], tau)
-    inter = infonce_pair(sim_set["inter_er"], tau) \
-        + infonce_pair(sim_set["inter_re"], tau)
-    intra = infonce_pair(sim_set["intra_e"], tau) \
-        + infonce_pair(sim_set["intra_r"], tau)
-    late = basic + fusion + inter + intra
     lam = np.float32(weights.lam)
-    total = early * lam + late * (np.float32(1.0) - lam)
+    late_weight = np.float32(1.0) - lam
+    optional = {"early": lam == 0, "basic": late_weight == 0}
+    optional.update(dict.fromkeys(FUSED_KEYS, sim_set.keys().isdisjoint(FUSED_KEYS)))
+    for key in SIMILARITY_KEYS:
+        if key not in sim_set and not optional[key]:
+            raise ContractError(f"similarity matrix {key!r} missing from sim_set")
+
+    def term(*keys):
+        losses = [infonce_pair(sim_set[k], weights.temperature)
+                  for k in keys if k in sim_set]
+        return sum(losses[1:], losses[0]) if losses else Tensor(np.float32(0.0))
+
     parts = {
-        "early": early,
-        "basic": basic,
-        "fusion": fusion,
-        "inter": inter,
-        "intra": intra,
-        "total": total,
+        "early": term("early"),
+        "basic": term("basic"),
+        "fusion": term("fusion"),
+        "inter": term("inter_er", "inter_re"),
+        "intra": term("intra_e", "intra_r"),
     }
-    return total, parts
+    late = parts["basic"] + parts["fusion"] + parts["inter"] + parts["intra"]
+    parts["total"] = parts["early"] * lam + late * late_weight
+    return parts["total"], parts

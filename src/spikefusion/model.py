@@ -5,14 +5,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .alignment import PoolConfig, similarity
+from .alignment import similarity
 from .attention import UnimodalEncoder
 from .config import RunConfig
-from .encoding import GeneratorConfig
-from .fusion import FusionConfig, SpikeFusion
+from .fusion import SpikeFusion
 from .layers import Module
-from .losses import LossWeights, infonce_pair, total_loss
-from .neurons import LIFParams
+# infonce_pair is unused here; perfbench/workloads.py wraps it as a global
+# of this module
+from .losses import infonce_pair, total_loss  # noqa: F401
 from .tensor import Tensor, no_grad
 
 
@@ -21,29 +21,21 @@ class RetrievalModel(Module):
 
     def __init__(self, config: RunConfig, region_width: int, word_width: int,
                  n_regions: int | None = None, n_words: int | None = None):
-        config.validate()
+        parts = config.validate().components()
         self.config = config
         rng = np.random.default_rng(config.seed)
-        lif = LIFParams(tau=config.tau, v_th=config.v_th, v_reset=config.v_reset,
-                        surrogate_alpha=config.surrogate_alpha)
-        gen_cfg = GeneratorConfig(variant=config.generator, t=config.t, d=config.d)
-        self.image = UnimodalEncoder(region_width, gen_cfg, lif, rng,
-                                     config.ssa_scale)
-        self.text = UnimodalEncoder(word_width, gen_cfg, lif, rng,
-                                    config.ssa_scale)
-        self.pool_cfg = PoolConfig(alpha=config.alpha, mode=config.alignment)
-        self.loss_weights = LossWeights(lam=config.lam,
-                                        temperature=config.temperature)
+        self.image = UnimodalEncoder(region_width, parts.generator, parts.lif,
+                                     rng, config.ssa_scale)
+        self.text = UnimodalEncoder(word_width, parts.generator, parts.lif,
+                                    rng, config.ssa_scale)
+        self.pool_cfg = parts.pool
+        self.loss_weights = parts.loss
         self.fusion: SpikeFusion | None = None
-        if config.fusion != "none":
-            fusion_cfg = FusionConfig(kind=config.fusion, h=config.heads)
+        if parts.fusion is not None:
             if n_regions is not None and n_words is not None:
-                fusion_cfg.check_token_counts(n_regions, n_words)
-            comb_lif = lif if config.comb_tau is None else LIFParams(
-                tau=config.comb_tau, v_th=config.v_th, v_reset=config.v_reset,
-                surrogate_alpha=config.surrogate_alpha)
-            self.fusion = SpikeFusion(fusion_cfg, config.d, config.t, lif, rng,
-                                      comb_lif)
+                parts.fusion.check_token_counts(n_regions, n_words)
+            self.fusion = SpikeFusion(parts.fusion, config.d, config.t,
+                                      parts.lif, rng, parts.comb_lif)
 
     def encode(self, regions: Tensor, words: Tensor, train: bool,
                recorder=None):
@@ -60,42 +52,28 @@ class RetrievalModel(Module):
         return similarity(e_out.pooled, r_out.pooled, self.pool_cfg)
 
     def training_losses(self, regions: Tensor, words: Tensor):
-        """Full objective on one batch; returns (total, parts dict)."""
+        """The objective on one batch; returns (total, parts dict).  Only
+        terms with nonzero weight are computed (the fusion pass only when
+        lambda < 1); ``total_loss`` counts the others as 0."""
         r_out, e_out = self.encode(regions, words, train=True)
         lam = self.loss_weights.lam
-        tau = self.loss_weights.temperature
-        if self.fusion is None:
-            # dual-stream objective: early/late mix without fused terms
-            zero = Tensor(np.float32(0.0))
-            basic = infonce_pair(
-                similarity(e_out.pooled, r_out.pooled, self.pool_cfg), tau)
-            if lam > 0.0:
-                early = infonce_pair(
-                    similarity(e_out.features, r_out.features, self.pool_cfg), tau)
-            else:
-                early = zero
-            total = early * np.float32(lam) + basic * np.float32(1.0 - lam)
-            parts = {"early": early, "basic": basic, "fusion": zero,
-                     "inter": zero, "intra": zero, "total": total}
-            return total, parts
-        if lam >= 1.0:
-            # late terms carry zero weight: skip them (and the fusion pass)
-            early = infonce_pair(
-                similarity(e_out.features, r_out.features, self.pool_cfg), tau)
-            zero = Tensor(np.float32(0.0))
-            return early, {"early": early, "basic": zero, "fusion": zero,
-                           "inter": zero, "intra": zero, "total": early}
-        r_bar, e_bar = self.fusion.fuse_and_pool(r_out.spikes, e_out.spikes,
-                                                 train=True)
-        sims = {
-            "early": similarity(e_out.features, r_out.features, self.pool_cfg),
-            "basic": similarity(e_out.pooled, r_out.pooled, self.pool_cfg),
-            "fusion": similarity(e_bar, r_bar, self.pool_cfg),
-            "inter_er": similarity(e_out.pooled, r_bar, self.pool_cfg),
-            "inter_re": similarity(e_bar, r_out.pooled, self.pool_cfg),
-            "intra_e": similarity(e_out.pooled, e_bar, self.pool_cfg),
-            "intra_r": similarity(r_out.pooled, r_bar, self.pool_cfg),
-        }
+
+        def sim(e, r):
+            return similarity(e, r, self.pool_cfg)
+
+        sims = {}
+        if lam > 0.0:
+            sims["early"] = sim(e_out.features, r_out.features)
+        if lam < 1.0:
+            sims["basic"] = sim(e_out.pooled, r_out.pooled)
+        if lam < 1.0 and self.fusion is not None:
+            r_bar, e_bar = self.fusion.fuse_and_pool(r_out.spikes, e_out.spikes,
+                                                     train=True)
+            sims.update(fusion=sim(e_bar, r_bar),
+                        inter_er=sim(e_out.pooled, r_bar),
+                        inter_re=sim(e_bar, r_out.pooled),
+                        intra_e=sim(e_out.pooled, e_bar),
+                        intra_r=sim(r_out.pooled, r_bar))
         return total_loss(sims, self.loss_weights)
 
     def calibrate(self, regions: Tensor, words: Tensor):

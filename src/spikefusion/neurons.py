@@ -42,9 +42,9 @@ class LIFParams:
     surrogate_alpha: float = 2.0
 
     def __post_init__(self):
-        if self.tau < 1.0:
+        if not self.tau >= 1.0:
             raise ParameterError(f"LIF tau must be >= 1, got {self.tau}")
-        if self.v_th <= self.v_reset:
+        if not self.v_th > self.v_reset:
             raise ParameterError(
                 f"LIF threshold {self.v_th} must exceed reset {self.v_reset}"
             )

@@ -247,3 +247,17 @@ def test_mutated_checkpoint_header_is_one_line_error(fixture_workspace,
                                                      lines):
     assert_one_line_error(*eval_checkpoint(fixture_workspace,
                                            with_header(lines)))
+
+
+@pytest.mark.parametrize("line", ["tau = nan", "temperature = inf",
+                                  "comb_tau = 0.5"])
+def test_train_rejects_out_of_range_config(workspace, line):
+    tmp_path, data_dir, config_path = workspace
+    config_path.write_text(CONFIG_TEXT + line + "\n")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = main(["train", "--data", str(data_dir), "--config",
+                   str(config_path), "--out", str(tmp_path / "run")])
+    assert_one_line_error(rc, err.getvalue())
+    assert not (tmp_path / "run").exists()

@@ -1,9 +1,14 @@
 """Config parsing, defaults, and validation."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikefusion.config import RunConfig, parse_config
 from spikefusion.errors import ConfigError
+from spikefusion.model import RetrievalModel
 
 
 class TestDefaults:
@@ -78,3 +83,61 @@ class TestValidate:
 
     def test_fusion_none_is_allowed(self):
         assert RunConfig(fusion="none").validate().fusion == "none"
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(tau=math.nan),
+        dict(v_th=math.nan),
+        dict(alpha=math.nan),
+        dict(lr_encoder=math.nan),
+        dict(surrogate_alpha=math.nan),
+        dict(temperature=math.inf),
+        dict(comb_tau=0.5),
+        dict(comb_tau=math.nan),
+        dict(ssa_scale=0.0),
+        dict(seed=-1),
+        dict(heads=0, fusion="sca"),
+    ])
+    def test_non_finite_and_component_violations(self, kwargs):
+        with pytest.raises(ConfigError):
+            RunConfig(**kwargs).validate()
+
+    def test_components_match_the_config(self):
+        cfg = RunConfig(tau=3.0, comb_tau=1.5, fusion="sca", heads=2, lam=0.25)
+        parts = cfg.components()
+        assert parts.lif.tau == 3.0 and parts.comb_lif.tau == 1.5
+        assert parts.comb_lif.v_th == parts.lif.v_th
+        assert parts.fusion.kind == "sca" and parts.fusion.h == 2
+        assert parts.loss.lam == 0.25
+        assert RunConfig(fusion="none").components().fusion is None
+        default = RunConfig().components()
+        assert default.comb_lif == default.lif
+
+
+# Every line of a valid config is a candidate for a bad value.  Whatever the
+# edit, reading the config either fails with ConfigError or gives a config
+# the model builds from: no range rule is checked only at build time.
+BASE_CONFIG = RunConfig(d=8, t=2, heads=2, batch=4, epochs=1, comb_tau=1.5)
+BASE_LINES = BASE_CONFIG.to_text().splitlines()
+bad_values = st.one_of(
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "0", "0.0", "-0", "-1",
+                     "-0.5", "-2.5", "1e400", ""]),
+    st.text(alphabet=" ab019.-+e_", max_size=6),
+)
+config_edits = st.lists(
+    st.tuples(st.integers(0, len(BASE_LINES) - 1), bad_values),
+    min_size=1, max_size=3)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(fusion=st.sampled_from(["none", "scca", "sca", "scsa"]),
+       edits=config_edits)
+def test_mutated_config_is_rejected_or_builds(fusion, edits):
+    lines = [f"fusion = {fusion}" if line.startswith("fusion ") else line
+             for line in BASE_LINES]
+    for k, value in edits:
+        lines[k] = f"{lines[k].split('=')[0].strip()} = {value}"
+    try:
+        cfg = parse_config("\n".join(lines))
+    except ConfigError:
+        return
+    RetrievalModel(cfg, 6, 5)

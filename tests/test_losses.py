@@ -111,6 +111,39 @@ class TestTotalLoss:
         with pytest.raises(ContractError, match="intra_r"):
             total_loss(sims, LossWeights())
 
+    def test_zero_weight_terms_may_be_left_out(self):
+        sims = _sim_set()
+        for lam, absent in ((0.0, ["early"]), (1.0, list(SIMILARITY_KEYS[1:]))):
+            weights = LossWeights(lam=lam, temperature=0.5)
+            full, _ = total_loss(sims, weights)
+            part = {k: v for k, v in sims.items() if k not in absent}
+            total, parts = total_loss(part, weights)
+            assert float(total.data) == float(full.data)
+            zeroed = {"early"} if lam == 0.0 else {"basic", "fusion", "inter",
+                                                  "intra"}
+            for name in zeroed:
+                assert float(parts[name].data) == 0.0
+
+    def test_fused_matrices_may_be_left_out_together(self):
+        sims = {k: _sim_set()[k] for k in ("early", "basic")}
+        weights = LossWeights(lam=0.25, temperature=0.5)
+        total, parts = total_loss(sims, weights)
+        for name in ("fusion", "inter", "intra"):
+            assert float(parts[name].data) == 0.0
+        expected = (np.float32(0.25) * parts["early"].data
+                    + (np.float32(1.0) - np.float32(0.25)) * parts["basic"].data)
+        assert float(total.data) == float(expected)
+
+    @pytest.mark.parametrize("lam, missing", [
+        (0.5, "early"), (1.0, "early"), (0.5, "basic"), (0.0, "basic"),
+        (1.0, "inter_re"), (0.5, "fusion"),
+    ])
+    def test_weighted_or_partial_matrices_still_required(self, lam, missing):
+        sims = _sim_set()
+        del sims[missing]
+        with pytest.raises(ContractError, match=missing):
+            total_loss(sims, LossWeights(lam=lam, temperature=0.5))
+
     def test_inter_and_intra_are_two_term_sums(self):
         sims = _sim_set()
         _, parts = total_loss(sims, LossWeights(lam=0.5, temperature=0.5))

@@ -109,6 +109,26 @@ class TestGradientFlow:
         assert fusion_hit, kind
         assert encoder_hit, kind
 
+    @pytest.mark.parametrize("fusion", ["none", "scca"])
+    def test_zero_weight_terms_are_not_computed(self, fusion):
+        regions, words = toy_batch()
+        model = toy_model(fusion=fusion, lam=0.0)
+        _, parts = model.training_losses(regions, words)
+        assert float(parts["early"].data) == 0.0
+        assert not parts["early"].requires_grad
+        assert parts["basic"].requires_grad
+        model = toy_model(fusion=fusion, lam=1.0)
+        total, parts = model.training_losses(regions, words)
+        assert float(parts["basic"].data) == 0.0
+        assert not parts["basic"].requires_grad
+        total.backward()
+        # nothing past the projection gets a gradient, so weight decay
+        # leaves it alone too
+        for name, p in model.params().items():
+            assert (p.grad is not None) == ("/proj/" in name), name
+        if model.fusion is not None:
+            assert model.fusion.call_count == 0
+
     def test_training_losses_component_keys(self):
         model = toy_model()
         regions, words = toy_batch()
