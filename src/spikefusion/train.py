@@ -24,15 +24,22 @@ def recall_from_similarity(s: np.ndarray, ks=RECALL_KS) -> dict[str, float]:
     """Recall@K in percent for both directions, ground truth on the diagonal.
 
     ``s[i, j]`` scores image i against caption j.  A query's rank is the
-    number of candidates scoring strictly higher than its true partner.
+    number of other candidates scoring at least as high as its true
+    partner, so ties count against it: a constant matrix ranks every query
+    last.  Non-finite scores raise ``FloatingPointError``.
     """
     s = np.asarray(s)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise UsageError(f"similarity matrix must be square, got {s.shape}")
+    n_bad = int((~np.isfinite(s)).sum())
+    if n_bad:
+        raise FloatingPointError(
+            f"similarity matrix holds {n_bad} non-finite scores")
     m = s.shape[0]
     diag = np.diag(s)
-    rank_i2t = (s > diag[:, None]).sum(axis=1)   # image query over captions
-    rank_t2i = (s > diag[None, :]).sum(axis=0)   # caption query over images
+    # the true partner ties with itself; the -1 leaves it out
+    rank_i2t = (s >= diag[:, None]).sum(axis=1) - 1  # image query over captions
+    rank_t2i = (s >= diag[None, :]).sum(axis=0) - 1  # caption query over images
     metrics: dict[str, float] = {}
     total = 0.0
     for k in ks:

@@ -68,6 +68,26 @@ class TestRecallFromSimilarity:
         with pytest.raises(UsageError):
             recall_from_similarity(np.zeros((3, 4)))
 
+    def test_constant_matrix_scores_zero(self):
+        # a silent network scores every pair alike: ties rank each query last
+        assert recall_from_similarity(np.zeros((50, 50)))["r_sum"] == 0.0
+
+    def test_tie_with_one_candidate_costs_one_rank(self):
+        s = np.eye(4, dtype=np.float32)
+        s[0, 1] = 1.0
+        metrics = recall_from_similarity(s, ks=(1, 2))
+        assert metrics["i2t_r@1"] == 75.0
+        assert metrics["i2t_r@2"] == 100.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_scores_raise(self, bad):
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            recall_from_similarity(np.full((50, 50), bad))
+        s = np.eye(5)
+        s[2, 3] = bad
+        with pytest.raises(FloatingPointError, match="1 non-finite"):
+            recall_from_similarity(s)
+
 
 class TestTrainLoop:
     def test_history_has_loss_components_and_recall(self, tmp_path):
