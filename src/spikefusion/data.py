@@ -9,6 +9,7 @@ byte length is validated against the declared shape before any compute.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -32,7 +33,9 @@ class DatasetManifest:
     entries: list[dict]
 
     @staticmethod
-    def from_json(obj: dict) -> "DatasetManifest":
+    def from_json(obj) -> "DatasetManifest":
+        if not isinstance(obj, dict):
+            raise UsageError("manifest must be a JSON object")
         required = ("version", "pairs", "n_regions", "n_words",
                     "region_width", "word_width", "entries")
         for key in required:
@@ -42,6 +45,23 @@ class DatasetManifest:
             raise UsageError(
                 f"unsupported manifest version {obj['version']!r}"
             )
+        for key in required[1:-1]:
+            value = obj[key]
+            if isinstance(value, bool) or not isinstance(value, int) \
+                    or value < 1:
+                raise UsageError(
+                    f"manifest field {key!r} must be an integer >= 1, "
+                    f"got {value!r}")
+        entries = obj["entries"]
+        if not isinstance(entries, list):
+            raise UsageError("manifest field 'entries' must be a list")
+        for i, entry in enumerate(entries):
+            if not (isinstance(entry, dict)
+                    and isinstance(entry.get("regions"), str)
+                    and isinstance(entry.get("words"), str)):
+                raise UsageError(
+                    f"manifest entry {i} must be an object with string "
+                    f"'regions' and 'words' fields")
         return DatasetManifest(**{k: obj[k] for k in required})
 
 
@@ -123,38 +143,45 @@ def load_manifest(path) -> Dataset:
     if os.path.isdir(path):
         path = os.path.join(path, MANIFEST_NAME)
     with open(path, "r", encoding="utf-8") as fh:
-        manifest = DatasetManifest.from_json(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:
+            raise UsageError(f"{path}: manifest is not valid JSON ({exc})") \
+                from exc
+    manifest = DatasetManifest.from_json(obj)
     base = os.path.dirname(os.path.abspath(path))
     if len(manifest.entries) != manifest.pairs:
         raise UsageError(
             f"manifest declares {manifest.pairs} pairs but lists "
             f"{len(manifest.entries)} entries"
         )
-    regions = np.empty((manifest.pairs, manifest.n_regions,
-                        manifest.region_width), dtype=np.float32)
-    words = np.empty((manifest.pairs, manifest.n_words, manifest.word_width),
-                     dtype=np.float32)
+    shapes = {"regions": (manifest.n_regions, manifest.region_width),
+              "words": (manifest.n_words, manifest.word_width)}
+    # every record's size is checked before any buffer is allocated
+    for entry in manifest.entries:
+        for key, shape in shapes.items():
+            _check_record(base, entry[key], shape)
+    arrays = {key: np.empty((manifest.pairs,) + shape, dtype=np.float32)
+              for key, shape in shapes.items()}
     for p, entry in enumerate(manifest.entries):
-        regions[p] = _read_record(base, entry["regions"],
-                                  (manifest.n_regions, manifest.region_width))
-        words[p] = _read_record(base, entry["words"],
-                                (manifest.n_words, manifest.word_width))
-    return Dataset(regions, words)
+        for key, shape in shapes.items():
+            with open(os.path.join(base, entry[key]), "rb") as fh:
+                arrays[key][p] = np.frombuffer(fh.read(), dtype="<f4") \
+                    .reshape(shape)
+    return Dataset(arrays["regions"], arrays["words"])
 
 
-def _read_record(base: str, rel_path: str, shape) -> np.ndarray:
+def _check_record(base: str, rel_path: str, shape):
     full = os.path.join(base, rel_path)
-    if not os.path.exists(full):
+    if not os.path.isfile(full):
         raise UsageError(f"manifest references missing file {rel_path!r}")
-    expected = int(np.prod(shape)) * 4
+    expected = math.prod(shape) * 4
     actual = os.path.getsize(full)
     if actual != expected:
         raise UsageError(
             f"record {rel_path!r} holds {actual} bytes, expected {expected} "
             f"for shape {tuple(shape)}"
         )
-    with open(full, "rb") as fh:
-        return np.frombuffer(fh.read(), dtype="<f4").reshape(shape)
 
 
 def train_val_split(dataset: Dataset, val_fraction: float, seed: int):

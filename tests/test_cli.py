@@ -2,10 +2,12 @@
 
 import contextlib
 import io
+import json
+import shutil
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spikefusion.checkpoint import save_checkpoint
@@ -261,3 +263,66 @@ def test_train_rejects_out_of_range_config(workspace, line):
                    str(config_path), "--out", str(tmp_path / "run")])
     assert_one_line_error(rc, err.getvalue())
     assert not (tmp_path / "run").exists()
+
+
+# Every mutation below makes the fixture dataset's manifest invalid: a cut
+# text is not JSON; a changed count or shape no longer matches the entries
+# or the record sizes; a replaced entry or file name is not a pair of
+# existing records (no file name can be built from the text alphabet).
+MANIFEST_FIELDS = ("version", "pairs", "n_regions", "n_words",
+                   "region_width", "word_width", "entries")
+json_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 1000),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(alphabet=" ab019=,.-", max_size=6),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.sampled_from(["regions", "words"]),
+                    st.text(alphabet="ab01.", max_size=4), max_size=2),
+)
+manifest_mutations = st.one_of(
+    st.tuples(st.just("cut"), st.integers(0, 10**6), st.none()),
+    st.tuples(st.just("drop"), st.sampled_from(MANIFEST_FIELDS), st.none()),
+    st.tuples(st.just("set"), st.sampled_from(MANIFEST_FIELDS), json_values),
+    st.tuples(st.just("entry"), st.integers(0, 5), json_values),
+    st.tuples(st.just("file"),
+              st.tuples(st.integers(0, 5), st.sampled_from(["regions", "words"])),
+              json_values),
+)
+
+
+def mutate_manifest(text, kind, where, value):
+    if kind == "cut":  # drop the tail, keeping at most all but the "}\n"
+        return text[:where % (len(text.rstrip()) - 1)]
+    manifest = json.loads(text)
+    if kind == "drop":
+        del manifest[where]
+    elif kind == "set":
+        manifest[where] = value
+    elif kind == "entry":
+        manifest["entries"][where] = value
+    else:
+        manifest["entries"][where[0]][where[1]] = value
+    return json.dumps(manifest)
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(mutation=manifest_mutations)
+def test_mutated_manifest_is_one_line_error(fixture_workspace, mutation):
+    original = json.loads(
+        (fixture_workspace / "data" / "manifest.json").read_text())
+    kind, where, value = mutation
+    if kind == "set":
+        assume(not (type(value) is type(original[where])
+                    and value == original[where]))
+    data_dir = fixture_workspace / "mutated"
+    shutil.rmtree(data_dir, ignore_errors=True)
+    shutil.copytree(fixture_workspace / "data", data_dir)
+    manifest_path = data_dir / "manifest.json"
+    manifest_path.write_text(
+        mutate_manifest(manifest_path.read_text(), kind, where, value))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = main(["eval", "--data", str(data_dir), "--checkpoint",
+                   str(FIXTURE)])
+    assert_one_line_error(rc, err.getvalue())
