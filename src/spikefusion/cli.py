@@ -14,7 +14,7 @@ from .config import RunConfig, load_config
 from .energy import EnergyConstants, energy_report
 from .errors import ContractError, StateError, UsageError
 from .tensor import Tensor
-from .train import ablation_sweep, evaluate_recall, train
+from .train import ABLATION_AXES, ablation_sweep, evaluate_recall, train
 
 METRIC_COLUMNS = ("i2t_r@1", "i2t_r@5", "i2t_r@10",
                   "t2i_r@1", "t2i_r@5", "t2i_r@10", "r_sum")
@@ -171,8 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="sweep one axis and tabulate recall")
     common(p)
     p.add_argument("--data", required=True)
-    p.add_argument("--axis", required=True,
-                   choices=("alignment", "fusion", "time-steps", "heads"))
+    p.add_argument("--axis", required=True, choices=tuple(ABLATION_AXES))
     p.add_argument("--values", required=True, help="comma-separated values")
     p.set_defaults(func=cmd_ablate)
     return parser

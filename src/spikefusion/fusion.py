@@ -165,15 +165,8 @@ class ConcatSelfAttention(SpikeCrossAttention):
             )
         n = r.shape[2]
         x = concat([r, e], axis=2)
-        q = self.q(x, train)
-        k = self.k(x, train)
-        v = self.v(x, train)
-        attn = qkv_attention(q, k, v, counter)
-        out = self.neuron_out(self.bn_out(self.out(attn), train))
-        k_total = out.shape[2]
-        r_bar = out[:, :, :n, :]
-        e_bar = out[:, :, n:k_total, :]
-        return r_bar, e_bar
+        out = super().__call__(x, x, train, counter)
+        return out[:, :, :n, :], out[:, :, n:, :]
 
 
 class SpikeFusion(Module):

@@ -13,6 +13,7 @@ from .checkpoint import save_checkpoint
 from .config import RunConfig
 from .data import Dataset, train_val_split
 from .errors import UsageError
+from .losses import LOSS_NAMES
 from .model import RetrievalModel
 from .optim import AdamW
 from .tensor import Tensor, no_grad
@@ -137,9 +138,8 @@ def train(config: RunConfig, dataset: Dataset, out_dir: str | None = None,
             optimizer.step(lr_scale=scale)
             step += 1
             n_steps += 1
-            line = " ".join(
-                f"{k}={float(parts[k].data):.6f}"
-                for k in ("early", "basic", "fusion", "inter", "intra", "total"))
+            line = " ".join(f"{k}={float(parts[k].data):.6f}"
+                            for k in LOSS_NAMES)
             if log_fn is not None:
                 log_fn(f"step={step} epoch={epoch} "
                        f"lr={config.lr_encoder * scale:.2e} {line}")
@@ -168,7 +168,13 @@ def train(config: RunConfig, dataset: Dataset, out_dir: str | None = None,
     return result
 
 
-ABLATION_AXES = ("alignment", "fusion", "time-steps", "heads")
+# ablation axis -> (the RunConfig field it sweeps, that field's type)
+ABLATION_AXES = {
+    "alignment": ("alignment", str),
+    "fusion": ("fusion", str),
+    "time-steps": ("t", int),
+    "heads": ("heads", int),
+}
 
 
 def ablation_sweep(axis: str, values, config: RunConfig, dataset: Dataset,
@@ -180,18 +186,13 @@ def ablation_sweep(axis: str, values, config: RunConfig, dataset: Dataset,
     """
     if axis not in ABLATION_AXES:
         raise UsageError(
-            f"unknown ablation axis {axis!r}; expected one of {ABLATION_AXES}"
+            f"unknown ablation axis {axis!r}; expected one of "
+            f"{tuple(ABLATION_AXES)}"
         )
+    name, kind = ABLATION_AXES[axis]
     rows = []
     for value in values:
-        if axis == "alignment":
-            cfg = replace(config, alignment=str(value))
-        elif axis == "fusion":
-            cfg = replace(config, fusion=str(value))
-        elif axis == "time-steps":
-            cfg = replace(config, t=int(value))
-        else:
-            cfg = replace(config, heads=int(value))
+        cfg = replace(config, **{name: kind(value)})
         result = train(cfg, dataset, log_fn=log_fn)
         train_set, _ = train_val_split(dataset, cfg.val_fraction, cfg.seed)
         metrics = evaluate_recall(result.model, train_set)
