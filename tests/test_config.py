@@ -76,15 +76,6 @@ class TestValidate:
         dict(v_th=0.0, v_reset=0.0),
         dict(epochs=0),
         dict(val_fraction=1.0),
-    ])
-    def test_constraint_violations(self, kwargs):
-        with pytest.raises(ConfigError):
-            RunConfig(**kwargs).validate()
-
-    def test_fusion_none_is_allowed(self):
-        assert RunConfig(fusion="none").validate().fusion == "none"
-
-    @pytest.mark.parametrize("kwargs", [
         dict(tau=math.nan),
         dict(v_th=math.nan),
         dict(alpha=math.nan),
@@ -97,9 +88,12 @@ class TestValidate:
         dict(seed=-1),
         dict(heads=0, fusion="sca"),
     ])
-    def test_non_finite_and_component_violations(self, kwargs):
+    def test_constraint_violations(self, kwargs):
         with pytest.raises(ConfigError):
             RunConfig(**kwargs).validate()
+
+    def test_fusion_none_is_allowed(self):
+        assert RunConfig(fusion="none").validate().fusion == "none"
 
     def test_components_match_the_config(self):
         cfg = RunConfig(tau=3.0, comb_tau=1.5, fusion="sca", heads=2, lam=0.25)
