@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .energy import record_mask, record_matmul
 from .errors import DimensionError
 from .layers import BatchNorm, Linear, Module
 from .neurons import LIFNeuron, LIFParams
@@ -41,26 +42,21 @@ class SpikeSelfAttention(Module):
         self.neuron_attn = LIFNeuron(lif)
         self.neuron_out = LIFNeuron(lif)
 
-    def __call__(self, x_s: Tensor, train: bool, recorder=None,
-                 tag: str = "") -> Tensor:
+    def __call__(self, x_s: Tensor, train: bool) -> Tensor:
         t = x_s.shape[0]
-        if recorder is not None:
-            recorder.record_linear(f"{tag}q_proj", x_s, self.w_q.w, t, "spiking")
-            recorder.record_linear(f"{tag}k_proj", x_s, self.w_k.w, t, "spiking")
-            recorder.record_linear(f"{tag}v_proj", x_s, self.w_v.w, t, "spiking")
+        record_matmul("q_proj", x_s, self.w_q.w, t, "spiking")
+        record_matmul("k_proj", x_s, self.w_k.w, t, "spiking")
+        record_matmul("v_proj", x_s, self.w_v.w, t, "spiking")
         q = self.neuron_q(self.bn_q(self.w_q(x_s), train))
         k = self.neuron_k(self.bn_k(self.w_k(x_s), train))
         v = self.neuron_v(self.bn_v(self.w_v(x_s), train))
         k_t = k.swapaxes(-1, -2)
-        if recorder is not None:
-            recorder.record_matmul(f"{tag}attn_scores", q, k_t, t, "spiking")
+        record_matmul("attn_scores", q, k_t, t, "spiking")
         scores = matmul(q, k_t)
-        if recorder is not None:
-            recorder.record_matmul(f"{tag}attn_apply", scores, v, t, "spiking")
+        record_matmul("attn_apply", scores, v, t, "spiking")
         mixed = matmul(scores, v) * np.float32(self.scale)
         attn = self.neuron_attn(self.bn_attn(mixed, train))
-        if recorder is not None:
-            recorder.record_linear(f"{tag}attn_out", attn, self.w_a.w, t, "spiking")
+        record_matmul("attn_out", attn, self.w_a.w, t, "spiking")
         return self.neuron_out(self.bn_out(self.w_a(attn), train))
 
 
@@ -82,17 +78,15 @@ class SpikeGatedMLP(Module):
         self.neuron_gate = LIFNeuron(lif)
         self.neuron_out = LIFNeuron(lif)
 
-    def __call__(self, x_s: Tensor, recorder=None, tag: str = "") -> Tensor:
+    def __call__(self, x_s: Tensor) -> Tensor:
         t = x_s.shape[0]
-        if recorder is not None:
-            recorder.record_linear(f"{tag}gate_linear", x_s, self.w_g.w, t, "spiking")
-            recorder.record_linear(f"{tag}value_linear", x_s, self.w_p.w, t, "spiking")
+        record_matmul("gate_linear", x_s, self.w_g.w, t, "spiking")
+        record_matmul("value_linear", x_s, self.w_p.w, t, "spiking")
         gate = self.neuron_gate(self.w_g(x_s))
         value = self.w_p(x_s)
         gated = gate * value
-        if recorder is not None:
-            recorder.record_mask(f"{tag}gate_multiply")
-            recorder.record_linear(f"{tag}mlp_out", gated, self.w_o.w, t, "spiking")
+        record_mask("gate_multiply")
+        record_matmul("mlp_out", gated, self.w_o.w, t, "spiking")
         return self.neuron_out(self.w_o(gated))
 
 
@@ -139,18 +133,11 @@ class UnimodalEncoder(Module):
         self.mlp = SpikeGatedMLP(cfg.d, lif, rng)
         self.pool = TemporalPool(cfg.t)
 
-    def __call__(self, x_raw: Tensor, train: bool = False, recorder=None,
-                 tag: str = "", intermediates: dict | None = None) -> EncoderOutput:
-        if recorder is not None:
-            recorder.record_linear(f"{tag}linear", x_raw, self.proj.w, 1,
-                                   "float")
+    def __call__(self, x_raw: Tensor, train: bool = False) -> EncoderOutput:
+        record_matmul("linear", x_raw, self.proj.w, 1, "float")
         x_f = project_features(x_raw, self.proj)
         x_s = self.gen(x_f, train)
-        x_s1 = x_s + self.attn(x_s, train, recorder, tag)
-        x_s2 = x_s1 + self.mlp(x_s1, recorder, tag)
+        x_s1 = x_s + self.attn(x_s, train)
+        x_s2 = x_s1 + self.mlp(x_s1)
         pooled = self.pool(x_s2)
-        if intermediates is not None:
-            intermediates.update(
-                {"x_f": x_f, "x_s": x_s, "residual1": x_s1, "residual2": x_s2}
-            )
         return EncoderOutput(features=x_f, pooled=pooled, spikes=x_s2)

@@ -98,6 +98,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_energy(args) -> int:
+    if args.batch < 1:
+        raise UsageError(f"--batch must be >= 1, got {args.batch}")
     dataset = data_mod.load_manifest(args.data)
     model = _model_from_checkpoint(args, dataset)
     n = min(args.batch, dataset.pairs)

@@ -10,10 +10,18 @@ where ``rate`` is the occupancy (nonzero fraction) of the layer's input
 spike train and FLOPs counts a single time step.  Dense float layers cost
 ``E_MAC * FLOPs``; pure mask multiplies (spike gating) cost nothing.  The
 45 nm reference constants are E_MAC = 4.6 pJ and E_AC = 0.9 pJ.
+
+Layers record themselves with ``record_*`` calls, which append to the
+ledger of the enclosing :func:`recording` and do nothing outside one.  The
+training-only fusion ops record too, with time folded into their batch
+(t = 1), so their ``flops`` is the whole multiply count; the report runs
+the inference path and never contains them.
 """
 
 from __future__ import annotations
 
+import contextlib
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,36 +141,59 @@ class EnergyReport:
         return "\n".join(lines)
 
 
-class LayerRecorder:
-    """Collects per-layer ledgers during one instrumented forward pass."""
+_ledger: ContextVar[list[LayerLedger] | None] = ContextVar("energy_ledger",
+                                                          default=None)
+_scope: ContextVar[str] = ContextVar("energy_scope", default="")
 
-    def __init__(self):
-        self.layers: list[LayerLedger] = []
 
-    def record_linear(self, name: str, x: Tensor, w: Tensor, t: int, kind: str):
-        x, w = as_tensor(x), as_tensor(w)
-        rows = int(np.prod(x.shape[:-1], dtype=np.int64))
-        if kind == "spiking":
-            rows //= t
-        flops = rows * w.shape[0] * w.shape[1]
-        rate = occupancy(x) if kind == "spiking" else 1.0
-        self.layers.append(LayerLedger(name, kind, flops, rate, t))
+@contextlib.contextmanager
+def recording():
+    """Collect one :class:`LayerLedger` per ``record_*`` call in the block.
 
-    def record_matmul(self, name: str, a: Tensor, b: Tensor, t: int, kind: str):
-        a, b = as_tensor(a), as_tensor(b)
-        m, k = a.shape[-2], a.shape[-1]
-        n = b.shape[-1]
-        batch = int(np.prod(a.shape[:-2], dtype=np.int64))
-        if kind == "spiking":
-            batch //= t
-        rate = occupancy(a) if kind == "spiking" else 1.0
-        self.layers.append(LayerLedger(name, kind, batch * m * n * k, rate, t))
+    Yields the list the records go to.  Outside a recording the ``record_*``
+    calls do nothing, so training never computes occupancies.
+    """
+    layers: list[LayerLedger] = []
+    token = _ledger.set(layers)
+    try:
+        yield layers
+    finally:
+        _ledger.reset(token)
 
-    def record_mask(self, name: str):
-        self.layers.append(LayerLedger(name, "mask", 0, 0.0))
 
-    def report(self, consts: EnergyConstants | None = None) -> EnergyReport:
-        return EnergyReport(self.layers, consts or EnergyConstants())
+@contextlib.contextmanager
+def scope(prefix: str):
+    """Prefix the names recorded in the block (``"region/"``); nests."""
+    token = _scope.set(_scope.get() + prefix)
+    try:
+        yield
+    finally:
+        _scope.reset(token)
+
+
+def record_matmul(name: str, a: Tensor, b: Tensor, t: int, kind: str):
+    """Batched ``a @ b`` (a linear layer is ``x @ w``); a spiking ``a``
+    carries ``t`` time steps in its batch axes."""
+    layers = _ledger.get()
+    if layers is None:
+        return
+    a, b = as_tensor(a), as_tensor(b)
+    m, k = a.shape[-2], a.shape[-1]
+    n = b.shape[-1]
+    batch = int(np.prod(a.shape[:-2], dtype=np.int64))
+    if kind == "spiking":
+        batch //= t
+    rate = occupancy(a) if kind == "spiking" else 1.0
+    layers.append(LayerLedger(_scope.get() + name, kind, batch * m * n * k,
+                              rate, t))
+
+
+def record_mask(name: str, multiplies: int = 0):
+    """A binary mask multiply: counted, but free in the energy model."""
+    layers = _ledger.get()
+    if layers is not None:
+        layers.append(LayerLedger(_scope.get() + name, "mask", multiplies,
+                                  0.0))
 
 
 def energy_report(model, regions, words,
@@ -171,9 +202,8 @@ def energy_report(model, regions, words,
 
     Covers the inference path only; the fusion module is never touched.
     """
-    recorder = LayerRecorder()
-    with no_grad():
-        model.eval_similarity(regions, words, recorder=recorder)
-    if not recorder.layers:
+    with no_grad(), recording() as layers:
+        model.eval_similarity(regions, words)
+    if not layers:
         raise AccountingError("instrumented forward recorded no layers")
-    return recorder.report(consts)
+    return EnergyReport(layers, consts or EnergyConstants())

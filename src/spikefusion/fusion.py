@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .energy import record_mask, record_matmul
 from .errors import ConfigError, DimensionError
 from .layers import BatchNorm, Linear, Module
 from .neurons import LIFNeuron, LIFParams
@@ -25,18 +26,6 @@ from .attention import TemporalPool
 from .tensor import Tensor, as_tensor, concat, matmul
 
 FUSION_KINDS = ("scca", "sca", "scsa")
-
-
-@dataclass
-class OpCounter:
-    """Arithmetic-op ledger for fusion complexity checks."""
-
-    multiplies: int = 0
-    additions: int = 0
-
-    def add(self, multiplies: int = 0, additions: int = 0):
-        self.multiplies += int(multiplies)
-        self.additions += int(additions)
 
 
 @dataclass(frozen=True)
@@ -62,8 +51,7 @@ class FusionConfig:
             )
 
 
-def comb_mask(q: Tensor, k: Tensor, h: int, neuron: LIFNeuron,
-              counter: OpCounter | None = None) -> Tensor:
+def comb_mask(q: Tensor, k: Tensor, h: int, neuron: LIFNeuron) -> Tensor:
     """Comb cross attention: mask ``k`` with combs summarizing ``q``.
 
     ``q`` (T, B, L, D) is split into ``h`` token groups; each group is summed
@@ -81,37 +69,32 @@ def comb_mask(q: Tensor, k: Tensor, h: int, neuron: LIFNeuron,
     group = q.reshape((t, b, h, nl // h, d))
     head_sums = group.sum(axis=3)                     # (T, B, h, D)
     combs = neuron(head_sums)                         # binary (T, B, h, D)
-    if counter is not None:
-        counter.add(multiplies=t * b * nn * d,
-                    additions=t * b * (nl - h) * d)
+    record_mask("comb_mask", t * b * nn * d)
     blocks = k.reshape((t, b, h, nn // h, d))
     masked = combs.reshape((t, b, h, 1, d)) * blocks
     return masked.reshape((t, b, nn, d))
 
 
-def qkv_attention(q: Tensor, k: Tensor, v: Tensor,
-                  counter: OpCounter | None = None) -> Tensor:
+def qkv_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """Spike attention product Q K^T V with the cheaper association order.
 
     Both orders give identical results (binary operands keep the arithmetic
     exact); the multiply count decides between (Q K^T) V and Q (K^T V).
+    The two products are recorded as ``qk``, ``qk_v`` or ``kv``, ``q_kv``.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     nq, d = q.shape[-2], q.shape[-1]
     nk = k.shape[-2]
-    batch = int(np.prod(q.shape[:-2], dtype=np.int64))
-    cost_outer = 2 * nq * nk * d          # (Q K^T) V
-    cost_inner = (nq + nk) * d * d        # Q (K^T V)
     k_t = k.swapaxes(-1, -2)
-    if cost_outer <= cost_inner:
-        out = matmul(matmul(q, k_t), v)
-        if counter is not None:
-            counter.add(multiplies=batch * cost_outer)
-    else:
-        out = matmul(q, matmul(k_t, v))
-        if counter is not None:
-            counter.add(multiplies=batch * cost_inner)
-    return out
+    if 2 * nq * nk * d <= (nq + nk) * d * d:  # (Q K^T) V vs Q (K^T V)
+        qk = matmul(q, k_t)
+        record_matmul("qk", q, k_t, 1, "spiking")
+        record_matmul("qk_v", qk, v, 1, "spiking")
+        return matmul(qk, v)
+    kv = matmul(k_t, v)
+    record_matmul("kv", k_t, v, 1, "spiking")
+    record_matmul("q_kv", q, kv, 1, "spiking")
+    return matmul(q, kv)
 
 
 class _ProjectSpike(Module):
@@ -138,12 +121,11 @@ class SpikeCrossAttention(Module):
         self.bn_out = BatchNorm(d)
         self.neuron_out = LIFNeuron(lif)
 
-    def __call__(self, x_q: Tensor, x_kv: Tensor, train: bool,
-                 counter: OpCounter | None = None) -> Tensor:
+    def __call__(self, x_q: Tensor, x_kv: Tensor, train: bool) -> Tensor:
         q = self.q(x_q, train)
         k = self.k(x_kv, train)
         v = self.v(x_kv, train)
-        attn = qkv_attention(q, k, v, counter)
+        attn = qkv_attention(q, k, v)
         return self.neuron_out(self.bn_out(self.out(attn), train))
 
 
@@ -155,8 +137,7 @@ class ConcatSelfAttention(SpikeCrossAttention):
     and split back by modality.
     """
 
-    def __call__(self, r: Tensor, e: Tensor, train: bool,
-                 counter: OpCounter | None = None):
+    def __call__(self, r: Tensor, e: Tensor, train: bool):
         r, e = as_tensor(r), as_tensor(e)
         if r.shape[-1] != e.shape[-1] or r.shape[:2] != e.shape[:2]:
             raise DimensionError(
@@ -165,7 +146,7 @@ class ConcatSelfAttention(SpikeCrossAttention):
             )
         n = r.shape[2]
         x = concat([r, e], axis=2)
-        out = super().__call__(x, x, train, counter)
+        out = super().__call__(x, x, train)
         return out[:, :, :n, :], out[:, :, n:, :]
 
 
@@ -192,7 +173,7 @@ class SpikeFusion(Module):
             self.concat = ConcatSelfAttention(d, lif, rng)
 
     def fuse_and_pool(self, r_spikes: Tensor, e_spikes: Tensor,
-                      train: bool = True, counter: OpCounter | None = None):
+                      train: bool = True):
         """Fuse the two pre-pool spike streams and pool each over time.
 
         Returns (r_bar, e_bar) float embeddings of shapes (B, N, D) and
@@ -202,12 +183,12 @@ class SpikeFusion(Module):
         kind = self.cfg.kind
         if kind == "scca":
             r_fused = comb_mask(e_spikes, r_spikes, self.cfg.h,
-                                self.comb_to_regions, counter)
+                                self.comb_to_regions)
             e_fused = comb_mask(r_spikes, e_spikes, self.cfg.h,
-                                self.comb_to_words, counter)
+                                self.comb_to_words)
         elif kind == "sca":
-            r_fused = self.cross_r(r_spikes, e_spikes, train, counter)
-            e_fused = self.cross_e(e_spikes, r_spikes, train, counter)
+            r_fused = self.cross_r(r_spikes, e_spikes, train)
+            e_fused = self.cross_e(e_spikes, r_spikes, train)
         else:
-            r_fused, e_fused = self.concat(r_spikes, e_spikes, train, counter)
+            r_fused, e_fused = self.concat(r_spikes, e_spikes, train)
         return self.pool(r_fused), self.pool(e_fused)

@@ -8,6 +8,7 @@ import numpy as np
 from .alignment import similarity
 from .attention import UnimodalEncoder
 from .config import RunConfig
+from .energy import scope
 from .fusion import SpikeFusion
 from .layers import Module
 # infonce_pair is unused here; perfbench/workloads.py wraps it as a global
@@ -37,18 +38,17 @@ class RetrievalModel(Module):
             self.fusion = SpikeFusion(parts.fusion, config.d, config.t,
                                       parts.lif, rng, parts.comb_lif)
 
-    def encode(self, regions: Tensor, words: Tensor, train: bool,
-               recorder=None):
-        r_out = self.image(regions, train=train, recorder=recorder,
-                           tag="region/")
-        e_out = self.text(words, train=train, recorder=recorder, tag="word/")
+    def encode(self, regions: Tensor, words: Tensor, train: bool):
+        """Both encoders; ledger records are named ``region/`` / ``word/``."""
+        with scope("region/"):
+            r_out = self.image(regions, train=train)
+        with scope("word/"):
+            e_out = self.text(words, train=train)
         return r_out, e_out
 
-    def eval_similarity(self, regions: Tensor, words: Tensor,
-                        recorder=None) -> Tensor:
+    def eval_similarity(self, regions: Tensor, words: Tensor) -> Tensor:
         """Inference path: pooled similarity only, fusion never touched."""
-        r_out, e_out = self.encode(regions, words, train=False,
-                                   recorder=recorder)
+        r_out, e_out = self.encode(regions, words, train=False)
         return similarity(e_out.pooled, r_out.pooled, self.pool_cfg)
 
     def training_losses(self, regions: Tensor, words: Tensor):

@@ -15,7 +15,7 @@ finite-difference oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,9 +44,10 @@ class LIFParams:
     def __post_init__(self):
         if not self.tau >= 1.0:
             raise ParameterError(f"LIF tau must be >= 1, got {self.tau}")
-        if not self.v_th > self.v_reset:
+        if not self.v_th - self.v_reset - THRESHOLD_FLOOR > 0:
             raise ParameterError(
-                f"LIF threshold {self.v_th} must exceed reset {self.v_reset}"
+                f"LIF threshold {self.v_th} must exceed reset {self.v_reset} "
+                f"by more than {THRESHOLD_FLOOR}"
             )
 
 
@@ -119,13 +120,10 @@ class TLSNParams(Module):
 
     @staticmethod
     def create(lif: LIFParams, init_v_th: float | None = None) -> "TLSNParams":
-        target = lif.v_th if init_v_th is None else init_v_th
-        gap = target - lif.v_reset - THRESHOLD_FLOOR
-        if gap <= 0:
-            raise ParameterError(
-                f"TLSN initial threshold {target} too close to reset {lif.v_reset}"
-            )
-        raw = math.log(math.expm1(gap))
+        # replace() re-checks the threshold floor for a custom initial value
+        target = lif if init_v_th is None else replace(lif, v_th=init_v_th)
+        gap = target.v_th - lif.v_reset - THRESHOLD_FLOOR
+        raw = gap + math.log(-math.expm1(-gap))  # inverse softplus, no overflow
         return TLSNParams(lif=lif, v_th_raw=Tensor.param(np.float32(raw)))
 
     def effective_threshold(self) -> Tensor:

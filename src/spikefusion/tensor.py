@@ -79,14 +79,6 @@ class Tensor:
     def param(data) -> "Tensor":
         return Tensor(data, requires_grad=True)
 
-    @staticmethod
-    def zeros(shape) -> "Tensor":
-        return Tensor(np.zeros(shape, dtype=np.float32))
-
-    @staticmethod
-    def ones(shape) -> "Tensor":
-        return Tensor(np.ones(shape, dtype=np.float32))
-
     @property
     def shape(self):
         return self.data.shape
@@ -109,9 +101,6 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         return Tensor(self.data)
-
-    def item(self) -> float:
-        return float(self.data)
 
     # -- autodiff core --------------------------------------------------------
 

@@ -251,8 +251,19 @@ def test_mutated_checkpoint_header_is_one_line_error(fixture_workspace,
                                            with_header(lines)))
 
 
+@pytest.mark.parametrize("batch", ["0", "-3"])
+def test_energy_rejects_batch_below_one(fixture_workspace, batch):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = main(["energy", "--data", str(fixture_workspace / "data"),
+                   "--checkpoint", str(FIXTURE), "--batch", batch])
+    assert_one_line_error(rc, err.getvalue())
+    assert "--batch" in err.getvalue()
+
+
 @pytest.mark.parametrize("line", ["tau = nan", "temperature = inf",
-                                  "comb_tau = 0.5"])
+                                  "comb_tau = 0.5", "v_th = 0.005"])
 def test_train_rejects_out_of_range_config(workspace, line):
     tmp_path, data_dir, config_path = workspace
     config_path.write_text(CONFIG_TEXT + line + "\n")

@@ -87,10 +87,17 @@ class TestValidate:
         dict(ssa_scale=0.0),
         dict(seed=-1),
         dict(heads=0, fusion="sca"),
+        dict(v_th=0.005),  # within the TLSN threshold floor of v_reset
     ])
     def test_constraint_violations(self, kwargs):
         with pytest.raises(ConfigError):
             RunConfig(**kwargs).validate()
+
+    def test_huge_threshold_builds_a_model(self):
+        # the TLSN inverse softplus of a 1000 gap must not overflow
+        cfg = RunConfig(d=8, fusion="none", v_th=1000.0).validate()
+        tlsn = RetrievalModel(cfg, 6, 5).image.gen.tlsn
+        assert float(tlsn.effective_threshold().data) == pytest.approx(1000.0)
 
     def test_fusion_none_is_allowed(self):
         assert RunConfig(fusion="none").validate().fusion == "none"

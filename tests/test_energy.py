@@ -6,17 +6,27 @@ import numpy as np
 import pytest
 
 from spikefusion.config import RunConfig
+from spikefusion import energy
 from spikefusion.energy import (
     EnergyConstants,
+    EnergyReport,
     LayerLedger,
-    LayerRecorder,
     energy_report,
     firing_rate,
     layer_energy,
     occupancy,
+    record_mask,
+    record_matmul,
+    recording,
+    scope,
     sops,
 )
-from spikefusion.errors import AccountingError, ParameterError, UsageError
+from spikefusion.errors import (
+    AccountingError,
+    ParameterError,
+    StateError,
+    UsageError,
+)
 from spikefusion.model import RetrievalModel
 from spikefusion.tensor import Tensor
 
@@ -103,33 +113,84 @@ def test_headline_arithmetic_reproduction():
 
 class TestRecorder:
     def test_matmul_flop_counting_oracle(self):
-        rec = LayerRecorder()
         a = Tensor(np.zeros((5, 4), dtype=np.float32))
         b = Tensor(np.zeros((4, 7), dtype=np.float32))
-        rec.record_matmul("mm", a, b, 1, "float")
-        assert rec.layers[0].flops == 5 * 7 * 4  # m * n * k multiply-adds
+        with recording() as layers:
+            record_matmul("mm", a, b, 1, "float")
+        assert layers[0].flops == 5 * 7 * 4  # m * n * k multiply-adds
 
     def test_linear_counts_per_step(self):
-        rec = LayerRecorder()
         x = Tensor((RNG.random((2, 3, 4, 8)) < 0.5).astype(np.float32))
         w = Tensor(np.zeros((8, 16), dtype=np.float32))
-        rec.record_linear("lin", x, w, 2, "spiking")
-        ledger = rec.layers[0]
+        with recording() as layers:
+            record_matmul("lin", x, w, 2, "spiking")
+        ledger = layers[0]
         assert ledger.flops == 3 * 4 * 8 * 16  # one time step's MACs
         assert ledger.t == 2
         assert 0.0 < ledger.rate < 1.0
 
+    def test_mask_counts_multiplies_at_no_cost(self):
+        with recording() as layers:
+            record_mask("gate")
+            record_mask("comb", 96)
+        assert [(l.kind, l.flops) for l in layers] == [("mask", 0),
+                                                       ("mask", 96)]
+        assert EnergyReport(layers, EnergyConstants()).total_picojoules == 0.0
+
     def test_report_totals_are_sums(self):
-        rec = LayerRecorder()
-        rec.layers.append(LayerLedger("a", "spiking", 1000, 0.5, t=2))
-        rec.layers.append(LayerLedger("b", "float", 300, 1.0))
-        rec.layers.append(LayerLedger("c", "mask", 0, 0.0))
-        report = rec.report()
+        report = EnergyReport([LayerLedger("a", "spiking", 1000, 0.5, t=2),
+                               LayerLedger("b", "float", 300, 1.0),
+                               LayerLedger("c", "mask", 0, 0.0)],
+                              EnergyConstants())
         assert report.ac_ops == 1000
         assert report.mac_ops == 300
         expected = 0.9 * 1000 + 4.6 * 300
         assert report.total_picojoules == pytest.approx(expected)
         assert report.ac_fraction == pytest.approx(1000 / 1300)
+
+
+class TestRecording:
+    EMPTY = Tensor(np.zeros((0, 4), dtype=np.float32))
+    W = Tensor(np.zeros((4, 2), dtype=np.float32))
+
+    def test_records_nothing_outside_a_recording(self):
+        with recording() as layers:
+            pass
+        # an empty spiking input would fail occupancy() if it were measured
+        record_matmul("lin", self.EMPTY, self.W, 1, "spiking")
+        record_matmul("mm", self.EMPTY, self.W, 1, "spiking")
+        record_mask("mask", 10)
+        assert layers == []
+
+    def test_scopes_compose(self):
+        with recording() as layers:
+            with scope("a/"):
+                with scope("b/"):
+                    record_mask("m")
+                record_mask("m")
+            record_mask("m")
+        assert [l.name for l in layers] == ["a/b/m", "a/m", "m"]
+
+    def test_nested_recording_keeps_its_own_records(self):
+        with recording() as outer:
+            record_mask("before")
+            with recording() as inner:
+                record_mask("inside")
+            record_mask("after")
+        assert [l.name for l in outer] == ["before", "after"]
+        assert [l.name for l in inner] == ["inside"]
+
+    def test_failed_forward_restores_the_previous_state(self):
+        regions, words = calibration_batch()
+        with pytest.raises(StateError):
+            energy_report(tiny_model(), regions, words)  # no calibration
+        assert energy._ledger.get() is None
+        assert energy._scope.get() == ""
+        model = tiny_model()
+        model.calibrate(regions, words)
+        text = energy_report(model, regions, words).render()
+        with open(GOLDEN_PATH, "r", encoding="utf-8") as fh:
+            assert text == fh.read().rstrip("\n")
 
 
 def tiny_model(seed=0):
@@ -222,7 +283,7 @@ class TestEnergyReport:
 
     def test_empty_recording_rejected(self):
         class NoOpModel:
-            def eval_similarity(self, r, w, recorder=None):
+            def eval_similarity(self, r, w):
                 return Tensor(np.zeros((2, 2)))
 
         with pytest.raises(AccountingError):

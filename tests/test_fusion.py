@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from spikefusion.energy import recording
 from spikefusion.errors import ConfigError
 from spikefusion.fusion import (
     ConcatSelfAttention,
     FusionConfig,
-    OpCounter,
     SpikeCrossAttention,
     SpikeFusion,
     comb_mask,
@@ -23,6 +23,13 @@ UNIT_LIF = LIFParams(tau=1.0, v_th=1.0, v_reset=0.0)  # fires iff drive >= 1
 
 def binary(shape, p=0.4, rng=RNG):
     return (rng.random(shape) < p).astype(np.float32)
+
+
+def multiplies(op, *args):
+    """Multiply count ``op(*args)`` writes into the op ledger."""
+    with recording() as layers:
+        op(*args)
+    return sum(l.flops for l in layers)
 
 
 class TestCombMask:
@@ -64,11 +71,9 @@ class TestCombMask:
         t, b, nl, d, h = 2, 3, 6, 8, 2
         counts = {}
         for nn in (8, 16):
-            counter = OpCounter()
-            comb_mask(Tensor(binary((t, b, nl, d))),
-                      Tensor(binary((t, b, nn, d))), h,
-                      LIFNeuron(LIF), counter)
-            counts[nn] = counter.multiplies
+            counts[nn] = multiplies(comb_mask, Tensor(binary((t, b, nl, d))),
+                                    Tensor(binary((t, b, nn, d))), h,
+                                    LIFNeuron(LIF))
         assert counts[16] == 2 * counts[8]
 
     def test_comb_head_divisors_of_36(self):
@@ -110,26 +115,19 @@ class TestQkvAttention:
         # ledger cost at sizes N and 2N equals min(2 N^2 D, 2 N D^2) exactly
         d = 8
         for nn in (4, 8):
-            counter = OpCounter()
             q = binary((2, 1, nn, d))
-            qkv_attention(Tensor(q), Tensor(q.copy()), Tensor(q.copy()),
-                          counter)
+            count = multiplies(qkv_attention, Tensor(q), Tensor(q.copy()),
+                               Tensor(q.copy()))
             expected = 2 * min(2 * nn * nn * d, 2 * nn * d * d)
-            assert counter.multiplies == expected, nn
+            assert count == expected, nn
 
     def test_association_choice_minimizes_multiplies(self):
-        counter_wide = OpCounter()
-        qkv_attention(Tensor(binary((1, 1, 4, 32))),
-                      Tensor(binary((1, 1, 4, 32))),
-                      Tensor(binary((1, 1, 4, 32))), counter_wide)
+        wide = [Tensor(binary((1, 1, 4, 32))) for _ in range(3)]
         # (Q K^T) V: 2*4*4*32 = 1024 < (4+4)*32*32 = 8192
-        assert counter_wide.multiplies == 1024
-        counter_tall = OpCounter()
-        qkv_attention(Tensor(binary((1, 1, 32, 4))),
-                      Tensor(binary((1, 1, 32, 4))),
-                      Tensor(binary((1, 1, 32, 4))), counter_tall)
+        assert multiplies(qkv_attention, *wide) == 1024
+        tall = [Tensor(binary((1, 1, 32, 4))) for _ in range(3)]
         # Q (K^T V): (32+32)*4*4 = 1024 < 2*32*32*4 = 8192
-        assert counter_tall.multiplies == 1024
+        assert multiplies(qkv_attention, *tall) == 1024
 
 
 class TestSpikeCrossAttention:
