@@ -16,7 +16,7 @@ import numpy as np
 from .energy import record_mask, record_matmul
 from .errors import DimensionError
 from .layers import BatchNorm, Linear, Module
-from .neurons import LIFNeuron, LIFParams
+from .neurons import LIFParams
 from .tensor import Tensor, as_tensor, matmul
 from .encoding import GeneratorConfig, SpikeGenerator, project_features
 
@@ -36,28 +36,24 @@ class SpikeSelfAttention(Module):
         self.bn_v = BatchNorm(d)
         self.bn_attn = BatchNorm(d)
         self.bn_out = BatchNorm(d)
-        self.neuron_q = LIFNeuron(lif)
-        self.neuron_k = LIFNeuron(lif)
-        self.neuron_v = LIFNeuron(lif)
-        self.neuron_attn = LIFNeuron(lif)
-        self.neuron_out = LIFNeuron(lif)
+        self.lif = lif
 
     def __call__(self, x_s: Tensor, train: bool) -> Tensor:
         t = x_s.shape[0]
         record_matmul("q_proj", x_s, self.w_q.w, t, "spiking")
         record_matmul("k_proj", x_s, self.w_k.w, t, "spiking")
         record_matmul("v_proj", x_s, self.w_v.w, t, "spiking")
-        q = self.neuron_q(self.bn_q(self.w_q(x_s), train))
-        k = self.neuron_k(self.bn_k(self.w_k(x_s), train))
-        v = self.neuron_v(self.bn_v(self.w_v(x_s), train))
+        q = self.lif(self.bn_q(self.w_q(x_s), train))
+        k = self.lif(self.bn_k(self.w_k(x_s), train))
+        v = self.lif(self.bn_v(self.w_v(x_s), train))
         k_t = k.swapaxes(-1, -2)
         record_matmul("attn_scores", q, k_t, t, "spiking")
         scores = matmul(q, k_t)
         record_matmul("attn_apply", scores, v, t, "spiking")
         mixed = matmul(scores, v) * np.float32(self.scale)
-        attn = self.neuron_attn(self.bn_attn(mixed, train))
+        attn = self.lif(self.bn_attn(mixed, train))
         record_matmul("attn_out", attn, self.w_a.w, t, "spiking")
-        return self.neuron_out(self.bn_out(self.w_a(attn), train))
+        return self.lif(self.bn_out(self.w_a(attn), train))
 
 
 class SpikeGatedMLP(Module):
@@ -75,19 +71,18 @@ class SpikeGatedMLP(Module):
         self.w_g = Linear(d, d_hidden, rng, bias=False, gain=3.0)
         self.w_p = Linear(d, d_hidden, rng, bias=False)
         self.w_o = Linear(d_hidden, d, rng, bias=False, gain=3.0)
-        self.neuron_gate = LIFNeuron(lif)
-        self.neuron_out = LIFNeuron(lif)
+        self.lif = lif
 
     def __call__(self, x_s: Tensor) -> Tensor:
         t = x_s.shape[0]
         record_matmul("gate_linear", x_s, self.w_g.w, t, "spiking")
         record_matmul("value_linear", x_s, self.w_p.w, t, "spiking")
-        gate = self.neuron_gate(self.w_g(x_s))
+        gate = self.lif(self.w_g(x_s))
         value = self.w_p(x_s)
         gated = gate * value
         record_mask("gate_multiply")
         record_matmul("mlp_out", gated, self.w_o.w, t, "spiking")
-        return self.neuron_out(self.w_o(gated))
+        return self.lif(self.w_o(gated))
 
 
 class TemporalPool(Module):

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from dataclasses import dataclass, fields, replace
+
+import numpy as np
 
 from .alignment import PoolConfig
 from .encoding import GeneratorConfig
@@ -12,6 +13,8 @@ from .errors import ConfigError, ParameterError
 from .fusion import FusionConfig
 from .losses import LossWeights
 from .neurons import LIFParams
+
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 # dataclass attribute names that differ from their file key
 _FILE_KEYS = {"lam": "lambda"}
@@ -73,9 +76,11 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
+            # compared, not cast: the network runs in float32, and NaN fails
+            if isinstance(value, float) and not abs(value) <= _FLOAT32_MAX:
                 key = _FILE_KEYS.get(f.name, f.name)
-                raise ConfigError(f"{key} must be finite, got {value}")
+                raise ConfigError(
+                    f"{key} must be finite and fit float32, got {value}")
         if self.d < 1:
             raise ConfigError(f"d must be >= 1, got {self.d}")
         if self.batch < 2:

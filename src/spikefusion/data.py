@@ -97,8 +97,13 @@ def synth_dataset(out_dir, seed: int, pairs: int, n_regions: int = 36,
     """
     if pairs < 2:
         raise UsageError("a paired dataset needs at least 2 pairs")
-    if noise < 0:
-        raise UsageError(f"noise must be >= 0, got {noise}")
+    shape = dict(n_regions=n_regions, n_words=n_words,
+                 region_width=region_width, word_width=word_width)
+    for name, value in shape.items():
+        if value < 1:
+            raise UsageError(f"{name} must be >= 1, got {value}")
+    if not 0 <= noise < math.inf:
+        raise UsageError(f"noise must be finite and >= 0, got {noise}")
     rng = np.random.default_rng(seed)
     codes = rng.standard_normal((pairs, LATENT_DIM))
     scale = 1.0 / np.sqrt(LATENT_DIM)

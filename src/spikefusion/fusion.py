@@ -21,7 +21,7 @@ import numpy as np
 from .energy import record_mask, record_matmul
 from .errors import ConfigError, DimensionError
 from .layers import BatchNorm, Linear, Module
-from .neurons import LIFNeuron, LIFParams
+from .neurons import LIFParams
 from .attention import TemporalPool
 from .tensor import Tensor, as_tensor, concat, matmul
 
@@ -51,7 +51,7 @@ class FusionConfig:
             )
 
 
-def comb_mask(q: Tensor, k: Tensor, h: int, neuron: LIFNeuron) -> Tensor:
+def comb_mask(q: Tensor, k: Tensor, h: int, lif: LIFParams) -> Tensor:
     """Comb cross attention: mask ``k`` with combs summarizing ``q``.
 
     ``q`` (T, B, L, D) is split into ``h`` token groups; each group is summed
@@ -68,7 +68,7 @@ def comb_mask(q: Tensor, k: Tensor, h: int, neuron: LIFNeuron) -> Tensor:
         )
     group = q.reshape((t, b, h, nl // h, d))
     head_sums = group.sum(axis=3)                     # (T, B, h, D)
-    combs = neuron(head_sums)                         # binary (T, B, h, D)
+    combs = lif(head_sums)                            # binary (T, B, h, D)
     record_mask("comb_mask", t * b * nn * d)
     blocks = k.reshape((t, b, h, nn // h, d))
     masked = combs.reshape((t, b, h, 1, d)) * blocks
@@ -103,10 +103,10 @@ class _ProjectSpike(Module):
     def __init__(self, d: int, lif: LIFParams, rng: np.random.Generator):
         self.linear = Linear(d, d, rng, bias=False)
         self.bn = BatchNorm(d)
-        self.neuron = LIFNeuron(lif)
+        self.lif = lif
 
     def __call__(self, x: Tensor, train: bool) -> Tensor:
-        return self.neuron(self.bn(self.linear(x), train))
+        return self.lif(self.bn(self.linear(x), train))
 
 
 class SpikeCrossAttention(Module):
@@ -119,14 +119,14 @@ class SpikeCrossAttention(Module):
         self.v = _ProjectSpike(d, lif, rng)
         self.out = Linear(d, d, rng, bias=False)
         self.bn_out = BatchNorm(d)
-        self.neuron_out = LIFNeuron(lif)
+        self.lif = lif
 
     def __call__(self, x_q: Tensor, x_kv: Tensor, train: bool) -> Tensor:
         q = self.q(x_q, train)
         k = self.k(x_kv, train)
         v = self.v(x_kv, train)
         attn = qkv_attention(q, k, v)
-        return self.neuron_out(self.bn_out(self.out(attn), train))
+        return self.lif(self.bn_out(self.out(attn), train))
 
 
 class ConcatSelfAttention(SpikeCrossAttention):
@@ -163,13 +163,10 @@ class SpikeFusion(Module):
         self.pool = TemporalPool(t)
         self.call_count = 0
         self.comb_lif = comb_lif or lif
-        if cfg.kind == "scca":
-            self.comb_to_regions = LIFNeuron(self.comb_lif)  # text combs mask images
-            self.comb_to_words = LIFNeuron(self.comb_lif)    # image combs mask text
-        elif cfg.kind == "sca":
+        if cfg.kind == "sca":
             self.cross_r = SpikeCrossAttention(d, lif, rng)
             self.cross_e = SpikeCrossAttention(d, lif, rng)
-        else:
+        elif cfg.kind == "scsa":
             self.concat = ConcatSelfAttention(d, lif, rng)
 
     def fuse_and_pool(self, r_spikes: Tensor, e_spikes: Tensor,
@@ -182,10 +179,9 @@ class SpikeFusion(Module):
         self.call_count += 1
         kind = self.cfg.kind
         if kind == "scca":
-            r_fused = comb_mask(e_spikes, r_spikes, self.cfg.h,
-                                self.comb_to_regions)
-            e_fused = comb_mask(r_spikes, e_spikes, self.cfg.h,
-                                self.comb_to_words)
+            # text combs mask images, image combs mask text
+            r_fused = comb_mask(e_spikes, r_spikes, self.cfg.h, self.comb_lif)
+            e_fused = comb_mask(r_spikes, e_spikes, self.cfg.h, self.comb_lif)
         elif kind == "sca":
             r_fused = self.cross_r(r_spikes, e_spikes, train)
             e_fused = self.cross_e(e_spikes, r_spikes, train)

@@ -50,6 +50,10 @@ class LIFParams:
                 f"by more than {THRESHOLD_FLOOR}"
             )
 
+    def __call__(self, x: Tensor) -> Tensor:
+        """The neuron itself: spikes of the LIF fold over ``x``'s time axis."""
+        return lif_sequence(x, self)
+
 
 @dataclass
 class NeuronState:
@@ -139,12 +143,3 @@ def tlsn_forward(x: Tensor, params: TLSNParams) -> Tensor:
     return _fold(x, lif.tau, params.effective_threshold(), lif.v_reset,
                  lif.surrogate_alpha)
 
-
-class LIFNeuron(Module):
-    """Stateless callable: spikes = fold of LIF dynamics over the time axis."""
-
-    def __init__(self, params: LIFParams | None = None):
-        self.params = params or LIFParams()
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return lif_sequence(x, self.params)

@@ -5,6 +5,13 @@ plus an optional gradient buffer and a closure that propagates incoming
 gradients to its parents.  ``backward()`` on a scalar walks the tape in
 reverse topological order.
 
+Every op computes its value, defines its backward closure and returns
+``_make(value, parents, backward)``.  ``_make`` is the only code that puts a
+result on the tape: it sets ``_parents``, ``requires_grad`` and ``_backward``
+only when grad mode is on and some parent requires grad (a node with parents
+always does).  Arrays needed only by a backward are computed inside its
+closure, so untracked and ``no_grad`` passes never build them.
+
 The one nonstandard op is :func:`spike_threshold`: its forward is an exact
 Heaviside step (firing at ``h >= v_th``) while its backward substitutes a
 smooth arctangent surrogate derivative.  Inside :func:`smooth_spike_mode`
@@ -134,33 +141,27 @@ class Tensor:
 
     def __add__(self, other):
         other = as_tensor(other)
-        out = _make(self.data + other.data, (self, other))
-        if out._parents:
 
-            def bw(g):
-                if self.requires_grad:
-                    self._accumulate(_unbroadcast(g, self.data.shape))
-                if other.requires_grad:
-                    other._accumulate(_unbroadcast(g, other.data.shape))
+        def bw(g):
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(g, self.data.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(g, other.data.shape))
 
-            out._backward = bw
-        return out
+        return _make(self.data + other.data, (self, other), bw)
 
     __radd__ = __add__
 
     def __mul__(self, other):
         other = as_tensor(other)
-        out = _make(self.data * other.data, (self, other))
-        if out._parents:
 
-            def bw(g):
-                if self.requires_grad:
-                    self._accumulate(_unbroadcast(g * other.data, self.data.shape))
-                if other.requires_grad:
-                    other._accumulate(_unbroadcast(g * self.data, other.data.shape))
+        def bw(g):
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(g * other.data, self.data.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(g * self.data, other.data.shape))
 
-            out._backward = bw
-        return out
+        return _make(self.data * other.data, (self, other), bw)
 
     __rmul__ = __mul__
 
@@ -169,37 +170,31 @@ class Tensor:
 
     def __sub__(self, other):
         other = as_tensor(other)
-        out = _make(self.data - other.data, (self, other))
-        if out._parents:
 
-            def bw(g):
-                if self.requires_grad:
-                    self._accumulate(_unbroadcast(g, self.data.shape))
-                if other.requires_grad:
-                    other._accumulate(_unbroadcast(-g, other.data.shape))
+        def bw(g):
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(g, self.data.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(-g, other.data.shape))
 
-            out._backward = bw
-        return out
+        return _make(self.data - other.data, (self, other), bw)
 
     def __rsub__(self, other):
         return as_tensor(other) - self
 
     def __truediv__(self, other):
         other = as_tensor(other)
-        out = _make(self.data / other.data, (self, other))
-        if out._parents:
 
-            def bw(g):
-                if self.requires_grad:
-                    self._accumulate(_unbroadcast(g / other.data, self.data.shape))
-                if other.requires_grad:
-                    other._accumulate(
-                        _unbroadcast(-g * self.data / (other.data * other.data),
-                                     other.data.shape)
-                    )
+        def bw(g):
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(g / other.data, self.data.shape))
+            if other.requires_grad:
+                other._accumulate(
+                    _unbroadcast(-g * self.data / (other.data * other.data),
+                                 other.data.shape)
+                )
 
-            out._backward = bw
-        return out
+        return _make(self.data / other.data, (self, other), bw)
 
     def __rtruediv__(self, other):
         return as_tensor(other) / self
@@ -211,54 +206,38 @@ class Tensor:
 
     def reshape(self, shape) -> "Tensor":
         old = self.data.shape
-        out = _make(self.data.reshape(shape), (self,))
-        if out._parents:
-            out._backward = lambda g: self._accumulate(g.reshape(old))
-        return out
+        return _make(self.data.reshape(shape), (self,),
+                     lambda g: self._accumulate(g.reshape(old)))
 
     def transpose(self, axes) -> "Tensor":
         axes = tuple(axes)
         inverse = tuple(np.argsort(axes))
-        out = _make(self.data.transpose(axes), (self,))
-        if out._parents:
-            out._backward = lambda g: self._accumulate(g.transpose(inverse))
-        return out
+        return _make(self.data.transpose(axes), (self,),
+                     lambda g: self._accumulate(g.transpose(inverse)))
 
     def swapaxes(self, a: int, b: int) -> "Tensor":
-        out = _make(self.data.swapaxes(a, b), (self,))
-        if out._parents:
-            out._backward = lambda g: self._accumulate(g.swapaxes(a, b))
-        return out
+        return _make(self.data.swapaxes(a, b), (self,),
+                     lambda g: self._accumulate(g.swapaxes(a, b)))
 
     def __getitem__(self, key) -> "Tensor":
-        out = _make(self.data[key], (self,))
-        if out._parents:
+        def bw(g):
+            buf = np.zeros_like(self.data)
+            np.add.at(buf, key, g)
+            self._accumulate(buf)
 
-            def bw(g):
-                buf = np.zeros_like(self.data)
-                np.add.at(buf, key, g)
-                self._accumulate(buf)
-
-            out._backward = bw
-        return out
+        return _make(self.data[key], (self,), bw)
 
     # -- reductions -----------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out = _make(self.data.sum(axis=axis, keepdims=keepdims), (self,))
-        if out._parents:
-            shape = self.data.shape
+        shape = self.data.shape
 
-            def bw(g):
-                if axis is None:
-                    self._accumulate(np.broadcast_to(g, shape).astype(np.float32))
-                    return
-                if not keepdims:
-                    g = np.expand_dims(g, axis)
-                self._accumulate(np.broadcast_to(g, shape).astype(np.float32))
+        def bw(g):
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            self._accumulate(np.broadcast_to(g, shape).astype(np.float32))
 
-            out._backward = bw
-        return out
+        return _make(self.data.sum(axis=axis, keepdims=keepdims), (self,), bw)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         count = self.data.size if axis is None else _axis_count(self.data.shape, axis)
@@ -266,65 +245,50 @@ class Tensor:
 
     def max(self, axis: int, keepdims: bool = False) -> "Tensor":
         """Maximum along one axis; gradient routes to the first maximal entry."""
-        idx = np.argmax(self.data, axis=axis)
-        picked = np.take_along_axis(self.data, np.expand_dims(idx, axis), axis)
-        out_data = picked if keepdims else np.squeeze(picked, axis=axis)
-        out = _make(out_data, (self,))
-        if out._parents:
+        idx = np.expand_dims(np.argmax(self.data, axis=axis), axis)
+        picked = np.take_along_axis(self.data, idx, axis)
 
-            def bw(g):
-                if not keepdims:
-                    g = np.expand_dims(g, axis)
-                buf = np.zeros_like(self.data)
-                np.put_along_axis(buf, np.expand_dims(idx, axis), g, axis)
-                self._accumulate(buf)
+        def bw(g):
+            if not keepdims:
+                g = np.expand_dims(g, axis)
+            buf = np.zeros_like(self.data)
+            np.put_along_axis(buf, idx, g, axis)
+            self._accumulate(buf)
 
-            out._backward = bw
-        return out
+        return _make(picked if keepdims else np.squeeze(picked, axis=axis),
+                     (self,), bw)
 
     # -- elementwise functions --------------------------------------------------
 
     def exp(self) -> "Tensor":
         out_data = np.exp(self.data)
-        out = _make(out_data, (self,))
-        if out._parents:
-            out._backward = lambda g: self._accumulate(g * out_data)
-        return out
-
-    def log(self) -> "Tensor":
-        out = _make(np.log(self.data), (self,))
-        if out._parents:
-            out._backward = lambda g: self._accumulate(g / self.data)
-        return out
+        return _make(out_data, (self,),
+                     lambda g: self._accumulate(g * out_data))
 
     def sqrt(self) -> "Tensor":
         out_data = np.sqrt(self.data)
-        out = _make(out_data, (self,))
-        if out._parents:
-            out._backward = lambda g: self._accumulate(g * (0.5 / out_data))
-        return out
+        return _make(out_data, (self,),
+                     lambda g: self._accumulate(g * (0.5 / out_data)))
 
     def clip_min(self, floor: float) -> "Tensor":
         """Elementwise max with a constant; gradient passes where x >= floor."""
         floor = np.float32(floor)
-        out = _make(np.maximum(self.data, floor), (self,))
-        if out._parents:
-            gate = (self.data >= floor).astype(np.float32)
-            out._backward = lambda g: self._accumulate(g * gate)
-        return out
+        return _make(np.maximum(self.data, floor), (self,),
+                     lambda g: self._accumulate(
+                         g * (self.data >= floor).astype(np.float32)))
 
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(data: np.ndarray, parents) -> Tensor:
+def _make(data: np.ndarray, parents, backward) -> Tensor:
+    """Wrap an op's value; the only place a result joins the tape."""
     out = Tensor(data)
-    if _grad_enabled.get():
-        tracked = tuple(p for p in parents if p.requires_grad or p._parents)
-        if tracked:
-            out._parents = tuple(parents)
-            out.requires_grad = True
+    if _grad_enabled.get() and any(p.requires_grad for p in parents):
+        out._parents = tuple(parents)
+        out.requires_grad = True
+        out._backward = backward
     return out
 
 
@@ -362,67 +326,57 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(
             f"matmul: inner axes differ for shapes {a.shape} and {b.shape}"
         )
-    out = _make(a.data @ b.data, (a, b))
-    if out._parents:
 
-        def bw(g):
-            if a.requires_grad:
-                ga = g @ b.data.swapaxes(-1, -2)
-                a._accumulate(_unbroadcast(ga, a.data.shape))
-            if b.requires_grad:
-                if b.ndim == 2 and g.ndim > 2:
-                    # weight-matrix case: contract the batch in one gemm
-                    k = a.data.shape[-1]
-                    n = g.shape[-1]
-                    gb = a.data.reshape(-1, k).T @ g.reshape(-1, n)
-                else:
-                    gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape)
-                b._accumulate(gb)
+    def bw(g):
+        if a.requires_grad:
+            ga = g @ b.data.swapaxes(-1, -2)
+            a._accumulate(_unbroadcast(ga, a.data.shape))
+        if b.requires_grad:
+            if b.ndim == 2 and g.ndim > 2:
+                # weight-matrix case: contract the batch in one gemm
+                k = a.data.shape[-1]
+                n = g.shape[-1]
+                gb = a.data.reshape(-1, k).T @ g.reshape(-1, n)
+            else:
+                gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape)
+            b._accumulate(gb)
 
-        out._backward = bw
-    return out
+    return _make(a.data @ b.data, (a, b), bw)
 
 
 def stack(tensors, axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
-    out = _make(np.stack([t.data for t in tensors], axis=axis), tuple(tensors))
-    if out._parents:
 
-        def bw(g):
-            parts = np.split(g, len(tensors), axis=axis)
-            for t, p in zip(tensors, parts):
-                if t.requires_grad:
-                    t._accumulate(np.squeeze(p, axis=axis))
+    def bw(g):
+        parts = np.split(g, len(tensors), axis=axis)
+        for t, p in zip(tensors, parts):
+            if t.requires_grad:
+                t._accumulate(np.squeeze(p, axis=axis))
 
-        out._backward = bw
-    return out
+    return _make(np.stack([t.data for t in tensors], axis=axis), tuple(tensors),
+                 bw)
 
 
 def concat(tensors, axis: int) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    out = _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
-    if out._parents:
-        offsets = np.cumsum([0] + sizes)
 
-        def bw(g):
-            for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-                if t.requires_grad:
-                    sl = [slice(None)] * g.ndim
-                    sl[axis] = slice(lo, hi)
-                    t._accumulate(g[tuple(sl)])
+    def bw(g):
+        offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
+        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+            if t.requires_grad:
+                sl = [slice(None)] * g.ndim
+                sl[axis] = slice(lo, hi)
+                t._accumulate(g[tuple(sl)])
 
-        out._backward = bw
-    return out
+    return _make(np.concatenate([t.data for t in tensors], axis=axis),
+                 tuple(tensors), bw)
 
 
 def repeat_steps(x: Tensor, t: int) -> Tensor:
     """Duplicate ``x`` along a new leading time axis of length ``t``."""
     x = as_tensor(x)
-    out = _make(np.broadcast_to(x.data, (t,) + x.data.shape).copy(), (x,))
-    if out._parents:
-        out._backward = lambda g: x._accumulate(g.sum(axis=0))
-    return out
+    return _make(np.broadcast_to(x.data, (t,) + x.data.shape).copy(), (x,),
+                 lambda g: x._accumulate(g.sum(axis=0)))
 
 
 # -- fused numerical ops ---------------------------------------------------------
@@ -451,26 +405,20 @@ def logsumexp(x: Tensor, axis, mask: np.ndarray | None = None,
     out_data = shift + np.log(s)
     if not keepdims:
         out_data = np.squeeze(out_data, axis=axis)
-    out = _make(out_data.astype(np.float32), (x,))
-    if out._parents:
-        soft = e / s
 
-        def bw(g):
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            x._accumulate((g * soft).astype(np.float32))
+    def bw(g):
+        if not keepdims:
+            g = np.expand_dims(g, axis)
+        x._accumulate((g * (e / s)).astype(np.float32))
 
-        out._backward = bw
-    return out
+    return _make(out_data.astype(np.float32), (x,), bw)
 
 
 def softplus(x: Tensor) -> Tensor:
     x = as_tensor(x)
-    out = _make(np.logaddexp(np.float32(0.0), x.data), (x,))
-    if out._parents:
-        sig = 1.0 / (1.0 + np.exp(-x.data))
-        out._backward = lambda g: x._accumulate((g * sig).astype(np.float32))
-    return out
+    return _make(np.logaddexp(np.float32(0.0), x.data), (x,),
+                 lambda g: x._accumulate(
+                     (g * (1.0 / (1.0 + np.exp(-x.data)))).astype(np.float32)))
 
 
 def surrogate_derivative(x: np.ndarray, alpha: float) -> np.ndarray:
@@ -484,33 +432,19 @@ def surrogate_primitive(x: np.ndarray, alpha: float) -> np.ndarray:
     return np.arctan((np.pi / 2.0) * alpha * x) / np.pi + 0.5
 
 
-def heaviside_surrogate(x: Tensor, alpha: float = DEFAULT_SURROGATE_ALPHA) -> Tensor:
-    """Step function at zero (firing at ``x >= 0``) with surrogate backward."""
-    x = as_tensor(x)
-    if smooth_spikes_active():
-        out_data = surrogate_primitive(x.data, alpha).astype(np.float32)
-    else:
-        out_data = (x.data >= 0).astype(np.float32)
-    out = _make(out_data, (x,))
-    if out._parents:
-        local = surrogate_derivative(x.data, alpha).astype(np.float32)
-        out._backward = lambda g: x._accumulate(g * local)
-    return out
-
-
 def spike_threshold(h: Tensor, v_th, alpha: float = DEFAULT_SURROGATE_ALPHA) -> Tensor:
     """Binary spikes: 1 where the membrane reaches the threshold, else 0.
 
     ``v_th`` may be a float or a Tensor (learnable threshold); gradients flow
     to both operands through the surrogate.
     """
-    h = as_tensor(h)
-    if isinstance(v_th, Tensor):
-        return heaviside_surrogate(h - v_th, alpha)
-    v_th = float(v_th)
-    if v_th == 0.0:
-        return heaviside_surrogate(h, alpha)
-    return heaviside_surrogate(h - np.float32(v_th), alpha)
+    x = as_tensor(h) - (v_th if isinstance(v_th, Tensor) else np.float32(v_th))
+    if smooth_spikes_active():
+        out_data = surrogate_primitive(x.data, alpha).astype(np.float32)
+    else:
+        out_data = (x.data >= 0).astype(np.float32)
+    return _make(out_data, (x,), lambda g: x._accumulate(
+        g * surrogate_derivative(x.data, alpha).astype(np.float32)))
 
 
 # -- normalization -----------------------------------------------------------------

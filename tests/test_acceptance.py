@@ -27,7 +27,7 @@ from spikefusion.checkpoint import load_checkpoint, restore_model, save_checkpoi
 from spikefusion.fusion import comb_mask, qkv_attention
 from spikefusion.losses import infonce_pair, total_loss, LossWeights, SIMILARITY_KEYS
 from spikefusion.model import RetrievalModel
-from spikefusion.neurons import LIFNeuron, LIFParams, lif_sequence
+from spikefusion.neurons import LIFParams, lif_sequence
 from spikefusion.tensor import Tensor, no_grad, smooth_spike_mode
 from spikefusion.train import evaluate_recall, train
 
@@ -132,21 +132,21 @@ def test_criterion_03_scsa_block_decomposition():
 def test_criterion_04_scca_mask_semantics():
     rng = np.random.default_rng(88)
     t, b, nl, d, h = 2, 3, 8, 16, 4
-    neuron = LIFNeuron(LIFParams(tau=1.0))
+    lif = LIFParams(tau=1.0)
     q = Tensor((rng.random((t, b, nl, d)) < 0.5).astype(np.float32))
     k = Tensor((rng.random((t, b, 8, d)) < 0.5).astype(np.float32))
-    masked = comb_mask(q, k, h, neuron)
+    masked = comb_mask(q, k, h, lif)
     bounded = bool((masked.data <= k.data).all())
 
     ones_q = Tensor(np.ones((t, b, nl, d), dtype=np.float32))
     identity = bool(np.array_equal(
-        comb_mask(ones_q, k, h, LIFNeuron(LIFParams(tau=1.0))).data, k.data))
+        comb_mask(ones_q, k, h, lif).data, k.data))
 
     counts = {}
     for nn in (8, 16):
         kk = Tensor((rng.random((t, b, nn, d)) < 0.5).astype(np.float32))
         with recording() as layers:
-            comb_mask(q, kk, h, neuron)
+            comb_mask(q, kk, h, lif)
         counts[nn] = sum(l.flops for l in layers)
     ratio = counts[16] / counts[8]
     linear = abs(ratio - 2.0) <= 0.1  # within 5% of doubling

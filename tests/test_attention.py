@@ -66,7 +66,7 @@ class TestSpikeGatedMLP:
         # G . P must equal P with gate-zero positions zeroed, exactly
         mlp = SpikeGatedMLP(8, LIF, np.random.default_rng(4))
         x = Tensor(binary((2, 2, 3, 8)))
-        gate = mlp.neuron_gate(mlp.w_g(x))
+        gate = mlp.lif(mlp.w_g(x))
         value = mlp.w_p(x)
         gated = (gate * value).data
         masked = np.where(gate.data > 0, value.data, 0.0)
@@ -146,8 +146,8 @@ class TestUnimodalEncoder:
         residual = (x_s + ssa_out).data
         assert residual.max() == 2.0
         # recompute the gate from the residual and compare with the module
-        gate_direct = enc.mlp.neuron_gate(enc.mlp.w_g(Tensor(residual)))
-        gate_module = enc.mlp.neuron_gate(enc.mlp.w_g(x_s + ssa_out))
+        gate_direct = enc.mlp.lif(enc.mlp.w_g(Tensor(residual)))
+        gate_module = enc.mlp.lif(enc.mlp.w_g(x_s + ssa_out))
         np.testing.assert_array_equal(gate_direct.data, gate_module.data)
 
     def test_gradient_reaches_every_parameter(self):

@@ -164,6 +164,18 @@ def test_synth_data_requires_out(capsys):
         main(["synth-data", "--pairs", "4"])
 
 
+def test_synth_data_rejects_zero_regions(tmp_path):
+    # a zero token count would write a manifest that eval rejects
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = main(["synth-data", "--out", str(tmp_path / "data"),
+                   "--pairs", "4", "--regions", "0"])
+    assert_one_line_error(rc, err.getvalue())
+    assert "n_regions" in err.getvalue()
+    assert not (tmp_path / "data").exists()
+
+
 @pytest.fixture(scope="module")
 def fixture_workspace(tmp_path_factory):
     """A dataset matching the fixture checkpoint's widths and token counts."""
@@ -263,7 +275,8 @@ def test_energy_rejects_batch_below_one(fixture_workspace, batch):
 
 
 @pytest.mark.parametrize("line", ["tau = nan", "temperature = inf",
-                                  "comb_tau = 0.5", "v_th = 0.005"])
+                                  "comb_tau = 0.5", "v_th = 0.005",
+                                  "v_th = 1e39"])
 def test_train_rejects_out_of_range_config(workspace, line):
     tmp_path, data_dir, config_path = workspace
     config_path.write_text(CONFIG_TEXT + line + "\n")

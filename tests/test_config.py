@@ -88,6 +88,7 @@ class TestValidate:
         dict(seed=-1),
         dict(heads=0, fusion="sca"),
         dict(v_th=0.005),  # within the TLSN threshold floor of v_reset
+        dict(v_th=1e39),  # finite in float64, overflows the float32 network
     ])
     def test_constraint_violations(self, kwargs):
         with pytest.raises(ConfigError):

@@ -1,6 +1,7 @@
 """Dataset synthesis, manifest validation, and loading."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -26,16 +27,20 @@ def make(tmp_path, name="data", **kwargs):
     return synth_dataset(tmp_path / name, **args)
 
 
+def read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 class TestSynth:
     def test_same_seed_byte_identical(self, tmp_path):
         p1 = make(tmp_path, "a")
         p2 = make(tmp_path, "b")
-        for entry in json.load(open(p1))["entries"]:
+        for entry in read_json(p1)["entries"]:
             with open(os.path.join(tmp_path / "a", entry["regions"]), "rb") as f1, \
                  open(os.path.join(tmp_path / "b", entry["regions"]), "rb") as f2:
                 assert f1.read() == f2.read()
-        assert (json.load(open(p1))["entries"]
-                == json.load(open(p2))["entries"])
+        assert read_json(p1)["entries"] == read_json(p2)["entries"]
 
     def test_different_seed_differs(self, tmp_path):
         d1 = load_manifest(make(tmp_path, "a", seed=1))
@@ -69,6 +74,20 @@ class TestSynth:
         with pytest.raises(UsageError):
             make(tmp_path, noise=-0.5)
 
+    @pytest.mark.parametrize("name", ["n_regions", "n_words", "region_width",
+                                      "word_width"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_shape_below_one_rejected(self, tmp_path, name, value):
+        # each would write a dataset load_manifest rejects, or crash numpy
+        with pytest.raises(UsageError, match=f"{name} must be >= 1"):
+            make(tmp_path, **{name: value})
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("noise", [math.nan, math.inf, -math.inf])
+    def test_non_finite_noise_rejected(self, tmp_path, noise):
+        with pytest.raises(UsageError, match="noise"):
+            make(tmp_path, noise=noise)
+
 
 class TestLoad:
     def test_round_trip_shapes(self, tmp_path):
@@ -79,7 +98,7 @@ class TestLoad:
 
     def test_byte_length_mismatch_rejected(self, tmp_path):
         path = make(tmp_path)
-        manifest = json.load(open(path))
+        manifest = read_json(path)
         victim = os.path.join(os.path.dirname(path),
                               manifest["entries"][0]["regions"])
         with open(victim, "ab") as fh:
@@ -89,7 +108,7 @@ class TestLoad:
 
     def test_missing_file_rejected(self, tmp_path):
         path = make(tmp_path)
-        manifest = json.load(open(path))
+        manifest = read_json(path)
         os.remove(os.path.join(os.path.dirname(path),
                                manifest["entries"][1]["words"]))
         with pytest.raises(UsageError, match="missing"):
@@ -97,7 +116,7 @@ class TestLoad:
 
     def test_entry_count_mismatch_rejected(self, tmp_path):
         path = make(tmp_path)
-        manifest = json.load(open(path))
+        manifest = read_json(path)
         manifest["pairs"] = 99
         with open(path, "w") as fh:
             json.dump(manifest, fh)

@@ -13,7 +13,7 @@ from spikefusion.fusion import (
     comb_mask,
     qkv_attention,
 )
-from spikefusion.neurons import LIFNeuron, LIFParams
+from spikefusion.neurons import LIFParams
 from spikefusion.tensor import Tensor
 
 RNG = np.random.default_rng(4242)
@@ -36,13 +36,13 @@ class TestCombMask:
     def test_zero_queries_silence_everything(self):
         q = Tensor(np.zeros((2, 2, 4, 3), dtype=np.float32))
         k = Tensor(binary((2, 2, 4, 3), p=0.8))
-        out = comb_mask(q, k, h=2, neuron=LIFNeuron(UNIT_LIF))
+        out = comb_mask(q, k, h=2, lif=UNIT_LIF)
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_all_ones_combs_reproduce_keys(self):
         q = Tensor(np.ones((1, 2, 4, 3), dtype=np.float32))
         k = Tensor(binary((1, 2, 4, 3), p=0.5))
-        out = comb_mask(q, k, h=2, neuron=LIFNeuron(UNIT_LIF))
+        out = comb_mask(q, k, h=2, lif=UNIT_LIF)
         np.testing.assert_array_equal(out.data, k.data)
 
     def test_hand_case(self):
@@ -51,29 +51,28 @@ class TestCombMask:
         q = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]],
                             dtype=np.float32).reshape(1, 1, 2, 2))
         k = Tensor(np.ones((1, 1, 2, 2), dtype=np.float32))
-        out = comb_mask(q, k, h=2, neuron=LIFNeuron(UNIT_LIF))
+        out = comb_mask(q, k, h=2, lif=UNIT_LIF)
         np.testing.assert_array_equal(
             out.data.reshape(2, 2), [[1.0, 0.0], [0.0, 1.0]])
 
     def test_output_never_exceeds_keys(self):
         q = Tensor(binary((2, 3, 6, 4)))
         k = Tensor(binary((2, 3, 6, 4)))
-        out = comb_mask(q, k, h=3, neuron=LIFNeuron(LIF))
+        out = comb_mask(q, k, h=3, lif=LIF)
         assert (out.data <= k.data).all()
 
     def test_divisibility_enforced(self):
         q = Tensor(binary((1, 1, 5, 4)))
         k = Tensor(binary((1, 1, 6, 4)))
         with pytest.raises(ConfigError):
-            comb_mask(q, k, h=2, neuron=LIFNeuron(LIF))
+            comb_mask(q, k, h=2, lif=LIF)
 
     def test_multiply_count_scales_linearly_in_n(self):
         t, b, nl, d, h = 2, 3, 6, 8, 2
         counts = {}
         for nn in (8, 16):
             counts[nn] = multiplies(comb_mask, Tensor(binary((t, b, nl, d))),
-                                    Tensor(binary((t, b, nn, d))), h,
-                                    LIFNeuron(LIF))
+                                    Tensor(binary((t, b, nn, d))), h, LIF)
         assert counts[16] == 2 * counts[8]
 
     def test_comb_head_divisors_of_36(self):

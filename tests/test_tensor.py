@@ -27,6 +27,44 @@ from helpers import central_difference
 RNG = np.random.default_rng(20240601)
 
 
+# (3, 4) entries in [0.5, 1.5], none within 0.04 of the clip_min floor 1.0
+X_DATA = (0.5 + np.arange(12, dtype=np.float32) / 11).reshape(3, 4)
+
+# the ops without a gradient test of their own, each applied to X_DATA
+GRAD_OPS = {
+    "reshape": lambda x: x.reshape((2, 6)),
+    "transpose": lambda x: x.transpose((1, 0)),
+    "swapaxes": lambda x: x.swapaxes(0, 1),
+    "getitem_int": lambda x: x[1],
+    "getitem_slice": lambda x: x[1:, ::2],
+    "sum_axis": lambda x: x.sum(axis=0),
+    "sum_keepdims": lambda x: x.sum(axis=1, keepdims=True),
+    "mean": lambda x: x.mean(axis=-1),
+    "exp": lambda x: x.exp(),
+    "sqrt": lambda x: x.sqrt(),
+    "clip_min": lambda x: x.clip_min(1.0),
+    "neg": lambda x: -x,
+    "rsub": lambda x: 2.0 - x,
+    "rtruediv": lambda x: 2.0 / x,
+}
+
+# the remaining ops, for the tape checks
+TAPE_OPS = {
+    "add": lambda x: x + 1.0,
+    "mul": lambda x: x * 2.0,
+    "sub": lambda x: x - 1.0,
+    "truediv": lambda x: x / 2.0,
+    "matmul": lambda x: matmul(x, Tensor(np.ones((4, 2), dtype=np.float32))),
+    "max": lambda x: x.max(axis=1),
+    "stack": lambda x: stack([x, x]),
+    "concat": lambda x: concat([x, x], axis=0),
+    "repeat_steps": lambda x: repeat_steps(x, 2),
+    "logsumexp": lambda x: logsumexp(x, axis=-1),
+    "softplus": softplus,
+    "spike_threshold": lambda x: spike_threshold(x, 1.0),
+}
+
+
 class TestMatmul:
     def test_identity(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)
@@ -126,6 +164,30 @@ class TestElementwise:
         with no_grad():
             y = (x * 2.0).sum()
         assert y._parents == () and not y.requires_grad
+        for name, op in {**GRAD_OPS, **TAPE_OPS}.items():
+            param = Tensor.param(X_DATA.copy())
+            assert op(param)._parents, name
+            with no_grad():
+                untracked = [op(param)]
+            untracked.append(op(Tensor(X_DATA.copy())))
+            for y in untracked:
+                assert y._parents == () and not y.requires_grad, name
+                assert y._backward is None, name
+
+
+@pytest.mark.parametrize("name", sorted(GRAD_OPS))
+def test_op_gradient_against_finite_differences(name):
+    op = GRAD_OPS[name]
+    x = Tensor.param(X_DATA.copy())
+    weights = np.random.default_rng(5).standard_normal(
+        op(Tensor(X_DATA)).shape).astype(np.float32)
+
+    def loss():
+        return float((op(x) * weights).sum().data)
+
+    (op(x) * weights).sum().backward()
+    fd = central_difference(loss, x, eps=1e-2)
+    np.testing.assert_allclose(x.grad.reshape(-1), fd, rtol=1e-3, atol=1e-3)
 
 
 class TestLogSumExp:
