@@ -5,16 +5,12 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, fields, replace
 
-import numpy as np
-
 from .alignment import PoolConfig
 from .encoding import GeneratorConfig
 from .errors import ConfigError, ParameterError
 from .fusion import FusionConfig
 from .losses import LossWeights
-from .neurons import LIFParams
-
-_FLOAT32_MAX = float(np.finfo(np.float32).max)
+from .neurons import FLOAT32_MAX, LIFParams
 
 # dataclass attribute names that differ from their file key
 _FILE_KEYS = {"lam": "lambda"}
@@ -77,7 +73,7 @@ class RunConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             # compared, not cast: the network runs in float32, and NaN fails
-            if isinstance(value, float) and not abs(value) <= _FLOAT32_MAX:
+            if isinstance(value, float) and not abs(value) <= FLOAT32_MAX:
                 key = _FILE_KEYS.get(f.name, f.name)
                 raise ConfigError(
                     f"{key} must be finite and fit float32, got {value}")

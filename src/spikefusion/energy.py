@@ -198,12 +198,14 @@ def record_mask(name: str, multiplies: int = 0):
 
 def energy_report(model, regions, words,
                   consts: EnergyConstants | None = None) -> EnergyReport:
-    """Instrumented eval-mode forward over a calibration batch.
+    """Instrumented eval-mode forward of both encoders over a calibration
+    batch, in one call each.
 
-    Covers the inference path only; the fusion module is never touched.
+    Only the encoders record layers: the similarity records nothing and
+    the training-only fusion module is never touched.
     """
     with no_grad(), recording() as layers:
-        model.eval_similarity(regions, words)
+        model.encode(regions, words, train=False)
     if not layers:
         raise AccountingError("instrumented forward recorded no layers")
     return EnergyReport(layers, consts or EnergyConstants())

@@ -16,6 +16,18 @@ from .layers import Module
 from .losses import infonce_pair, total_loss  # noqa: F401
 from .tensor import Tensor, no_grad
 
+# images (rows) and captions (columns) per tile of the evaluation score
+# matrix, and samples per encoder call when building it
+EVAL_BLOCK = 32
+
+
+def _pooled_in_chunks(encoder, x: Tensor) -> Tensor:
+    """Eval-mode pooled embeddings, ``EVAL_BLOCK`` samples per encoder call
+    (batch norm uses running statistics, so samples are independent)."""
+    return Tensor(np.concatenate([
+        encoder(x[lo:lo + EVAL_BLOCK], train=False).pooled.data
+        for lo in range(0, x.shape[0], EVAL_BLOCK)]))
+
 
 class RetrievalModel(Module):
     """Registry names start ``image/``, ``text/`` and ``fusion/``."""
@@ -47,9 +59,23 @@ class RetrievalModel(Module):
         return r_out, e_out
 
     def eval_similarity(self, regions: Tensor, words: Tensor) -> Tensor:
-        """Inference path: pooled similarity only, fusion never touched."""
-        r_out, e_out = self.encode(regions, words, train=False)
-        return similarity(e_out.pooled, r_out.pooled, self.pool_cfg)
+        """Inference path: the pooled score matrix, fusion never touched.
+
+        ``s[i, j]`` is filled one ``EVAL_BLOCK`` x ``EVAL_BLOCK`` tile at a
+        time, so at most one tile's (b, b, L, N) fine tensor is alive: memory
+        is O(EVAL_BLOCK^2 * L * N + P^2), not O(P^2 * L * N).  Every tile's
+        scores are bit-identical to those of one full-batch ``similarity``.
+        """
+        with no_grad():
+            r_pooled = _pooled_in_chunks(self.image, regions)
+            e_pooled = _pooled_in_chunks(self.text, words)
+            s = np.empty((r_pooled.shape[0], e_pooled.shape[0]), np.float32)
+            for i in range(0, s.shape[0], EVAL_BLOCK):
+                for j in range(0, s.shape[1], EVAL_BLOCK):
+                    s[i:i + EVAL_BLOCK, j:j + EVAL_BLOCK] = similarity(
+                        e_pooled[j:j + EVAL_BLOCK], r_pooled[i:i + EVAL_BLOCK],
+                        self.pool_cfg).data
+        return Tensor(s)
 
     def training_losses(self, regions: Tensor, words: Tensor):
         """The objective on one batch; returns (total, parts dict).  Only

@@ -32,6 +32,7 @@ from .tensor import (
 
 # margin keeping a learnable threshold strictly above the reset potential
 THRESHOLD_FLOOR = 0.01
+FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,11 @@ class LIFParams:
                 f"LIF threshold {self.v_th} must exceed reset {self.v_reset} "
                 f"by more than {THRESHOLD_FLOOR}"
             )
+        # the TLSN threshold is softplus of this gap, stored as float32
+        if not self.v_th - self.v_reset <= FLOAT32_MAX:
+            raise ParameterError(
+                f"LIF threshold {self.v_th} minus reset {self.v_reset} does not "
+                f"fit float32")
 
     def __call__(self, x: Tensor) -> Tensor:
         """The neuron itself: spikes of the LIF fold over ``x``'s time axis."""

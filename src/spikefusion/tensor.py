@@ -245,18 +245,18 @@ class Tensor:
 
     def max(self, axis: int, keepdims: bool = False) -> "Tensor":
         """Maximum along one axis; gradient routes to the first maximal entry."""
-        idx = np.expand_dims(np.argmax(self.data, axis=axis), axis)
-        picked = np.take_along_axis(self.data, idx, axis)
-
         def bw(g):
             if not keepdims:
                 g = np.expand_dims(g, axis)
+            idx = np.expand_dims(np.argmax(self.data, axis=axis), axis)
             buf = np.zeros_like(self.data)
             np.put_along_axis(buf, idx, g, axis)
             self._accumulate(buf)
 
-        return _make(picked if keepdims else np.squeeze(picked, axis=axis),
-                     (self,), bw)
+        # a reduction keeps its input's memory order; C order keeps the
+        # summation order of later reductions independent of that
+        return _make(np.ascontiguousarray(
+            np.max(self.data, axis=axis, keepdims=keepdims)), (self,), bw)
 
     # -- elementwise functions --------------------------------------------------
 

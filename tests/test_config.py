@@ -89,6 +89,7 @@ class TestValidate:
         dict(heads=0, fusion="sca"),
         dict(v_th=0.005),  # within the TLSN threshold floor of v_reset
         dict(v_th=1e39),  # finite in float64, overflows the float32 network
+        dict(v_th=3e38, v_reset=-3e38),  # each fits float32, the gap does not
     ])
     def test_constraint_violations(self, kwargs):
         with pytest.raises(ConfigError):

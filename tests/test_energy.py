@@ -283,8 +283,8 @@ class TestEnergyReport:
 
     def test_empty_recording_rejected(self):
         class NoOpModel:
-            def eval_similarity(self, r, w):
-                return Tensor(np.zeros((2, 2)))
+            def encode(self, r, w, train):
+                return None, None
 
         with pytest.raises(AccountingError):
             energy_report(NoOpModel(), Tensor(np.zeros((2, 2, 2))),

@@ -1,13 +1,18 @@
 """Full-model wiring: registries, gradient flow, toy finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from spikefusion.alignment import similarity
+from spikefusion import model as model_module
+from spikefusion.alignment import POOL_MODES, similarity
 from spikefusion.config import RunConfig
+from spikefusion.data import Dataset
 from spikefusion.losses import infonce_pair
-from spikefusion.model import RetrievalModel
+from spikefusion.model import EVAL_BLOCK, RetrievalModel
 from spikefusion.tensor import Tensor, no_grad, smooth_spike_mode
+from spikefusion.train import evaluate_recall
 
 from helpers import smooth_fd_audit
 
@@ -157,3 +162,55 @@ class TestEvalPath:
         assert float(parts["fusion"].data) == 0.0
         total.backward()
         assert np.isfinite(total.data)
+
+
+class TestTiledScoring:
+    """``eval_similarity`` fills the score matrix in EVAL_BLOCK tiles."""
+
+    @pytest.mark.parametrize("mode", POOL_MODES)
+    @pytest.mark.parametrize("pairs", [2 * EVAL_BLOCK + 3, EVAL_BLOCK - 5])
+    def test_bit_identical_to_one_full_batch_call(self, mode, pairs):
+        # 2 * EVAL_BLOCK + 3 leaves a ragged last tile on both axes
+        model = toy_model(fusion="none", alignment=mode)
+        regions, words = toy_batch(seed=5, b=pairs)
+        model.calibrate(regions, words)
+        with no_grad():
+            r_out, e_out = model.encode(regions, words, train=False)
+            full = similarity(e_out.pooled, r_out.pooled, model.pool_cfg)
+        tiled = model.eval_similarity(regions, words)
+        assert tiled.shape == (pairs, pairs)
+        assert tiled.data.tobytes() == full.data.tobytes()
+
+    def test_similarity_never_sees_more_than_a_block(self, monkeypatch):
+        sides = []
+
+        def spy(e_tokens, r_tokens, cfg):
+            sides.append((e_tokens.shape[0], r_tokens.shape[0]))
+            return similarity(e_tokens, r_tokens, cfg)
+
+        monkeypatch.setattr(model_module, "similarity", spy)
+        model = toy_model(fusion="none")
+        pairs = 2 * EVAL_BLOCK + 3
+        regions, words = toy_batch(seed=6, b=pairs)
+        model.calibrate(regions, words)
+        model.eval_similarity(regions, words)
+        assert len(sides) == 3 * 3
+        assert max(max(side) for side in sides) == EVAL_BLOCK
+        assert sum(e for e, _ in sides) == 3 * pairs
+
+    def test_ranking_peak_memory_is_below_the_full_fine_tensor(self):
+        pairs, tokens = 4 * EVAL_BLOCK, 12
+        rng = np.random.default_rng(7)
+        data = Dataset(
+            rng.standard_normal((pairs, tokens, 6)).astype(np.float32),
+            rng.standard_normal((pairs, tokens, 5)).astype(np.float32))
+        model = toy_model(fusion="none")
+        model.calibrate(Tensor(data.regions[:8]), Tensor(data.words[:8]))
+        full_fine_bytes = pairs * pairs * tokens * tokens * 4
+        tracemalloc.start()
+        try:
+            evaluate_recall(model, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < full_fine_bytes

@@ -138,6 +138,16 @@ class TestElementwise:
         np.testing.assert_array_equal(
             x.grad, [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
 
+    def test_max_of_a_transposed_view_is_c_contiguous(self):
+        # later reductions sum in memory order, so a max that kept the
+        # strides of the fine similarity tensor's transpose (this axis
+        # order) would change their rounding
+        x = Tensor(RNG.standard_normal((2, 3, 4, 5)).astype(np.float32))
+        out = x.transpose((0, 2, 3, 1)).max(axis=-2)
+        assert out.data.flags.c_contiguous
+        np.testing.assert_array_equal(out.data,
+                                      x.data.max(axis=3).transpose((0, 2, 1)))
+
     def test_getitem_and_stack_roundtrip(self):
         x = Tensor.param(RNG.standard_normal((4, 3)).astype(np.float32))
         restacked = stack([x[i] for i in range(4)], axis=0)
