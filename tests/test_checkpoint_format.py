@@ -3,7 +3,9 @@
 Every fusion kind x generator variant must keep the exact set of array names
 pinned in ``golden/checkpoint_names.txt``, and a checkpoint written by an
 earlier release (``golden/sca_linear_bn_d8.ckpt``) must still restore to
-bit-identical similarity scores.
+bit-identical similarity scores.  So must the same model saved by a release
+that also wrote the AdamW moments (``golden/sca_linear_bn_d8_moments.ckpt``:
+``adam_m/``, ``adam_v/`` arrays and ``adam_step 3``).
 """
 
 import os
@@ -21,6 +23,7 @@ from spikefusion.tensor import Tensor, no_grad
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 NAMES_PATH = os.path.join(GOLDEN, "checkpoint_names.txt")
 FIXTURE_PATH = os.path.join(GOLDEN, "sca_linear_bn_d8.ckpt")
+MOMENTS_FIXTURE_PATH = os.path.join(GOLDEN, "sca_linear_bn_d8_moments.ckpt")
 FIXTURE_SIM_PATH = os.path.join(GOLDEN, "sca_linear_bn_d8_similarity.npy")
 FUSIONS = ("none", "scca", "sca", "scsa")
 VARIANTS = [(f, g) for f in FUSIONS for g in GENERATOR_VARIANTS]
@@ -90,6 +93,15 @@ def test_golden_covers_every_variant():
 
 def test_fixture_checkpoint_restores_bit_identical():
     model = restore_model(load_checkpoint(FIXTURE_PATH), 6, 5)
+    with no_grad():
+        sim = model.eval_similarity(*toy_batch(seed=99)).data
+    np.testing.assert_array_equal(sim, np.load(FIXTURE_SIM_PATH))
+
+
+def test_checkpoint_with_adam_moments_restores_bit_identical():
+    checkpoint = load_checkpoint(MOMENTS_FIXTURE_PATH)
+    assert any(name.startswith("adam_m/") for name in checkpoint.arrays)
+    model = restore_model(checkpoint, 6, 5)
     with no_grad():
         sim = model.eval_similarity(*toy_batch(seed=99)).data
     np.testing.assert_array_equal(sim, np.load(FIXTURE_SIM_PATH))
