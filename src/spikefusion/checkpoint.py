@@ -4,7 +4,7 @@ Layout::
 
     spikefusion-checkpoint v1
     epoch <int>
-    adam_step <int>
+    adam_step 0
     config <n config lines>
     <config text, verbatim>
     arrays <count>
@@ -12,8 +12,11 @@ Layout::
     ---
     <binary payload>
 
-Array names cover model parameters, batch-norm running stats (``buffer/``
-prefix) and optimizer moments (``adam_m/``, ``adam_v/``).
+Array names cover model parameters and batch-norm running stats
+(``buffer/`` prefix), the state restoring a model reads.  ``adam_step`` is
+always 0.  Files from earlier releases that also hold AdamW moments
+(``adam_m/``, ``adam_v/`` arrays, nonzero ``adam_step``) load with the
+moments skipped.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ MAGIC = "spikefusion-checkpoint v1"
 class Checkpoint:
     arrays: dict[str, np.ndarray]
     epoch: int
-    adam_step: int
     config_text: str
 
     def params(self) -> dict[str, np.ndarray]:
@@ -43,21 +45,13 @@ class Checkpoint:
         return {k.split("/", 1)[1]: v for k, v in self.arrays.items()
                 if k.startswith("buffer/")}
 
-    def adam_moments(self) -> dict[str, np.ndarray]:
-        return {k: v for k, v in self.arrays.items()
-                if k.startswith(("adam_m/", "adam_v/"))}
 
-
-def save_checkpoint(path, model, optimizer=None, epoch: int = 0):
+def save_checkpoint(path, model, epoch: int = 0):
     arrays: dict[str, np.ndarray] = {}
     for name, p in model.params().items():
         arrays[name] = p.data
     for name, buf in model.buffers().items():
         arrays[f"buffer/{name}"] = buf
-    adam_step = 0
-    if optimizer is not None:
-        arrays.update(optimizer.state_arrays())
-        adam_step = optimizer.step_count
     config_text = model.config.to_text()
     config_lines = config_text.splitlines()
 
@@ -71,7 +65,7 @@ def save_checkpoint(path, model, optimizer=None, epoch: int = 0):
 
     header = [MAGIC,
               f"epoch {epoch}",
-              f"adam_step {adam_step}",
+              "adam_step 0",
               f"config {len(config_lines)}"]
     header.extend(config_lines)
     header.append(f"arrays {len(index_lines)}")
@@ -96,7 +90,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise UsageError(f"{path}: unsupported checkpoint format {lines[:1]!r}")
     try:
         epoch = _header_int(lines[1], "epoch")
-        adam_step = _header_int(lines[2], "adam_step")
+        _header_int(lines[2], "adam_step")
         n_config = _header_int(lines[3], "config")
         config_text = "\n".join(lines[4:4 + n_config]) + "\n"
         pos = 4 + n_config
@@ -113,8 +107,7 @@ def load_checkpoint(path) -> Checkpoint:
             raise UsageError(f"{path}: array {name!r} overruns the payload")
         flat = np.frombuffer(payload[offset:offset + nbytes], dtype="<f4")
         arrays[name] = flat.reshape(shape)
-    return Checkpoint(arrays=arrays, epoch=epoch, adam_step=adam_step,
-                      config_text=config_text)
+    return Checkpoint(arrays=arrays, epoch=epoch, config_text=config_text)
 
 
 def _header_int(line: str, key: str) -> int:

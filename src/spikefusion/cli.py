@@ -121,6 +121,8 @@ def cmd_ablate(args) -> int:
     config = _load_run_config(args)
     dataset = data_mod.load_manifest(args.data)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
+    if not values:
+        raise UsageError(f"--values names no value to sweep: {args.values!r}")
     rows = ablation_sweep(args.axis, values, config, dataset)
     print(metrics_table(rows, label=args.axis))
     if args.out:

@@ -18,13 +18,14 @@ class Module:
     """Registry base for every parameter-owning block.
 
     The walk visits child modules, lists of them (list attribute ``x`` yields
-    children ``x0``, ``x1``, ...), parameter tensors, and ``RunningStats``,
-    which contribute ``running_mean``/``running_var`` once initialized.
+    children ``x0``, ``x1``, ...), parameter tensors, and the ``BatchNorm``
+    blocks, whose running stats contribute ``running_mean``/``running_var``
+    once initialized.
     """
 
     def _walk(self, prefix: str = ""):
-        """Yield (name, tensor) for parameters and (prefix, stats) for
-        running stats, depth first in attribute order."""
+        """Yield (name, tensor) for parameters and (prefix, block) for each
+        block holding running stats, depth first in attribute order."""
         for name, value in vars(self).items():
             if isinstance(value, Module):
                 yield from value._walk(f"{prefix}{name}/")
@@ -35,48 +36,46 @@ class Module:
             elif isinstance(value, Tensor):
                 yield prefix + name, value
             elif isinstance(value, RunningStats):
-                yield prefix, value
+                yield prefix, self
 
-    def _stats(self):
-        return [(p, s) for p, s in self._walk() if isinstance(s, RunningStats)]
+    def _norms(self):
+        return [(p, m) for p, m in self._walk() if isinstance(m, BatchNorm)]
 
     def params(self) -> dict[str, Tensor]:
         return {n: v for n, v in self._walk() if isinstance(v, Tensor)}
 
     def buffers(self) -> dict[str, np.ndarray]:
         buffers: dict[str, np.ndarray] = {}
-        for prefix, stats in self._stats():
-            if stats.initialized:
-                buffers[f"{prefix}running_mean"] = stats.mean
-                buffers[f"{prefix}running_var"] = stats.var
+        for prefix, norm in self._norms():
+            if norm.stats.initialized:
+                buffers[f"{prefix}running_mean"] = norm.stats.mean
+                buffers[f"{prefix}running_var"] = norm.stats.var
         return buffers
 
     def load_params(self, arrays: dict[str, np.ndarray]):
         """Copy every parameter from ``arrays``; each must be present with
         its current shape."""
         for name, param in self.params().items():
-            data = _required(arrays, name, "parameter")
-            if data.shape != param.data.shape:
-                raise ValueError(
-                    f"checkpoint parameter {name!r} has shape {data.shape}, "
-                    f"expected {param.data.shape}"
-                )
-            param.data = data
+            param.data = _required(arrays, name, "parameter", param.data.shape)
 
     def load_buffers(self, arrays: dict[str, np.ndarray]):
-        """Restore every running-stats pair present in ``arrays``; half a
-        pair is an error."""
-        for prefix, stats in self._stats():
+        """Restore every running-stats pair present in ``arrays``, each of
+        shape ``(d,)``; half a pair is an error."""
+        for prefix, norm in self._norms():
             names = (f"{prefix}running_mean", f"{prefix}running_var")
             if names[0] in arrays or names[1] in arrays:
-                stats.mean, stats.var = (_required(arrays, n, "buffer")
-                                         for n in names)
-                stats.initialized = True
+                norm.stats.mean, norm.stats.var = (
+                    _required(arrays, n, "buffer", (norm.d,)) for n in names)
+                norm.stats.initialized = True
 
 
-def _required(arrays: dict[str, np.ndarray], name: str, kind: str) -> np.ndarray:
+def _required(arrays: dict[str, np.ndarray], name: str, kind: str,
+              shape: tuple) -> np.ndarray:
     if name not in arrays:
         raise ContractError(f"checkpoint missing {kind} {name!r}")
+    if arrays[name].shape != shape:
+        raise ValueError(f"checkpoint {kind} {name!r} has shape "
+                         f"{arrays[name].shape}, expected {shape}")
     return arrays[name].astype(np.float32).copy()
 
 
@@ -123,9 +122,3 @@ class BatchNorm(Module):
     def __call__(self, x: Tensor, train: bool) -> Tensor:
         return batch_norm(x, self.gamma, self.beta, self.stats, train,
                           self.momentum, self.eps)
-
-    def prime_identity(self):
-        """Set running stats to mean 0 / var 1 (tests and fresh eval paths)."""
-        self.stats.mean = np.zeros(self.d, dtype=np.float32)
-        self.stats.var = np.ones(self.d, dtype=np.float32)
-        self.stats.initialized = True

@@ -48,16 +48,3 @@ class AdamW:
             if self.weight_decay:
                 update = update + self.weight_decay * p.data
             p.data = (p.data - lr * update).astype(np.float32)
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        arrays = {}
-        for name in self.params:
-            arrays[f"adam_m/{name}"] = self.m[name]
-            arrays[f"adam_v/{name}"] = self.v[name]
-        return arrays
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray], step_count: int):
-        for name in self.params:
-            self.m[name] = arrays[f"adam_m/{name}"].astype(np.float32).copy()
-            self.v[name] = arrays[f"adam_v/{name}"].astype(np.float32).copy()
-        self.step_count = step_count

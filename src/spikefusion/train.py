@@ -89,15 +89,14 @@ def _batch_indices(n: int, batch: int, seed: int, epoch: int):
 
 
 def train(config: RunConfig, dataset: Dataset, out_dir: str | None = None,
-          log_fn=None, start_epoch: int = 0,
-          model: RetrievalModel | None = None,
-          optimizer: AdamW | None = None) -> TrainResult:
-    """Minibatch optimization of the full objective.
+          log_fn=None, model: RetrievalModel | None = None) -> TrainResult:
+    """Minibatch optimization of the full objective, from epoch 0.
 
     Logs every loss component per step, evaluates recall on the validation
     split per epoch, and checkpoints at the best validation R@Sum (written
-    under ``out_dir`` when given).  Pass ``model``/``optimizer``/
-    ``start_epoch`` to resume.
+    under ``out_dir`` when given).  The checkpoint holds the parameters and
+    batch-norm running stats, not the optimizer state: a run cannot be
+    resumed.  ``model`` trains a caller-built model in place of a fresh one.
     """
     config.validate()
     train_set, val_set = train_val_split(dataset, config.val_fraction,
@@ -113,12 +112,11 @@ def train(config: RunConfig, dataset: Dataset, out_dir: str | None = None,
     def lr_for(name: str) -> float:
         return config.lr_fusion if name.startswith("fusion/") else config.lr_encoder
 
-    if optimizer is None:
-        optimizer = AdamW(params, lr_for, weight_decay=config.weight_decay)
+    optimizer = AdamW(params, lr_for, weight_decay=config.weight_decay)
     result = TrainResult(model=model)
-    step = optimizer.step_count
+    step = 0
     t_start = time.monotonic()
-    for epoch in range(start_epoch, config.epochs):
+    for epoch in range(config.epochs):
         scale = _lr_scale(config, epoch)
         epoch_losses: dict[str, float] = {}
         n_steps = 0
@@ -163,8 +161,7 @@ def train(config: RunConfig, dataset: Dataset, out_dir: str | None = None,
             if out_dir is not None:
                 os.makedirs(out_dir, exist_ok=True)
                 result.checkpoint_path = os.path.join(out_dir, "best.ckpt")
-                save_checkpoint(result.checkpoint_path, model, optimizer,
-                                epoch=epoch)
+                save_checkpoint(result.checkpoint_path, model, epoch=epoch)
     return result
 
 

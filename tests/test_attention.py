@@ -140,7 +140,8 @@ class TestUnimodalEncoder:
             lin.w.data = np.full_like(lin.w.data, 4.0)
         for bn in (enc.attn.bn_q, enc.attn.bn_k, enc.attn.bn_v,
                    enc.attn.bn_attn, enc.attn.bn_out):
-            bn.prime_identity()
+            bn.load_buffers({"running_mean": np.zeros(8, dtype=np.float32),
+                             "running_var": np.ones(8, dtype=np.float32)})
         x_s = Tensor(binary((2, 2, 4, 8), p=0.7))
         ssa_out = enc.attn(x_s, train=False)
         residual = (x_s + ssa_out).data

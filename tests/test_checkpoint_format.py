@@ -15,10 +15,12 @@ import pytest
 
 from spikefusion.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from spikefusion.config import RunConfig
+from spikefusion.data import load_manifest, synth_dataset
 from spikefusion.encoding import GENERATOR_VARIANTS
 from spikefusion.model import RetrievalModel
 from spikefusion.optim import AdamW
 from spikefusion.tensor import Tensor, no_grad
+from spikefusion.train import train
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 NAMES_PATH = os.path.join(GOLDEN, "checkpoint_names.txt")
@@ -105,6 +107,23 @@ def test_checkpoint_with_adam_moments_restores_bit_identical():
     with no_grad():
         sim = model.eval_similarity(*toy_batch(seed=99)).data
     np.testing.assert_array_equal(sim, np.load(FIXTURE_SIM_PATH))
+
+
+def test_trained_checkpoint_holds_no_optimizer_state(tmp_path):
+    """``train`` saves what restoring reads: parameters and running stats."""
+    dataset = load_manifest(synth_dataset(
+        tmp_path / "data", seed=2, pairs=8, n_regions=4, n_words=4,
+        region_width=6, word_width=5, noise=0.1))
+    cfg = RunConfig(d=8, t=2, heads=2, batch=4, seed=0, epochs=1,
+                    fusion="sca")
+    result = train(cfg, dataset, out_dir=str(tmp_path / "run"))
+    with open(result.checkpoint_path, "rb") as fh:
+        assert fh.read().split(b"\n")[2] == b"adam_step 0"
+    names = load_checkpoint(result.checkpoint_path).arrays
+    assert not [n for n in names if n.startswith("adam_")]
+    assert sorted(names) == sorted(
+        list(result.model.params())
+        + [f"buffer/{n}" for n in result.model.buffers()])
 
 
 def test_fixture_header_rewritten_byte_for_byte(tmp_path):

@@ -131,6 +131,17 @@ def test_ablate_emits_one_row_per_value(workspace, capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("values", [",", " , "])
+def test_ablate_rejects_empty_values(workspace, capsys, values):
+    tmp_path, data_dir, config_path = workspace
+    rc = main(["ablate", "--data", str(data_dir), "--config", str(config_path),
+               "--axis", "time-steps", "--values", values])
+    captured = capsys.readouterr()
+    assert_one_line_error(rc, captured.err)
+    assert "--values" in captured.err
+    assert captured.out == ""
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["retrieve-everything"])
@@ -239,6 +250,21 @@ def test_eval_rejects_checkpoint_saved_before_calibration(fixture_workspace):
     rc, err = eval_checkpoint(fixture_workspace, path.read_bytes())
     assert_one_line_error(rc, err)
     assert "running stats" in err
+
+
+@pytest.mark.parametrize("shape", ["1", "scalar"])
+def test_eval_rejects_buffer_of_wrong_shape(fixture_workspace, shape):
+    """A running variance of one value would broadcast over every channel;
+    each index line keeps its offset and now declares 4 bytes."""
+    lines = []
+    for line in HEADER_LINES:
+        name, *fields = line.split(" ")
+        if name.endswith("/running_var"):
+            line = f"{name} {shape} {fields[1]} 4"
+        lines.append(line)
+    rc, err = eval_checkpoint(fixture_workspace, with_header(lines))
+    assert_one_line_error(rc, err)
+    assert "running_var" in err and "expected (8,)" in err
 
 
 # Every mutation below makes the checkpoint invalid.  A cut drops index lines
