@@ -3,7 +3,11 @@
 Every array in the network is a :class:`Tensor`: a dense float32 numpy buffer
 plus an optional gradient buffer and a closure that propagates incoming
 gradients to its parents.  ``backward()`` on a scalar walks the tape in
-reverse topological order.
+reverse topological order and consumes it: once an interior node has passed
+its gradient on, it drops its parents, closure and gradient, so the arrays
+only the backward needed are freed during the walk.  Only leaves
+(parameters and inputs built with ``requires_grad=True``) keep ``.grad``; a
+second ``backward()`` that reaches a spent node is a :class:`UsageError`.
 
 Every op computes its value, defines its backward closure and returns
 ``_make(value, parents, backward)``.  ``_make`` is the only code that puts a
@@ -71,7 +75,8 @@ def _as_f32(data) -> np.ndarray:
 class Tensor:
     """Dense float32 array participating in reverse-mode differentiation."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_f32(data)
@@ -103,8 +108,13 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a fresh buffer in the memory order of ``data``; adding +0.0
+            # stores a -0.0 in ``g`` as +0.0.  ``g`` itself is not kept:
+            # ops hand one array or view to several parents.
+            self.grad = np.add(g, np.float32(0.0),
+                               out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def detach(self) -> "Tensor":
         return Tensor(self.data)
@@ -112,7 +122,11 @@ class Tensor:
     # -- autodiff core --------------------------------------------------------
 
     def backward(self):
-        """Accumulate gradients of this scalar into every reachable leaf."""
+        """Accumulate gradients of this scalar into every reachable leaf.
+
+        The walk releases each interior node once its closure has run, so a
+        graph supports one ``backward()``; reaching a released node raises.
+        """
         if self.data.size != 1:
             raise UsageError(
                 f"backward() requires a scalar loss, got shape {self.data.shape}"
@@ -127,15 +141,25 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._parents is None:
+                raise UsageError(
+                    "backward(): this graph's gradients were already "
+                    "propagated; rebuild it to differentiate again")
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in visited:
                     stack.append((p, False))
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if not node._parents:
+                continue  # a leaf keeps its gradient
+            if node.grad is not None:
                 node._backward(node.grad)
+            node._parents = None
+            node._backward = None
+            node.grad = None
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -220,9 +244,14 @@ class Tensor:
                      lambda g: self._accumulate(g.swapaxes(a, b)))
 
     def __getitem__(self, key) -> "Tensor":
+        basic = _is_basic_key(key)
+
         def bw(g):
             buf = np.zeros_like(self.data)
-            np.add.at(buf, key, g)
+            if basic:
+                buf[key] = g
+            else:
+                np.add.at(buf, key, g)
             self._accumulate(buf)
 
         return _make(self.data[key], (self,), bw)
@@ -290,6 +319,15 @@ def _make(data: np.ndarray, parents, backward) -> Tensor:
         out.requires_grad = True
         out._backward = backward
     return out
+
+
+def _is_basic_key(key) -> bool:
+    """True for a key of ints, slices, ``...`` and ``None``: no repeated index."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return all(
+        k is None or k is Ellipsis or isinstance(k, slice)
+        or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
+        for k in parts)
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:

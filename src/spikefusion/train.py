@@ -180,6 +180,8 @@ def ablation_sweep(axis: str, values, config: RunConfig, dataset: Dataset,
 
     Rows carry the training-split recall of the final model, mirroring the
     layout of the alignment / fusion / time-step / head-count comparisons.
+    Every value is converted and validated before the first model trains;
+    a bad one raises ``UsageError`` naming it.
     """
     if axis not in ABLATION_AXES:
         raise UsageError(
@@ -187,9 +189,15 @@ def ablation_sweep(axis: str, values, config: RunConfig, dataset: Dataset,
             f"{tuple(ABLATION_AXES)}"
         )
     name, kind = ABLATION_AXES[axis]
-    rows = []
+    runs = []
     for value in values:
-        cfg = replace(config, **{name: kind(value)})
+        try:
+            runs.append((value,
+                         replace(config, **{name: kind(value)}).validate()))
+        except ValueError as exc:
+            raise UsageError(f"--values entry {value!r}: {exc}") from exc
+    rows = []
+    for value, cfg in runs:
         result = train(cfg, dataset, log_fn=log_fn)
         train_set, _ = train_val_split(dataset, cfg.val_fraction, cfg.seed)
         metrics = evaluate_recall(result.model, train_set)

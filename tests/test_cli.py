@@ -1,6 +1,7 @@
 """End-to-end command-line workflows."""
 
 import contextlib
+import importlib
 import io
 import json
 import shutil
@@ -15,6 +16,9 @@ from spikefusion.cli import main
 from spikefusion.config import RunConfig
 from spikefusion.data import synth_dataset
 from spikefusion.model import RetrievalModel
+
+# the package re-exports the train() function under the module's name
+train_module = importlib.import_module("spikefusion.train")
 
 # tiny sca checkpoint (d=8, region/word widths 6/5, 4 tokens per side)
 FIXTURE = Path(__file__).parent / "golden" / "sca_linear_bn_d8.ckpt"
@@ -140,6 +144,22 @@ def test_ablate_rejects_empty_values(workspace, capsys, values):
     assert_one_line_error(rc, captured.err)
     assert "--values" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("values, bad", [("1,abc", "abc"), ("1,0", "0")])
+def test_ablate_checks_every_value_before_training(workspace, capsys,
+                                                   monkeypatch, values, bad):
+    tmp_path, data_dir, config_path = workspace
+    calls = []
+    monkeypatch.setattr(train_module, "train",
+                        lambda *args, **kwargs: calls.append(args))
+    rc = main(["ablate", "--data", str(data_dir), "--config", str(config_path),
+               "--axis", "time-steps", "--values", values])
+    captured = capsys.readouterr()
+    assert_one_line_error(rc, captured.err)
+    assert "--values" in captured.err
+    assert repr(bad) in captured.err
+    assert calls == []
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -1,5 +1,7 @@
 """Engine tests: arithmetic, shape ops, normalization, and the spike op."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,89 @@ def test_op_gradient_against_finite_differences(name):
     (op(x) * weights).sum().backward()
     fd = central_difference(loss, x, eps=1e-2)
     np.testing.assert_allclose(x.grad.reshape(-1), fd, rtol=1e-3, atol=1e-3)
+
+
+# keys of each kind: ints, slices, ``...`` and ``None`` assign their gradient;
+# advanced keys, which may repeat an index, go through np.add.at
+GETITEM_KEYS = {
+    "int": 1,
+    "np_int": np.int64(-1),
+    "slices": (slice(1, None), slice(None, None, 2)),
+    "negative_step": (slice(None, None, -1), 0),
+    "ellipsis_none": (Ellipsis, None, 2),
+    "repeated_index": [0, 0, 2],
+    "bool_mask": np.array([True, False, True]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GETITEM_KEYS))
+def test_getitem_gradient_matches_add_at_bitwise(name):
+    key = GETITEM_KEYS[name]
+    x = Tensor.param(X_DATA.copy())
+    y = x[key]
+    w = np.random.default_rng(9).standard_normal(y.shape).astype(np.float32)
+    w.flat[0] = -0.0  # an assigned -0.0 must not reach the stored gradient
+    (y * w).sum().backward()
+    scattered = np.zeros_like(X_DATA)
+    np.add.at(scattered, key, w)
+    expected = np.zeros_like(X_DATA)
+    expected += scattered
+    assert x.grad.tobytes() == expected.tobytes()
+
+
+class TestTapeRelease:
+    def test_interior_tensor_is_freed_by_backward(self):
+        x = Tensor.param(X_DATA.copy())
+        h = x * 2.0
+        interior = weakref.ref(h)
+        loss = (h * h).sum()
+        del h
+        loss.backward()
+        assert interior() is None
+        assert loss.data.shape == ()
+
+    def test_leaves_keep_their_gradient(self):
+        w = Tensor.param(np.ones((4, 2), dtype=np.float32))
+        x = Tensor(X_DATA.copy(), requires_grad=True)
+        matmul(x, w).sum().backward()
+        np.testing.assert_allclose(w.grad, np.tile(X_DATA.sum(0)[:, None],
+                                                   (1, 2)), rtol=1e-6)
+        np.testing.assert_array_equal(x.grad, np.full((3, 4), 2.0))
+
+    def test_interior_nodes_drop_their_gradient(self):
+        x = Tensor.param(X_DATA.copy())
+        h = x * 2.0
+        loss = h.sum()
+        loss.backward()
+        assert h.grad is None and loss.grad is None
+        assert x.grad is not None
+
+    @pytest.mark.parametrize("layout", ["fortran", "transposed"])
+    def test_first_gradient_keeps_the_leaf_memory_order(self, layout):
+        base = np.arange(15, dtype=np.float32).reshape(3, 5)
+        data = np.asfortranarray(base) if layout == "fortran" else base.T
+        x = Tensor.param(data)
+        assert not x.data.flags.c_contiguous
+        (x * 2.0).sum().backward()
+        assert x.grad.strides == x.data.strides
+
+    def test_second_backward_on_the_same_loss_raises(self):
+        x = Tensor.param(X_DATA.copy())
+        loss = (x * x).sum()
+        loss.backward()
+        with pytest.raises(UsageError, match="already propagated"):
+            loss.backward()
+        np.testing.assert_array_equal(x.grad, 2.0 * X_DATA)
+
+    def test_backward_through_a_spent_subgraph_raises(self):
+        x = Tensor.param(X_DATA.copy())
+        h = x * x
+        first = h.sum()
+        second = (h * 3.0).sum()
+        first.backward()
+        with pytest.raises(UsageError, match="already propagated"):
+            second.backward()
+        np.testing.assert_array_equal(x.grad, 2.0 * X_DATA)
 
 
 class TestLogSumExp:

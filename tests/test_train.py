@@ -1,6 +1,7 @@
 """Recall metrics, training determinism, checkpointing."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from spikefusion.config import RunConfig
 from spikefusion.data import load_manifest, synth_dataset
 from spikefusion.errors import UsageError
 from spikefusion.model import RetrievalModel
+from spikefusion.optim import AdamW
 from spikefusion.tensor import Tensor, no_grad
 from spikefusion.train import (
     evaluate_recall,
@@ -157,6 +159,28 @@ class TestTrainLoop:
         from spikefusion.errors import ConfigError
         with pytest.raises(ConfigError, match="divide"):
             train(tiny_config(heads=3), data)
+
+    def test_held_loss_does_not_keep_its_graph_into_the_next_step(
+            self, tmp_path):
+        # train() holds `total` and `parts` until the next training_losses
+        # returns; a tape they kept alive would stack two steps in memory
+        data = tiny_dataset(tmp_path, pairs=8, nl=6)
+        model = RetrievalModel(tiny_config(fusion="sca"), 12, 10, 6, 6)
+        optimizer = AdamW(model.params(), lambda name: 1e-3)
+        regions, words = Tensor(data.regions), Tensor(data.words)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                tracemalloc.reset_peak()
+                total, parts = model.training_losses(regions, words)
+                optimizer.zero_grad()
+                total.backward()
+                optimizer.step()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert max(peaks[1:]) <= 1.15 * peaks[0], peaks
 
 
 class TestCheckpoint:
