@@ -21,8 +21,8 @@ from .energy import EnergyConstants, EnergyReport, energy_report, firing_rate
 from .fusion import FusionConfig, SpikeFusion, comb_mask
 from .losses import LossWeights, infonce_pair, total_loss
 from .model import RetrievalModel
-from .neurons import LIFParams, NeuronState, TLSNParams, lif_sequence, lif_step
-from .tensor import Tensor, no_grad, smooth_spike_mode, spike_threshold
+from .neurons import LIFParams, TLSNParams, lif_sequence
+from .tensor import Tensor, no_grad, smooth_spike_mode
 from .train import ablation_sweep, evaluate_recall, train
 
 __version__ = "0.1.0"
@@ -34,7 +34,6 @@ __all__ = [
     "FusionConfig",
     "LIFParams",
     "LossWeights",
-    "NeuronState",
     "PoolConfig",
     "RetrievalModel",
     "RunConfig",
@@ -51,7 +50,6 @@ __all__ = [
     "hard_align_word",
     "infonce_pair",
     "lif_sequence",
-    "lif_step",
     "load_config",
     "load_manifest",
     "lse_pool",
@@ -59,7 +57,6 @@ __all__ = [
     "parse_config",
     "similarity",
     "smooth_spike_mode",
-    "spike_threshold",
     "synth_dataset",
     "total_loss",
     "train",

@@ -138,13 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--config", default=None, help="key=value config file")
-        p.add_argument("--out", default=None)
-
     p = sub.add_parser("synth-data", help="generate a synthetic paired dataset")
-    common(p)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--out", default=None)
     p.add_argument("--pairs", type=int, default=200)
     p.add_argument("--regions", type=int, default=36)
     p.add_argument("--words", type=int, default=36)
@@ -154,18 +150,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth_data)
 
     p = sub.add_parser("train", help="train from a config and a dataset")
-    common(p)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--config", default=None, help="key=value config file")
+    p.add_argument("--out", default=None)
     p.add_argument("--data", required=True, help="dataset dir or manifest path")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
-    common(p)
+    p.add_argument("--out", default=None)
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("energy", help="per-layer energy report for a checkpoint")
-    common(p)
+    p.add_argument("--out", default=None)
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--batch", type=int, default=32,
@@ -173,7 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_energy)
 
     p = sub.add_parser("ablate", help="sweep one axis and tabulate recall")
-    common(p)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--config", default=None, help="key=value config file")
+    p.add_argument("--out", default=None)
     p.add_argument("--data", required=True)
     p.add_argument("--axis", required=True, choices=tuple(ABLATION_AXES))
     p.add_argument("--values", required=True, help="comma-separated values")

@@ -1,15 +1,24 @@
 """Leaky integrate-and-fire dynamics and the threshold-learnable neuron.
 
-Membrane update per step:
+Membrane update per step, from ``v = v_reset``:
 
     h[t] = v[t-1] + (x[t] - (v[t-1] - v_reset)) / tau
     s[t] = 1 if h[t] >= v_th else 0
     v[t] = h[t] * (1 - s[t]) + v_reset * s[t]        (hard reset)
 
-The reset path is detached from the gradient graph: gradients flow through
-the membrane recurrence and the surrogate only.  In smooth-spike mode the
-reset stays attached so the graph is exactly differentiable for
-finite-difference oracles.
+The T-step fold is one tape node over the input and the threshold.  Its
+backward walks time in reverse, the arctangent surrogate slope standing in
+for the step's derivative and the reset detached:
+
+    g_u = g_s[t] * slope(h[t] - v_th),   g_h = g_u + g_v * (1 - s[t]),
+    g_x[t] = g_h / tau,                  g_v = g_h - g_h / tau.
+
+The threshold gets ``-sum(g_u)`` of each step, added in forward time order
+as the same graph of generic tensor ops adds them (the reverse order rounds
+differently from T = 3 on).  In smooth-spike mode the spike is the surrogate
+primitive and the reset stays attached (``g_s[t]`` gains
+``g_v * (v_reset - h[t])``), so the backward is exact for finite-difference
+oracles.
 """
 
 from __future__ import annotations
@@ -19,15 +28,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, UsageError
+from .errors import ParameterError, UsageError
 from .layers import Module
 from .tensor import (
     Tensor,
+    _make,
+    _unbroadcast,
     as_tensor,
     smooth_spikes_active,
     softplus,
-    spike_threshold,
-    stack,
 )
 
 # margin keeping a learnable threshold strictly above the reset potential
@@ -61,53 +70,63 @@ class LIFParams:
         return lif_sequence(x, self)
 
 
-@dataclass
-class NeuronState:
-    """Membrane potential, one value per neuron (shape of a single time slice)."""
-
-    v: Tensor
-
-    @staticmethod
-    def initial(shape, v_reset: float) -> "NeuronState":
-        return NeuronState(Tensor(np.full(shape, v_reset, dtype=np.float32)))
+def surrogate_derivative(x: np.ndarray, alpha: float) -> np.ndarray:
+    """Arctangent surrogate slope: alpha / (2 (1 + (pi/2 * alpha * x)^2))."""
+    z = (np.pi / 2.0) * alpha * x
+    return (alpha / 2.0) / (1.0 + z * z)
 
 
-def _step(v: Tensor, x_t: Tensor, tau: float, v_th, v_reset: float,
-          alpha: float) -> tuple[Tensor, Tensor]:
-    h = v + (x_t - (v - np.float32(v_reset))) / np.float32(tau)
-    s = spike_threshold(h, v_th, alpha)
-    s_reset = s if smooth_spikes_active() else s.detach()
-    v_new = h * (np.float32(1.0) - s_reset) + np.float32(v_reset) * s_reset
-    return s, v_new
-
-
-def lif_step(state: NeuronState, x_t: Tensor, params: LIFParams):
-    """One membrane update; returns (spike slice, new state)."""
-    x_t = as_tensor(x_t)
-    if x_t.shape != state.v.shape:
-        raise DimensionError(
-            f"lif_step: input shape {x_t.shape} != state shape {state.v.shape}"
-        )
-    s, v_new = _step(state.v, x_t, params.tau, params.v_th, params.v_reset,
-                     params.surrogate_alpha)
-    return s, NeuronState(v_new)
+def surrogate_primitive(x: np.ndarray, alpha: float) -> np.ndarray:
+    """Antiderivative of :func:`surrogate_derivative`, ranging over (0, 1)."""
+    return np.arctan((np.pi / 2.0) * alpha * x) / np.pi + 0.5
 
 
 def _fold(x: Tensor, tau: float, v_th, v_reset: float, alpha: float) -> Tensor:
-    """Fold :func:`_step` over the leading time axis of ``x``.
+    """Spikes of the membrane update folded over the leading time axis of ``x``.
 
-    ``v_th`` is a float or a (learnable) scalar tensor.  State starts at the
-    reset potential and is private to this call.
+    One tape node with parents ``(x, threshold)``.  ``v_th`` is a float or a
+    (learnable) scalar tensor.  State starts at the reset potential and is
+    private to this call.
     """
-    x = as_tensor(x)
+    x, th = as_tensor(x), as_tensor(v_th)
     if x.ndim < 1 or x.shape[0] == 0:
         raise UsageError("neuron fold: empty time axis")
-    v = NeuronState.initial(x.shape[1:], v_reset).v
-    spikes = []
+    smooth = smooth_spikes_active()
+    tau, v_reset = np.float32(tau), np.float32(v_reset)
+    one = np.float32(1.0)
+    spikes = np.empty(x.shape, dtype=np.float32)
+    us, hs = [], []  # what the backward reads besides the spikes
+    v = np.full(x.shape[1:], v_reset, dtype=np.float32)
     for t in range(x.shape[0]):
-        s, v = _step(v, x[t], tau, v_th, v_reset, alpha)
-        spikes.append(s)
-    return stack(spikes, axis=0)
+        h = v + (x.data[t] - (v - v_reset)) / tau
+        u = h - th.data
+        spikes[t] = surrogate_primitive(u, alpha) if smooth else u >= 0
+        s = spikes[t]
+        v = h * (one - s) + v_reset * s
+        us.append(u)
+        if smooth:
+            hs.append(h)
+
+    def bw(g):
+        g_x = np.empty_like(spikes)
+        g_th = []
+        g_v = None  # the last membrane potential feeds nothing
+        for t in reversed(range(len(us))):
+            g_s = g[t]
+            if smooth and g_v is not None:
+                g_s = g_s + g_v * (v_reset - hs[t])
+            g_u = g_s * surrogate_derivative(us[t], alpha)
+            g_h = g_u if g_v is None else g_u + g_v * (one - spikes[t])
+            g_x[t] = g_h / tau
+            g_v = g_h - g_x[t]
+            if th.requires_grad:
+                g_th.append(_unbroadcast(-g_u, th.shape))
+        if x.requires_grad:
+            x._accumulate(g_x)
+        for g_t in reversed(g_th):  # forward time order
+            th._accumulate(g_t)
+
+    return _make(spikes, (x, th), bw)
 
 
 def lif_sequence(x: Tensor, params: LIFParams) -> Tensor:

@@ -16,11 +16,11 @@ only when grad mode is on and some parent requires grad (a node with parents
 always does).  Arrays needed only by a backward are computed inside its
 closure, so untracked and ``no_grad`` passes never build them.
 
-The one nonstandard op is :func:`spike_threshold`: its forward is an exact
-Heaviside step (firing at ``h >= v_th``) while its backward substitutes a
-smooth arctangent surrogate derivative.  Inside :func:`smooth_spike_mode`
-the forward becomes the surrogate primitive itself, which makes the whole
-graph differentiable so finite-difference oracles can check the tape.
+The spiking neuron is an op too, built the same way in
+:mod:`spikefusion.neurons` with its surrogate gradient.  It reads the switch
+:func:`smooth_spike_mode`: inside it the spike forward is smooth, so the
+whole graph is differentiable and finite-difference oracles can check the
+tape.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, ParameterError, StateError, UsageError
-
-DEFAULT_SURROGATE_ALPHA = 2.0
 
 _grad_enabled: ContextVar[bool] = ContextVar("grad_enabled", default=True)
 _smooth_spikes: ContextVar[bool] = ContextVar("smooth_spikes", default=False)
@@ -457,32 +455,6 @@ def softplus(x: Tensor) -> Tensor:
     return _make(np.logaddexp(np.float32(0.0), x.data), (x,),
                  lambda g: x._accumulate(
                      (g * (1.0 / (1.0 + np.exp(-x.data)))).astype(np.float32)))
-
-
-def surrogate_derivative(x: np.ndarray, alpha: float) -> np.ndarray:
-    """Arctangent surrogate slope: alpha / (2 (1 + (pi/2 * alpha * x)^2))."""
-    z = (np.pi / 2.0) * alpha * x
-    return (alpha / 2.0) / (1.0 + z * z)
-
-
-def surrogate_primitive(x: np.ndarray, alpha: float) -> np.ndarray:
-    """Antiderivative of :func:`surrogate_derivative`, ranging over (0, 1)."""
-    return np.arctan((np.pi / 2.0) * alpha * x) / np.pi + 0.5
-
-
-def spike_threshold(h: Tensor, v_th, alpha: float = DEFAULT_SURROGATE_ALPHA) -> Tensor:
-    """Binary spikes: 1 where the membrane reaches the threshold, else 0.
-
-    ``v_th`` may be a float or a Tensor (learnable threshold); gradients flow
-    to both operands through the surrogate.
-    """
-    x = as_tensor(h) - (v_th if isinstance(v_th, Tensor) else np.float32(v_th))
-    if smooth_spikes_active():
-        out_data = surrogate_primitive(x.data, alpha).astype(np.float32)
-    else:
-        out_data = (x.data >= 0).astype(np.float32)
-    return _make(out_data, (x,), lambda g: x._accumulate(
-        g * surrogate_derivative(x.data, alpha).astype(np.float32)))
 
 
 # -- normalization -----------------------------------------------------------------

@@ -1,8 +1,15 @@
-"""Shared test utilities: finite-difference oracles and a scalar LIF simulator."""
+"""Shared test utilities: finite-difference oracles and LIF reference folds."""
 
 import numpy as np
 
-from spikefusion.tensor import smooth_spike_mode
+from spikefusion.neurons import surrogate_derivative, surrogate_primitive
+from spikefusion.tensor import (
+    Tensor,
+    _make,
+    smooth_spike_mode,
+    smooth_spikes_active,
+    stack,
+)
 
 
 def central_difference(loss_fn, param, eps=1e-3, indices=None):
@@ -103,3 +110,34 @@ def scalar_lif_simulate(x, tau, v_th, v_reset):
         spikes.append(s)
         potentials.append(v)
     return np.array(spikes, dtype=np.float32), np.array(potentials, dtype=np.float32)
+
+
+def _reference_spike(h, v_th, alpha):
+    """Spike op on the tape: Heaviside forward (the surrogate primitive in
+    smooth mode), arctangent surrogate backward to ``h`` and ``v_th``."""
+    u = h - (v_th if isinstance(v_th, Tensor) else np.float32(v_th))
+    if smooth_spikes_active():
+        out_data = surrogate_primitive(u.data, alpha).astype(np.float32)
+    else:
+        out_data = (u.data >= 0).astype(np.float32)
+    return _make(out_data, (u,), lambda g: u._accumulate(
+        g * surrogate_derivative(u.data, alpha).astype(np.float32)))
+
+
+def reference_fold(x, tau, v_th, v_reset, alpha=2.0):
+    """The LIF/TLSN fold composed step by step from generic tensor ops.
+
+    The reference the one-node kernel ``spikefusion.neurons._fold`` must
+    match bit for bit outside smooth mode.  Returns (spikes, potentials):
+    the stacked spike tensor and the post-reset membrane tensor of each step.
+    """
+    v = Tensor(np.full(x.shape[1:], v_reset, dtype=np.float32))
+    spikes, potentials = [], []
+    for t in range(x.shape[0]):
+        h = v + (x[t] - (v - np.float32(v_reset))) / np.float32(tau)
+        s = _reference_spike(h, v_th, alpha)
+        s_reset = s if smooth_spikes_active() else s.detach()
+        v = h * (np.float32(1.0) - s_reset) + np.float32(v_reset) * s_reset
+        spikes.append(s)
+        potentials.append(v)
+    return stack(spikes, axis=0), potentials

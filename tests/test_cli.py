@@ -169,6 +169,27 @@ def test_unknown_subcommand_exits_2(capsys):
     assert "usage" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("eval", "--config", "/does/not/exist.cfg"),
+    ("eval", "--seed", "99"),
+    ("energy", "--config", "/does/not/exist.cfg"),
+    ("energy", "--seed", "99"),
+    ("synth-data", "--config", "/does/not/exist.cfg"),
+])
+def test_subcommand_rejects_a_flag_it_does_not_read(command, flag, value,
+                                                   tmp_path, capsys):
+    # a flag the subcommand would ignore is an argparse error, not a no-op
+    if command == "synth-data":
+        argv = ["synth-data", "--out", str(tmp_path / "data")]
+    else:
+        argv = [command, "--data", "d", "--checkpoint", "c"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
 def test_validation_failure_is_single_line_diagnostic(tmp_path, capsys):
     rc = main(["train", "--data", str(tmp_path / "nowhere"), "--config",
                str(tmp_path / "missing.cfg")])

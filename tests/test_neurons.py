@@ -1,85 +1,83 @@
-"""LIF dynamics against hand evaluations and the scalar step simulator."""
+"""LIF dynamics against hand evaluations, the composed reference fold and
+the scalar step simulator."""
 
 import numpy as np
 import pytest
 
-from spikefusion.errors import DimensionError, ParameterError, UsageError
-from spikefusion.neurons import (
-    LIFParams,
-    NeuronState,
-    TLSNParams,
-    lif_sequence,
-    lif_step,
-    tlsn_forward,
-)
+from spikefusion.errors import ParameterError, UsageError
+from spikefusion.neurons import LIFParams, TLSNParams, lif_sequence, tlsn_forward
 from spikefusion.tensor import Tensor, smooth_spike_mode
 
-from helpers import scalar_lif_simulate, smooth_central_difference
+from helpers import reference_fold, scalar_lif_simulate, smooth_central_difference
 
 RNG = np.random.default_rng(77)
 DEFAULT = LIFParams(tau=2.0, v_th=1.0, v_reset=0.0)
 
 
-def _state(values):
-    return NeuronState(Tensor(np.asarray(values, dtype=np.float32)))
+def _steps(values):
+    """A (T, n) input tensor from nested per-step values."""
+    return Tensor(np.asarray(values, dtype=np.float32))
+
+
+def _potentials(x, params):
+    """Post-reset membrane of each step, from the composed reference."""
+    _, potentials = reference_fold(x, params.tau, params.v_th, params.v_reset)
+    return np.stack([v.data for v in potentials])
 
 
 class TestLifStep:
     def test_suprathreshold_input_fires_and_resets(self):
         # tau=2, v=0, x=2.0: h = 0 + (2 - 0)/2 = 1.0 >= v_th -> fire, v -> 0
-        s, state = lif_step(_state([0.0]), Tensor([2.0]), DEFAULT)
-        np.testing.assert_array_equal(s.data, [1.0])
-        np.testing.assert_array_equal(state.v.data, [0.0])
+        x = _steps([[2.0]])
+        np.testing.assert_array_equal(lif_sequence(x, DEFAULT).data, [[1.0]])
+        np.testing.assert_array_equal(_potentials(x, DEFAULT), [[0.0]])
 
     def test_subthreshold_input_accumulates(self):
-        # x=0.5: h = 0.25 < 1 -> no spike, membrane carries h
-        s, state = lif_step(_state([0.0]), Tensor([0.5]), DEFAULT)
-        np.testing.assert_array_equal(s.data, [0.0])
-        np.testing.assert_array_equal(state.v.data, [0.25])
+        # x=0.5: h = 0.25 < 1 -> no spike, membrane carries h; a second
+        # drive of 1.75 then reaches 0.25 + 1.5/2 = 1.0, which from rest
+        # (0.875) it would not
+        np.testing.assert_array_equal(
+            lif_sequence(_steps([[0.5]]), DEFAULT).data, [[0.0]])
+        np.testing.assert_array_equal(_potentials(_steps([[0.5]]), DEFAULT),
+                                      [[0.25]])
+        np.testing.assert_array_equal(
+            lif_sequence(_steps([[0.5], [1.75]]), DEFAULT).data, [[0.0], [1.0]])
+        np.testing.assert_array_equal(
+            lif_sequence(_steps([[1.75]]), DEFAULT).data, [[0.0]])
 
     def test_zero_input_is_fixed_point(self):
-        state = _state([0.0, 0.0])
-        for _ in range(5):
-            s, state = lif_step(state, Tensor([0.0, 0.0]), DEFAULT)
-            np.testing.assert_array_equal(s.data, [0.0, 0.0])
-            np.testing.assert_array_equal(state.v.data, [0.0, 0.0])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            lif_step(_state([0.0, 0.0]), Tensor([1.0, 1.0, 1.0]), DEFAULT)
+        x = _steps(np.zeros((5, 2)))
+        np.testing.assert_array_equal(lif_sequence(x, DEFAULT).data,
+                                      np.zeros((5, 2)))
+        np.testing.assert_array_equal(_potentials(x, DEFAULT), np.zeros((5, 2)))
 
     def test_boundary_membrane_fires(self):
         # h lands exactly on the threshold -> fires (>= rule)
-        s, _ = lif_step(_state([0.0]), Tensor([2.0]), DEFAULT)
-        assert s.data[0] == 1.0
+        assert lif_sequence(_steps([[2.0]]), DEFAULT).data[0, 0] == 1.0
 
     def test_hard_reset_is_exact(self):
         params = LIFParams(tau=1.5, v_th=0.3, v_reset=-0.25)
-        x = RNG.uniform(0.0, 2.0, 64).astype(np.float32)
-        s, state = lif_step(_state(np.zeros(64) - 0.25), Tensor(x), params)
-        fired = s.data == 1.0
+        x = _steps(RNG.uniform(0.0, 2.0, (1, 64)))
+        fired = lif_sequence(x, params).data[0] == 1.0
         assert fired.any()
-        assert (state.v.data[fired] == np.float32(-0.25)).all()
+        assert (_potentials(x, params)[0, fired] == np.float32(-0.25)).all()
 
     def test_monotone_in_input_at_fixed_state(self):
-        v0 = RNG.standard_normal(128).astype(np.float32)
-        x = RNG.standard_normal(128).astype(np.float32)
-        bigger = x + RNG.uniform(0.0, 1.0, 128).astype(np.float32)
-        s_small, _ = lif_step(_state(v0), Tensor(x), DEFAULT)
-        s_big, _ = lif_step(_state(v0), Tensor(bigger), DEFAULT)
-        assert (s_big.data >= s_small.data).all()
+        # a shared first step sets the same membrane state for both inputs
+        first = RNG.standard_normal(128)
+        x = RNG.standard_normal(128)
+        bigger = x + RNG.uniform(0.0, 1.0, 128)
+        s_small = lif_sequence(_steps([first, x]), DEFAULT).data[1]
+        s_big = lif_sequence(_steps([first, bigger]), DEFAULT).data[1]
+        assert (s_big >= s_small).all()
 
 
 class TestLifSequence:
     def test_subthreshold_potentials_hand_fold(self):
         # constant 0.5 drive: potentials 0.25, 0.375, 0.4375, never firing
         x = Tensor(np.full((3, 1), 0.5, dtype=np.float32))
-        state = _state([0.0])
-        expected_v = [0.25, 0.375, 0.4375]
-        for t in range(3):
-            s, state = lif_step(state, x[t], DEFAULT)
-            assert s.data[0] == 0.0
-            np.testing.assert_allclose(state.v.data[0], expected_v[t], rtol=1e-6)
+        np.testing.assert_allclose(_potentials(x, DEFAULT)[:, 0],
+                                   [0.25, 0.375, 0.4375], rtol=1e-6)
         spikes = lif_sequence(x, DEFAULT)
         np.testing.assert_array_equal(spikes.data, np.zeros((3, 1)))
 
@@ -100,7 +98,8 @@ class TestLifSequence:
 
     def test_matches_scalar_simulator(self):
         # vectorized fold == independent per-neuron scalar loop, bit for bit,
-        # for spikes and post-reset membrane potentials at every step
+        # for spikes and (through the composed reference) post-reset
+        # membrane potentials at every step
         for case in range(50):
             rng = np.random.default_rng(1000 + case)
             tau = float(rng.uniform(1.0, 4.0))
@@ -110,12 +109,7 @@ class TestLifSequence:
             x = (rng.standard_normal((t, n)) * 2.0).astype(np.float32)
             params = LIFParams(tau=tau, v_th=v_th, v_reset=v_reset)
             spikes = lif_sequence(Tensor(x), params).data
-            state = _state(np.full(n, v_reset))
-            potentials = []
-            for step in range(t):
-                _, state = lif_step(state, Tensor(x[step]), params)
-                potentials.append(state.v.data.copy())
-            potentials = np.stack(potentials)
+            potentials = _potentials(Tensor(x), params)
             for j in range(n):
                 ref_s, ref_v = scalar_lif_simulate(x[:, j], tau, v_th, v_reset)
                 np.testing.assert_array_equal(spikes[:, j], ref_s)
@@ -189,3 +183,84 @@ class TestSmoothMode:
             lif_sequence(x, params).sum().backward()
         fd = smooth_central_difference(loss, x, eps=1e-3)
         np.testing.assert_allclose(x.grad.reshape(-1), fd, atol=1e-3)
+
+    def test_sequence_gradient_matches_fd_over_three_steps(self):
+        # a nonzero reset keeps the attached reset term g_v * (v_reset - h)
+        params = LIFParams(tau=1.5, v_th=0.4, v_reset=-0.3)
+        rng = np.random.default_rng(503)
+        x = Tensor.param(rng.standard_normal((3, 6)).astype(np.float32))
+        w = rng.standard_normal((3, 6)).astype(np.float32)
+
+        def loss():
+            return float((lif_sequence(x, params) * w).sum().data)
+
+        with smooth_spike_mode():
+            (lif_sequence(x, params) * w).sum().backward()
+        fd = smooth_central_difference(loss, x, eps=1e-3)
+        np.testing.assert_allclose(x.grad.reshape(-1), fd, atol=2e-3)
+
+    def test_threshold_gradient_matches_fd(self):
+        tlsn = TLSNParams.create(LIFParams(tau=2.0, v_th=0.7, v_reset=-0.2))
+        rng = np.random.default_rng(504)
+        x = Tensor(rng.standard_normal((3, 64)).astype(np.float32) * 1.2)
+        w = rng.standard_normal((3, 64)).astype(np.float32)
+
+        def loss():
+            return float((tlsn_forward(x, tlsn) * w).sum().data)
+
+        with smooth_spike_mode():
+            (tlsn_forward(x, tlsn) * w).sum().backward()
+        fd = smooth_central_difference(loss, tlsn.v_th_raw, eps=1e-2)
+        np.testing.assert_allclose(float(tlsn.v_th_raw.grad), fd[0], rtol=1e-2)
+
+
+def _kernel_and_reference(kind, x_data, lif, w):
+    """Spikes, input gradient and (TLSN) threshold gradient of
+    ``sum(fold(x) * w)`` from the one-node kernel and from the composed
+    reference."""
+    results = []
+    for use_kernel in (True, False):
+        x = Tensor.param(x_data.copy())
+        tlsn = TLSNParams.create(lif)
+        if use_kernel:
+            spikes = tlsn_forward(x, tlsn) if kind == "tlsn" else lif_sequence(x, lif)
+        else:
+            v_th = tlsn.effective_threshold() if kind == "tlsn" else lif.v_th
+            spikes, _ = reference_fold(x, lif.tau, v_th, lif.v_reset,
+                                       lif.surrogate_alpha)
+        (spikes * w).sum().backward()
+        checked = [spikes.data, x.grad]
+        if kind == "tlsn":
+            checked.append(tlsn.v_th_raw.grad)
+        results.append(checked)
+    return results
+
+
+@pytest.mark.parametrize("kind", ["lif", "tlsn"])
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
+def test_fold_kernel_matches_composed_reference_bitwise(kind, t):
+    # the threshold gradient adds its per-step terms in forward time order,
+    # as the composed graph does; summing them in reverse breaks this at T >= 3
+    for case in range(12):
+        rng = np.random.default_rng(7000 + 100 * t + case)
+        if case == 0:
+            # planted boundary hit: with v_reset 0 and tau 2 the first
+            # membrane is x / 2 exactly, so x = 2 * v_th lands on the threshold
+            lif = LIFParams(tau=2.0, v_th=float(rng.uniform(0.2, 1.5)))
+        else:
+            v_reset = float(rng.uniform(-0.5, 0.5))
+            lif = LIFParams(tau=float(rng.uniform(1.0, 4.0)),
+                            v_th=v_reset + float(rng.uniform(0.1, 1.5)),
+                            v_reset=v_reset)
+        x_data = (rng.standard_normal((t, 3, 8)) * 2.0).astype(np.float32)
+        if case == 0:
+            v_th = (TLSNParams.create(lif).effective_threshold().data
+                    if kind == "tlsn" else np.float32(lif.v_th))
+            x_data[0, 0, 0] = np.float32(2.0) * v_th
+        w = rng.standard_normal(x_data.shape).astype(np.float32)
+        w[rng.random(w.shape) < 0.25] = -0.0
+        kernel, reference = _kernel_and_reference(kind, x_data, lif, w)
+        if case == 0:
+            assert kernel[0][0, 0, 0] == 1.0
+        for got, want in zip(kernel, reference):
+            assert got.tobytes() == want.tobytes(), (kind, t, case)

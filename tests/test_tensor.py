@@ -1,11 +1,20 @@
 """Engine tests: arithmetic, shape ops, normalization, and the spike op."""
 
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from spikefusion.errors import DimensionError, ParameterError, StateError, UsageError
+from spikefusion.neurons import (
+    LIFParams,
+    TLSNParams,
+    lif_sequence,
+    surrogate_derivative,
+    surrogate_primitive,
+    tlsn_forward,
+)
 from spikefusion.tensor import (
     RunningStats,
     Tensor,
@@ -18,15 +27,22 @@ from spikefusion.tensor import (
     repeat_steps,
     smooth_spike_mode,
     softplus,
-    spike_threshold,
     stack,
-    surrogate_derivative,
-    surrogate_primitive,
 )
 
 from helpers import central_difference
 
 RNG = np.random.default_rng(20240601)
+
+
+# a one-step fold with tau 1 and reset 0 has membrane h = x exactly: the
+# spike op alone, firing where x >= v_th
+SPIKE = LIFParams(tau=1.0, v_th=1.0, v_reset=0.0)
+
+
+def spike(h, v_th):
+    """Spikes of ``h`` (one time step) against a fixed threshold."""
+    return lif_sequence(h.reshape((1,) + h.shape), replace(SPIKE, v_th=v_th))
 
 
 # (3, 4) entries in [0.5, 1.5], none within 0.04 of the clip_min floor 1.0
@@ -63,7 +79,7 @@ TAPE_OPS = {
     "repeat_steps": lambda x: repeat_steps(x, 2),
     "logsumexp": lambda x: logsumexp(x, axis=-1),
     "softplus": softplus,
-    "spike_threshold": lambda x: spike_threshold(x, 1.0),
+    "lif_fold": lambda x: lif_sequence(x, SPIKE),
 }
 
 
@@ -185,6 +201,15 @@ class TestElementwise:
             for y in untracked:
                 assert y._parents == () and not y.requires_grad, name
                 assert y._backward is None, name
+
+    def test_neuron_fold_is_one_node(self):
+        x = Tensor.param(X_DATA.copy())
+        parent, threshold = lif_sequence(x, SPIKE)._parents
+        assert parent is x and float(threshold.data) == SPIKE.v_th
+        tlsn = TLSNParams.create(SPIKE)
+        parent, threshold = tlsn_forward(x, tlsn)._parents
+        assert parent is x and threshold.requires_grad
+        assert threshold.data == tlsn.effective_threshold().data
 
 
 @pytest.mark.parametrize("name", sorted(GRAD_OPS))
@@ -422,19 +447,19 @@ class TestBatchNorm:
 
 class TestSpikeThreshold:
     def test_boundary_fires(self):
-        out = spike_threshold(Tensor(np.array([1.0], dtype=np.float32)), 1.0)
-        np.testing.assert_array_equal(out.data, [1.0])
+        out = spike(Tensor(np.array([1.0], dtype=np.float32)), 1.0)
+        np.testing.assert_array_equal(out.data, [[1.0]])
 
     def test_far_below_threshold(self):
         h = Tensor.param(np.array([-100.0], dtype=np.float32))
-        out = spike_threshold(h, 1.0)
-        np.testing.assert_array_equal(out.data, [0.0])
+        out = spike(h, 1.0)
+        np.testing.assert_array_equal(out.data, [[0.0]])
         out.sum().backward()
         assert abs(h.grad[0]) < 1e-4
 
     def test_output_is_binary(self):
         h = Tensor(RNG.standard_normal(1000).astype(np.float32))
-        out = spike_threshold(h, 0.3)
+        out = spike(h, 0.3)
         assert set(np.unique(out.data)) <= {0.0, 1.0}
 
     def test_surrogate_gradient_matches_primitive_fd(self):
@@ -442,24 +467,30 @@ class TestSpikeThreshold:
         # differences of the smooth primitive itself
         h = Tensor.param(RNG.uniform(-2, 2, 64).astype(np.float32))
         v_th = 0.5
-        spike_threshold(h, v_th).sum().backward()
+        spike(h, v_th).sum().backward()
         eps = 1e-3
         fd = (surrogate_primitive(h.data - v_th + eps, 2.0)
               - surrogate_primitive(h.data - v_th - eps, 2.0)) / (2 * eps)
         np.testing.assert_allclose(h.grad, fd, atol=1e-3)
 
     def test_smooth_mode_forward_is_primitive(self):
-        h = Tensor(np.array([0.0, 5.0, -5.0], dtype=np.float32))
+        h = Tensor(np.array([0.5, 5.5, -4.5], dtype=np.float32))
         with smooth_spike_mode():
-            out = spike_threshold(h, 0.0)
-        np.testing.assert_allclose(out.data, surrogate_primitive(h.data, 2.0))
+            out = spike(h, 0.5)
+        np.testing.assert_allclose(out.data[0],
+                                   surrogate_primitive(h.data - 0.5, 2.0))
 
     def test_learnable_threshold_gradient(self):
-        h = Tensor(RNG.standard_normal(32).astype(np.float32))
-        v_th = Tensor.param(np.float32(0.4))
-        spike_threshold(h, v_th).sum().backward()
-        expected = -surrogate_derivative(h.data - 0.4, 2.0).sum()
-        np.testing.assert_allclose(float(v_th.grad), expected, rtol=1e-5)
+        h = Tensor(RNG.standard_normal((1, 32)).astype(np.float32))
+        tlsn = TLSNParams.create(LIFParams(tau=1.0, v_th=0.4, v_reset=0.0))
+        tlsn_forward(h, tlsn).sum().backward()
+        v_th = tlsn.effective_threshold().data
+        raw = tlsn.v_th_raw.data
+        # chain rule through v_th = softplus(raw) + 0.01
+        expected = (-surrogate_derivative(h.data - v_th, 2.0).sum()
+                    / (1.0 + np.exp(-raw)))
+        np.testing.assert_allclose(float(tlsn.v_th_raw.grad), expected,
+                                   rtol=1e-5)
 
 
 class TestSoftplus:
