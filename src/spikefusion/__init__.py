@@ -6,15 +6,7 @@ training only) fused at the spike level into soft-label embeddings.  A
 theoretical energy ledger accounts for every inference-path layer.
 """
 
-from .alignment import (
-    PoolConfig,
-    biha_enhance,
-    fine_similarity,
-    hard_align_region,
-    hard_align_word,
-    lse_pool,
-    similarity,
-)
+from .alignment import PoolConfig, similarity
 from .config import RunConfig, load_config, parse_config
 from .data import Dataset, load_manifest, synth_dataset
 from .energy import EnergyConstants, EnergyReport, energy_report, firing_rate
@@ -40,19 +32,14 @@ __all__ = [
     "TLSNParams",
     "Tensor",
     "ablation_sweep",
-    "biha_enhance",
     "comb_mask",
     "energy_report",
     "evaluate_recall",
-    "fine_similarity",
     "firing_rate",
-    "hard_align_region",
-    "hard_align_word",
     "infonce_pair",
     "lif_sequence",
     "load_config",
     "load_manifest",
-    "lse_pool",
     "no_grad",
     "parse_config",
     "similarity",

@@ -101,6 +101,11 @@ def train(config: RunConfig, dataset: Dataset, out_dir: str | None = None,
     config.validate()
     train_set, val_set = train_val_split(dataset, config.val_fraction,
                                          config.seed)
+    if train_set.pairs < 2:  # a contrastive step needs a negative
+        raise UsageError(
+            f"training split has {train_set.pairs} pair(s) of "
+            f"{dataset.pairs} at val_fraction = {config.val_fraction}; "
+            f"a training step needs at least 2")
     if val_set.pairs < 2:
         val_set = train_set
     if model is None:

@@ -1,11 +1,17 @@
-"""Shared test utilities: finite-difference oracles and LIF reference folds."""
+"""Shared test utilities: finite-difference oracles, the LIF reference fold
+and the composed pooled-similarity chain."""
 
 import numpy as np
 
+from spikefusion.alignment import l2_normalize
+from spikefusion.errors import DimensionError, ParameterError
 from spikefusion.neurons import surrogate_derivative, surrogate_primitive
 from spikefusion.tensor import (
     Tensor,
     _make,
+    as_tensor,
+    logsumexp,
+    matmul,
     smooth_spike_mode,
     smooth_spikes_active,
     stack,
@@ -141,3 +147,78 @@ def reference_fold(x, tau, v_th, v_reset, alpha=2.0):
         spikes.append(s)
         potentials.append(v)
     return stack(spikes, axis=0), potentials
+
+
+# -- the pooled similarity composed from generic tensor ops ------------------
+
+
+def fine_similarity(e_tokens, r_tokens):
+    """Cosine similarity of every (word, region) pair -> (B_r, B_e, L, N)."""
+    e_tokens, r_tokens = as_tensor(e_tokens), as_tensor(r_tokens)
+    if e_tokens.ndim != 3 or r_tokens.ndim != 3:
+        raise DimensionError(
+            f"token sets must be (B, K, D); got {e_tokens.shape} and {r_tokens.shape}"
+        )
+    if e_tokens.shape[-1] != r_tokens.shape[-1]:
+        raise DimensionError(
+            f"embedding widths differ: {e_tokens.shape[-1]} vs {r_tokens.shape[-1]}"
+        )
+    be, nl, d = e_tokens.shape
+    br, nn, _ = r_tokens.shape
+    e_hat = l2_normalize(e_tokens).reshape((be * nl, d))
+    r_hat = l2_normalize(r_tokens).reshape((br * nn, d))
+    flat = matmul(r_hat, e_hat.swapaxes(-1, -2))  # (B_r*N, B_e*L)
+    return flat.reshape((br, nn, be, nl)).transpose((0, 2, 3, 1))
+
+
+def hard_align_word(fine):
+    """Per-word maximum over regions: (B, B, L, N) -> (B, B, L)."""
+    return as_tensor(fine).max(axis=-1)
+
+
+def hard_align_region(fine):
+    """Per-region maximum over words: (B, B, L, N) -> (B, B, N)."""
+    return as_tensor(fine).max(axis=-2)
+
+
+def biha_enhance(word_max, region_max):
+    """Outer product of the two hard-alignment profiles -> (B, B, L, N)."""
+    word_max, region_max = as_tensor(word_max), as_tensor(region_max)
+    if word_max.shape[:2] != region_max.shape[:2]:
+        raise DimensionError(
+            f"batch axes differ: {word_max.shape[:2]} vs {region_max.shape[:2]}"
+        )
+    b0, b1, nl = word_max.shape
+    nn = region_max.shape[-1]
+    return word_max.reshape((b0, b1, nl, 1)) * region_max.reshape((b0, b1, 1, nn))
+
+
+def lse_pool(s_bar, alpha):
+    """2-D log-sum-exp over the trailing token axes: (1/a) log sum exp(a*s)."""
+    if alpha <= 0:
+        raise ParameterError(f"lse alpha must be > 0, got {alpha}")
+    scaled = as_tensor(s_bar) * np.float32(alpha)
+    return logsumexp(scaled, axis=(-2, -1)) * np.float32(1.0 / alpha)
+
+
+def lse_last(x, alpha):
+    """Log-sum-exp over the last axis: (1/a) log sum exp(a*x)."""
+    scaled = as_tensor(x) * np.float32(alpha)
+    return logsumexp(scaled, axis=-1) * np.float32(1.0 / alpha)
+
+
+def reference_similarity(e_tokens, r_tokens, cfg):
+    """``spikefusion.alignment.similarity`` as a chain of generic tape ops.
+
+    The reference the one-node ``alignment._pooled`` must match bit for bit:
+    scores and every gradient.
+    """
+    fine = fine_similarity(e_tokens, r_tokens)
+    if cfg.mode == "lse":
+        return lse_pool(fine, cfg.alpha)
+    if cfg.mode == "vha":
+        return lse_last(hard_align_region(fine), cfg.alpha)
+    if cfg.mode == "tha":
+        return lse_last(hard_align_word(fine), cfg.alpha)
+    enhanced = biha_enhance(hard_align_word(fine), hard_align_region(fine))
+    return lse_pool(enhanced, cfg.alpha)

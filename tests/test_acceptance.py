@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spikefusion.alignment import PoolConfig, biha_enhance, similarity
+from spikefusion.alignment import PoolConfig, similarity
 from spikefusion.config import RunConfig
 from spikefusion.data import load_manifest, synth_dataset, train_val_split
 from spikefusion.energy import (
@@ -31,7 +31,14 @@ from spikefusion.neurons import LIFParams, lif_sequence
 from spikefusion.tensor import Tensor, no_grad, smooth_spike_mode
 from spikefusion.train import evaluate_recall, train
 
-from helpers import scalar_lif_simulate, smooth_fd_audit
+from helpers import (
+    biha_enhance,
+    hard_align_region,
+    hard_align_word,
+    lse_pool,
+    scalar_lif_simulate,
+    smooth_fd_audit,
+)
 
 
 def report(criterion: int, passed: bool, detail: str):
@@ -160,9 +167,9 @@ def test_criterion_05_biha_algebra():
     B=4, N=L=6: 1e-6 absolute where the output magnitude permits (alpha=1,
     outputs O(1)) and 1e-6 relative at the operating alpha=0.1, whose
     pooled values of ~40 sit above float32's own 1e-6 absolute resolution.
-    Rank-1 slices and the LSE bracket are checked alongside."""
-    from spikefusion.alignment import (hard_align_region, hard_align_word,
-                                       lse_pool)
+    Rank-1 slices and the LSE bracket are checked alongside.  The token
+    path runs the one-node ``similarity``; the fine path runs the composed
+    chain it is checked against bit for bit (``tests/helpers.py``)."""
 
     def token_path_error(alpha, seed):
         rng = np.random.default_rng(seed)

@@ -1,24 +1,29 @@
-"""Fine-grained similarity and bidirectional hard alignment vs loop oracles."""
+"""Fine-grained similarity and bidirectional hard alignment vs loop oracles.
+
+``similarity`` is one tape node; the composed chain of generic tensor ops it
+replaces lives in ``helpers`` (``fine_similarity`` ... ``lse_pool``,
+``reference_similarity``).  The chain is checked against float64 loop
+oracles here, and the node against the chain bit for bit.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from spikefusion.alignment import (
-    POOL_MODES,
-    PoolConfig,
+from spikefusion.alignment import POOL_MODES, PoolConfig, l2_normalize, similarity
+from spikefusion.errors import ConfigError, DimensionError, ParameterError
+from spikefusion.tensor import Tensor
+
+from helpers import (
     biha_enhance,
+    central_difference,
     fine_similarity,
     hard_align_region,
     hard_align_word,
     lse_pool,
-    similarity,
+    reference_similarity,
 )
-from spikefusion.errors import ConfigError, DimensionError, ParameterError
-from spikefusion.tensor import Tensor
-
-from helpers import central_difference
 
 RNG = np.random.default_rng(314)
 
@@ -78,9 +83,19 @@ class TestFineSimilarity:
         np.testing.assert_array_equal(out, 0.0)
 
     def test_width_mismatch(self):
-        with pytest.raises(DimensionError):
-            fine_similarity(Tensor(np.zeros((1, 2, 3))),
-                            Tensor(np.zeros((1, 2, 4))))
+        cfg = PoolConfig(alpha=0.1, mode="biha")
+        for fn in (similarity, reference_similarity):
+            with pytest.raises(DimensionError):
+                fn(Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((1, 2, 4))),
+                   cfg)
+
+    @pytest.mark.parametrize("e_shape, r_shape", [
+        ((2, 3), (1, 2, 3)), ((1, 2, 3), (1, 1, 2, 3))])
+    def test_token_sets_must_be_3d(self, e_shape, r_shape):
+        cfg = PoolConfig(alpha=0.1, mode="biha")
+        for fn in (similarity, reference_similarity):
+            with pytest.raises(DimensionError):
+                fn(Tensor(np.zeros(e_shape)), Tensor(np.zeros(r_shape)), cfg)
 
 
 class TestHardAlignment:
@@ -169,6 +184,12 @@ class TestLsePool:
         with pytest.raises(ParameterError):
             lse_pool(Tensor(np.zeros((1, 1, 2, 2))), 0.0)
 
+    @pytest.mark.parametrize("alpha", [0.0, -0.1, math.nan])
+    def test_pool_config_rejects_alpha(self, alpha):
+        # similarity reads its alpha from a PoolConfig only
+        with pytest.raises(ParameterError):
+            PoolConfig(alpha=alpha)
+
 
 class TestSimilarityModes:
     def test_single_token_mode_agreement(self):
@@ -242,3 +263,60 @@ class TestSimilarityModes:
             tol = np.maximum(1e-2 * np.abs(fd), 2e-3)
             assert (err <= tol).all(), f"{mode}: max err {err.max()}"
 
+
+def _tape_nodes(out):
+    """Interior nodes of the graph behind ``out``."""
+    seen, todo = set(), [out]
+    while todo:
+        node = todo.pop()
+        if id(node) in seen or not node._parents:
+            continue
+        seen.add(id(node))
+        todo.extend(node._parents)
+    return len(seen)
+
+
+class TestPooledNode:
+    """The one-node ``similarity`` against the composed chain, bit for bit."""
+
+    @staticmethod
+    def inputs():
+        # ragged: B_e != B_r and L != N; an all-zero token on each side ties
+        # its similarity row at 0, as fully masked fused tokens do
+        rng = np.random.default_rng(77)
+        e = rng.standard_normal((3, 4, 5)).astype(np.float32)
+        r = rng.standard_normal((2, 6, 5)).astype(np.float32)
+        e[1, 2] = 0.0
+        r[0, 3] = 0.0
+        g = rng.standard_normal((2, 3)).astype(np.float32)
+        g[0, 1] = g[1, 2] = -0.0
+        return e, r, g
+
+    @pytest.mark.parametrize("alpha", [0.1, 2.0])
+    @pytest.mark.parametrize("mode", POOL_MODES)
+    def test_bit_identical_to_composed_chain(self, mode, alpha):
+        e0, r0, g = self.inputs()
+        cfg = PoolConfig(alpha=alpha, mode=mode)
+        runs = []
+        for fn in (similarity, reference_similarity):
+            e, r = Tensor.param(e0), Tensor.param(r0)
+            out = fn(e, r, cfg)
+            (out * Tensor(g)).sum().backward()
+            runs.append([a.tobytes() for a in (out.data, e.grad, r.grad)])
+        node, chain = runs
+        assert node[0] == chain[0], "scores"
+        assert node[1] == chain[1], "e.grad"
+        assert node[2] == chain[2], "r.grad"
+
+    @pytest.mark.parametrize("mode", POOL_MODES)
+    def test_one_node_after_the_normalisations(self, mode):
+        e0, r0, _ = self.inputs()
+        e, r = Tensor.param(e0), Tensor.param(r0)
+        out = similarity(e, r, PoolConfig(alpha=0.1, mode=mode))
+        r_hat, e_hat = out._parents
+        # l2_normalize ends in a division whose first parent is its input
+        assert r_hat._parents[0] is r and e_hat._parents[0] is e
+        assert r_hat.data.tobytes() == l2_normalize(r).data.tobytes()
+        assert e_hat.data.tobytes() == l2_normalize(e).data.tobytes()
+        assert _tape_nodes(out) == (_tape_nodes(l2_normalize(e))
+                                    + _tape_nodes(l2_normalize(r)) + 1)

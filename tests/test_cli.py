@@ -211,6 +211,28 @@ def test_bad_config_value_fails_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pairs, val_fraction", [(4, 0.75), (2, 0.9)])
+def test_train_rejects_a_training_split_too_small_to_step(
+        tmp_path, pairs, val_fraction):
+    data_dir = tmp_path / "data"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth-data", "--out", str(data_dir), "--pairs",
+                     str(pairs), "--regions", "2", "--words", "2",
+                     "--region-width", "6", "--word-width", "6"]) == 0
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(f"d = 8\nfusion = none\nbatch = 2\n"
+                           f"val_fraction = {val_fraction}\n")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = main(["train", "--data", str(data_dir), "--config",
+                   str(config_path), "--out", str(tmp_path / "run")])
+    assert_one_line_error(rc, err.getvalue())
+    assert "training split" in err.getvalue()
+    assert f"of {pairs}" in err.getvalue()
+    assert f"val_fraction = {val_fraction}" in err.getvalue()
+
+
 def test_synth_data_requires_out(capsys):
     with pytest.raises(SystemExit):
         main(["synth-data", "--pairs", "4"])

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from spikefusion.alignment import PoolConfig, similarity
 from spikefusion.errors import DimensionError, ParameterError, StateError, UsageError
 from spikefusion.neurons import (
     LIFParams,
@@ -80,6 +81,8 @@ TAPE_OPS = {
     "logsumexp": lambda x: logsumexp(x, axis=-1),
     "softplus": softplus,
     "lif_fold": lambda x: lif_sequence(x, SPIKE),
+    "pooled_similarity": lambda x: similarity(
+        x.reshape((3, 1, 4)), x.reshape((1, 3, 4)), PoolConfig()),
 }
 
 
