@@ -1,10 +1,11 @@
 """Fine-grained token similarity and bidirectional hard alignment.
 
 ``similarity`` scores every image against every caption.  It normalises both
-token sets and hands them to ``_pooled``, one tape node that builds the
-(B, B, L, N) cosine tensor ``fine`` between every word of every caption and
-every region of every image and collapses it to the (B, B) retrieval matrix
-under one of four modes:
+token sets (``l2_normalize``, one tape node each) and hands them to
+``_pooled``, one tape node that builds the (B, B, L, N) cosine tensor
+``fine`` between every word of every caption and every region of every
+image and collapses it to the (B, B) retrieval matrix under one of four
+modes:
 
   lse   direct 2-D log-sum-exp over the token axes
   vha   per-region max over words, then log-sum-exp over regions
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, ParameterError
-from .tensor import Tensor, _make, as_tensor
+from .tensor import Tensor, _make, _unbroadcast, as_tensor
 
 POOL_MODES = ("lse", "vha", "tha", "biha")
 _ZERO = np.float32(0.0)
@@ -64,16 +65,36 @@ class PoolConfig:
 
 
 def l2_normalize(x: Tensor, eps: float = 1e-2) -> Tensor:
-    """Unit-normalize the last axis with a floored norm.
+    """Unit-normalize the last axis with a floored norm, as one tape node.
 
     Tokens whose squared norm reaches ``eps`` are normalized exactly; smaller
     ones (fully masked fused tokens in particular) are scaled by the constant
     1/sqrt(eps), which keeps them at zero similarity while bounding the
     backward pass (an unguarded cosine has unbounded gradient at the origin).
+
+    The node keeps the squared norms ``ss`` and the floored norms ``n``, both
+    (..., 1).  Its backward hands ``x`` three gradients, one at a time, in
+    the order the composed ``x / sqrt(max(sum(x * x), eps))`` did:
+
+        g / n,   then  g_ss * x  twice,
+        g_ss = sum(-g * x / (n * n)) * (0.5 / n) * [ss >= eps]
     """
+    if not eps > 0:
+        raise ParameterError(f"l2_normalize: eps must be > 0, got {eps}")
     x = as_tensor(x)
-    ss = (x * x).sum(axis=-1, keepdims=True)
-    return x / ss.clip_min(eps).sqrt()
+    floor = np.float32(eps)
+    ss = (x.data * x.data).sum(axis=-1, keepdims=True)
+    n = np.sqrt(np.maximum(ss, floor))
+
+    def bw(g):
+        x._accumulate(g / n)
+        g_n = _unbroadcast(-g * x.data / (n * n), n.shape) + _ZERO
+        g_ss = g_n * (0.5 / n) * (ss >= floor).astype(np.float32) + _ZERO
+        g_sq = g_ss * x.data
+        x._accumulate(g_sq)
+        x._accumulate(g_sq)
+
+    return _make(x.data / n, (x,), bw)
 
 
 def similarity(e_tokens: Tensor, r_tokens: Tensor, cfg: PoolConfig) -> Tensor:

@@ -70,7 +70,9 @@ def cmd_train(args) -> int:
             fh.write(",".join(keys) + "\n")
             for rec in result.history:
                 fh.write(",".join(str(rec[k]) for k in keys) + "\n")
-    print(f"best val r_sum {result.best_r_sum:.2f} at epoch {result.best_epoch}")
+    split = "train" if result.val_source == "train" else "val"
+    print(f"best {split} r_sum {result.best_r_sum:.2f} at epoch "
+          f"{result.best_epoch}")
     print(f"checkpoint: {result.checkpoint_path}")
     print(f"history: {history_path}")
     return 0

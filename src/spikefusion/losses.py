@@ -7,6 +7,14 @@ well-separated similarity matrix drives it negative:
     L_t2i = same with S transposed
     L(E, R) = (L_i2t + L_t2i) / 2
 
+``infonce_pair`` is one tape node over S.  It keeps each direction's (B, B)
+forward arrays, which are small, and its backward replays the graph of
+generic ops it replaced (``tests/helpers.py``): ``S`` gets the i2t
+direction's two gradients, then the t2i direction's sum, as that graph
+handed them over.  The t2i direction runs on the transposed view of S, and
+its summed gradients keep that view's layout, so they round as that graph's
+did.
+
 The full objective mixes an early-alignment term on pre-spike features with
 the late terms over pooled and fused embeddings:
 
@@ -24,7 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ParameterError, UsageError
-from .tensor import Tensor, as_tensor, logsumexp
+from .tensor import Tensor, _first_gradient, _make, _unbroadcast, as_tensor
+
+_ZERO = np.float32(0.0)
+_HALF = np.float32(0.5)
 
 SIMILARITY_KEYS = (
     "early",      # S(E_f, R_f)
@@ -55,26 +66,67 @@ class LossWeights:
 
 
 def infonce_pair(s: Tensor, temperature: float) -> Tensor:
-    """Symmetric margin InfoNCE over a square similarity matrix."""
+    """Symmetric margin InfoNCE over a square similarity matrix, as one tape
+    node over ``s``; see ``_direction`` for what it keeps and its backward."""
     s = as_tensor(s)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise UsageError(f"similarity matrix must be square, got {s.shape}")
-    b = s.shape[0]
-    if b < 2:
+    if s.shape[0] < 2:
         raise UsageError("contrastive loss needs at least 2 pairs in the batch")
-    if temperature <= 0:
+    if not temperature > 0:
         raise ParameterError(f"temperature must be > 0, got {temperature}")
     inv_t = np.float32(1.0 / temperature)
-    off_diag = (1.0 - np.eye(b, dtype=np.float32))
+    t2i_mat = s.data.swapaxes(0, 1)
+    l_i2t, i2t_bw = _direction(s.data, inv_t)
+    l_t2i, t2i_bw = _direction(t2i_mat, inv_t)
 
-    def directional(mat: Tensor) -> Tensor:
-        diag = (mat * np.eye(b, dtype=np.float32)).sum(axis=1, keepdims=True)
-        margins = (mat - diag) * inv_t
-        return logsumexp(margins, axis=-1, mask=off_diag).mean()
+    def bw(g):
+        g = g * _HALF
+        for grad in i2t_bw(g):
+            s._accumulate(grad)
+        g_d, g_eye = t2i_bw(g)
+        g_t2i = _first_gradient(g_d, t2i_mat)
+        g_t2i += g_eye
+        s._accumulate(g_t2i.swapaxes(0, 1))
 
-    l_i2t = directional(s)
-    l_t2i = directional(s.swapaxes(0, 1))
-    return (l_i2t + l_t2i) * np.float32(0.5)
+    return _make((l_i2t + l_t2i) * _HALF, (s,), bw)
+
+
+def _direction(mat: np.ndarray, inv_t: np.float32):
+    """One direction's mean loss over ``mat`` (rows are queries) and its
+    backward: a function from the loss gradient to the two gradients the
+    composed graph handed ``mat``, in its order.
+
+    The forward is the composed graph's numpy: diagonal ``diag = sum(mat *
+    I, 1)``, margins ``m = (mat - diag) * inv_t``, a max-shifted log-sum-exp
+    over the off-diagonal entries of each row, and the mean over rows.  Its
+    backward keeps the (B, B) arrays of that forward; every gradient that
+    is summed is laid out like the array it belongs to (``_first_gradient``),
+    so the transposed direction sums in the composed graph's order:
+
+        g_m    = g / B * softmax(m)         (off the diagonal; 0 on it)
+        g_mat  = g_m * inv_t,   then  sum(-g_mat, 1) * I
+    """
+    b = mat.shape[0]
+    eye = np.eye(b, dtype=np.float32)
+    diag_terms = mat * eye
+    diag = diag_terms.sum(axis=1, keepdims=True)
+    d = mat - diag
+    margins = d * inv_t
+    masked = np.where(eye == 0, margins, -np.inf)
+    shift = np.max(masked, axis=-1, keepdims=True)
+    e = np.exp(masked - shift)  # the diagonal holds -inf, exp -> 0
+    sums = e.sum(axis=-1, keepdims=True)
+    lse = np.squeeze(shift + np.log(sums), axis=-1).astype(np.float32)
+    inv_b = np.float32(1.0 / b)
+
+    def bw(g):
+        g_m = _first_gradient(g * inv_b * (e / sums), margins)
+        g_d = _first_gradient(g_m * inv_t, d)
+        g_diag = _unbroadcast(-g_d, diag.shape) + _ZERO
+        return g_d, g_diag * eye
+
+    return lse.sum() * inv_b, bw
 
 
 def total_loss(sim_set: dict[str, Tensor], weights: LossWeights):

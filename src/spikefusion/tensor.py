@@ -16,6 +16,15 @@ only when grad mode is on and some parent requires grad (a node with parents
 always does).  Arrays needed only by a backward are computed inside its
 closure, so untracked and ``no_grad`` passes never build them.
 
+Layer and batch normalisation are one node each, like the fused ops of the
+other modules (the neuron fold, l2 normalisation, the pooled similarity, the
+contrastive loss).  Each has a hand-written backward that replays the
+arithmetic of the graph of generic ops it replaced, in that graph's order,
+so its gradients are the same bits; those graphs are the test oracles.
+Such a backward recomputes cheap full-size intermediates rather than keep
+them on the tape, and ``_first_gradient`` gives it the buffer an interior
+node of that graph would have held.
+
 The spiking neuron is an op too, built the same way in
 :mod:`spikefusion.neurons` with its surrogate gradient.  It reads the switch
 :func:`smooth_spike_mode`: inside it the spike forward is smooth, so the
@@ -33,6 +42,7 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError, StateError, UsageError
 
+_ZERO = np.float32(0.0)
 _grad_enabled: ContextVar[bool] = ContextVar("grad_enabled", default=True)
 _smooth_spikes: ContextVar[bool] = ContextVar("smooth_spikes", default=False)
 
@@ -106,11 +116,9 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray):
         if self.grad is None:
-            # a fresh buffer in the memory order of ``data``; adding +0.0
-            # stores a -0.0 in ``g`` as +0.0.  ``g`` itself is not kept:
-            # ops hand one array or view to several parents.
-            self.grad = np.add(g, np.float32(0.0),
-                               out=np.empty_like(self.data))
+            # ``g`` itself is not kept: ops hand one array or view to
+            # several parents
+            self.grad = _first_gradient(g, self.data)
         else:
             self.grad += g
 
@@ -266,25 +274,6 @@ class Tensor:
 
         return _make(self.data.sum(axis=axis, keepdims=keepdims), (self,), bw)
 
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        count = self.data.size if axis is None else _axis_count(self.data.shape, axis)
-        return self.sum(axis=axis, keepdims=keepdims) * np.float32(1.0 / count)
-
-    def max(self, axis: int, keepdims: bool = False) -> "Tensor":
-        """Maximum along one axis; gradient routes to the first maximal entry."""
-        def bw(g):
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            idx = np.expand_dims(np.argmax(self.data, axis=axis), axis)
-            buf = np.zeros_like(self.data)
-            np.put_along_axis(buf, idx, g, axis)
-            self._accumulate(buf)
-
-        # a reduction keeps its input's memory order; C order keeps the
-        # summation order of later reductions independent of that
-        return _make(np.ascontiguousarray(
-            np.max(self.data, axis=axis, keepdims=keepdims)), (self,), bw)
-
     # -- elementwise functions --------------------------------------------------
 
     def exp(self) -> "Tensor":
@@ -292,17 +281,12 @@ class Tensor:
         return _make(out_data, (self,),
                      lambda g: self._accumulate(g * out_data))
 
-    def sqrt(self) -> "Tensor":
-        out_data = np.sqrt(self.data)
-        return _make(out_data, (self,),
-                     lambda g: self._accumulate(g * (0.5 / out_data)))
 
-    def clip_min(self, floor: float) -> "Tensor":
-        """Elementwise max with a constant; gradient passes where x >= floor."""
-        floor = np.float32(floor)
-        return _make(np.maximum(self.data, floor), (self,),
-                     lambda g: self._accumulate(
-                         g * (self.data >= floor).astype(np.float32)))
+def _first_gradient(g: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """What a node stores as its first incoming gradient: ``g + 0.0`` (a
+    -0.0 becomes +0.0) in a fresh buffer in the memory order of ``like``,
+    its value.  Fused nodes use it where they replay an interior node."""
+    return np.add(g, _ZERO, out=np.empty_like(like))
 
 
 def as_tensor(x) -> Tensor:
@@ -337,15 +321,6 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad
-
-
-def _axis_count(shape, axis) -> int:
-    if isinstance(axis, int):
-        return shape[axis]
-    n = 1
-    for a in axis:
-        n *= shape[a]
-    return n
 
 
 # -- linear algebra ------------------------------------------------------------
@@ -415,39 +390,7 @@ def repeat_steps(x: Tensor, t: int) -> Tensor:
                  lambda g: x._accumulate(g.sum(axis=0)))
 
 
-# -- fused numerical ops ---------------------------------------------------------
-
-
-def logsumexp(x: Tensor, axis, mask: np.ndarray | None = None,
-              keepdims: bool = False) -> Tensor:
-    """Max-shifted log-sum-exp over ``axis`` (int or tuple of ints).
-
-    An optional binary ``mask`` (constant) selects participating entries; the
-    gradient is the masked softmax.  Every reduced slice must keep at least
-    one active entry.
-    """
-    x = as_tensor(x)
-    xd = x.data
-    if mask is not None:
-        mask = np.asarray(mask, dtype=np.float32)
-        shifted_src = np.where(mask > 0, xd, -np.inf)
-    else:
-        shifted_src = xd
-    shift = np.max(shifted_src, axis=axis, keepdims=True)
-    if np.isneginf(shift).any():
-        raise UsageError("logsumexp: a reduced slice has no active entries")
-    e = np.exp(shifted_src - shift)  # masked-out entries hold -inf, exp -> 0
-    s = e.sum(axis=axis, keepdims=True)
-    out_data = shift + np.log(s)
-    if not keepdims:
-        out_data = np.squeeze(out_data, axis=axis)
-
-    def bw(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        x._accumulate((g * (e / s)).astype(np.float32))
-
-    return _make(out_data.astype(np.float32), (x,), bw)
+# -- elementwise functions -------------------------------------------------------
 
 
 def softplus(x: Tensor) -> Tensor:
@@ -458,18 +401,83 @@ def softplus(x: Tensor) -> Tensor:
 
 
 # -- normalization -----------------------------------------------------------------
+#
+# ``layer_norm`` and ``batch_norm`` (train and eval) are each one tape node
+# over ``(x, gamma, beta)``: ``out = (x - mu) / sd * gamma + beta`` with
+# ``mu = sum(x) / n`` and ``sd = sqrt(sum(xc * xc) / n + eps)`` over the
+# normalised axes (``xc = x - mu``).  The closure keeps only ``mu`` and
+# ``sd``; its backward recomputes ``xc`` and ``xhat = xc / sd`` with the
+# forward's own expressions, so they are the same bits.  It replays the
+# graph of generic ops it replaced (``tests/helpers.py``), in that graph's
+# order and rounding, not the closed form:
+#
+#   g_beta  = sum(g),   g_gamma = sum(g * xhat)     (over the leading axes)
+#   g_xhat  = g * gamma
+#   g_x     = g_xhat / sd + g_ss * xc + g_ss * xc,  added one at a time,
+#             g_ss = sum(-g_xhat * xc / (sd * sd)) * (0.5 / sd) * (1 / n)
+#   x gets g_x, then sum(-g_x) * (1 / n) broadcast: two accumulations, as the
+#   graph's subtraction and mean each handed ``x`` one
+#
+# In eval mode ``mu`` and ``sd`` are constants and ``x`` gets g_xhat / sd
+# alone.  Where that graph turned a -0.0 into +0.0 (``_first_gradient``) and
+# it can matter, the backward adds +0.0 too.
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis to zero mean / unit variance, then affine."""
-    if eps <= 0:
+    if not eps > 0:
         raise ParameterError(f"layer_norm: eps must be > 0, got {eps}")
     x = as_tensor(x)
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    xhat = xc / (var + np.float32(eps)).sqrt()
-    return xhat * gamma + beta
+    mu, _, sd, inv_n = _moments(x.data, -1, eps)
+    return _normalize(x, gamma, beta, mu, sd, inv_n)
+
+
+def _moments(xd: np.ndarray, axis, eps: float):
+    """Mean, variance and ``sqrt(var + eps)`` over ``axis`` (kept as size-1
+    axes), and the ``1 / count`` both means were scaled by."""
+    total = xd.sum(axis=axis, keepdims=True)
+    inv_n = np.float32(1.0 / (xd.size // total.size))
+    mu = total * inv_n
+    xc = xd - mu
+    var = (xc * xc).sum(axis=axis, keepdims=True) * inv_n
+    return mu, var, np.sqrt(var + np.float32(eps)), inv_n
+
+
+def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, mu: np.ndarray,
+               sd: np.ndarray, inv_n: np.float32 | None = None) -> Tensor:
+    """One tape node: ``(x - mu) / sd * gamma + beta``.
+
+    With ``inv_n`` (1 / n) the moments are ``x``'s own, from ``_moments``,
+    and the backward runs through them as well; without it they are
+    constants (eval-mode batch norm).
+    """
+    gamma, beta = as_tensor(gamma), as_tensor(beta)
+    out = (x.data - mu) / sd * gamma.data + beta.data
+
+    def bw(g):
+        if beta.requires_grad:
+            beta._accumulate(_unbroadcast(g, beta.data.shape))
+        xc = x.data - mu
+        if gamma.requires_grad:
+            gamma._accumulate(_unbroadcast(g * (xc / sd), gamma.data.shape))
+        if not x.requires_grad:
+            return
+        g_xhat = g * gamma.data
+        np.add(g_xhat, _ZERO, out=g_xhat)
+        g_xc = g_xhat / sd
+        if inv_n is not None:
+            g_sd = _unbroadcast(-g_xhat * xc / (sd * sd), sd.shape) + _ZERO
+            g_ss = g_sd * (0.5 / sd) * inv_n
+            del g_xhat
+            g_sq = np.multiply(g_ss, xc, out=xc)
+            g_xc += g_sq
+            g_xc += g_sq
+        x._accumulate(g_xc)
+        if inv_n is not None:
+            g_mu = _unbroadcast(-g_xc, mu.shape) + _ZERO
+            x._accumulate(np.broadcast_to(g_mu * inv_n, x.data.shape))
+
+    return _make(out, (x, gamma, beta), bw)
 
 
 @dataclass
@@ -498,20 +506,15 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
     is shared by every time step.  Train mode normalizes with batch moments
     and folds them into the running stats; eval mode uses the stored stats.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ParameterError(f"batch_norm: eps must be > 0, got {eps}")
     x = as_tensor(x)
-    axes = tuple(range(x.ndim - 1))
     if train:
-        mu = x.mean(axis=axes, keepdims=True)
-        xc = x - mu
-        var = (xc * xc).mean(axis=axes, keepdims=True)
-        stats.update(mu.data.reshape(-1), var.data.reshape(-1), momentum)
-        xhat = xc / (var + np.float32(eps)).sqrt()
-    else:
-        if not stats.initialized:
-            raise StateError("batch_norm: eval mode requires initialized running stats")
-        mu = stats.mean.astype(np.float32)
-        sd = np.sqrt(stats.var.astype(np.float32) + np.float32(eps))
-        xhat = (x - Tensor(mu)) / Tensor(sd)
-    return xhat * gamma + beta
+        mu, var, sd, inv_n = _moments(x.data, tuple(range(x.ndim - 1)), eps)
+        stats.update(mu.reshape(-1), var.reshape(-1), momentum)
+        return _normalize(x, gamma, beta, mu, sd, inv_n)
+    if not stats.initialized:
+        raise StateError("batch_norm: eval mode requires initialized running stats")
+    mu = stats.mean.astype(np.float32)
+    sd = np.sqrt(stats.var.astype(np.float32) + np.float32(eps))
+    return _normalize(x, gamma, beta, mu, sd)

@@ -73,6 +73,9 @@ class TrainResult:
     best_r_sum: float = 0.0
     best_epoch: int = -1
     checkpoint_path: str | None = None
+    # "held-out", or "train" when the validation split had under 2 pairs
+    # and recall was ranked on the training split instead
+    val_source: str = "held-out"
 
 
 def _lr_scale(config: RunConfig, epoch: int) -> float:
@@ -94,9 +97,13 @@ def train(config: RunConfig, dataset: Dataset, out_dir: str | None = None,
 
     Logs every loss component per step, evaluates recall on the validation
     split per epoch, and checkpoints at the best validation R@Sum (written
-    under ``out_dir`` when given).  The checkpoint holds the parameters and
-    batch-norm running stats, not the optimizer state: a run cannot be
-    resumed.  ``model`` trains a caller-built model in place of a fresh one.
+    under ``out_dir`` when given).  A validation split of under 2 pairs
+    cannot be ranked; recall is then ranked on the training split, the
+    result and every history record say ``val_source`` ``"train"``, and
+    each epoch log line ends in ``val_source=train``.  The checkpoint holds
+    the parameters and batch-norm running stats, not the optimizer state: a
+    run cannot be resumed.  ``model`` trains a caller-built model in place
+    of a fresh one.
     """
     config.validate()
     train_set, val_set = train_val_split(dataset, config.val_fraction,
@@ -106,8 +113,9 @@ def train(config: RunConfig, dataset: Dataset, out_dir: str | None = None,
             f"training split has {train_set.pairs} pair(s) of "
             f"{dataset.pairs} at val_fraction = {config.val_fraction}; "
             f"a training step needs at least 2")
+    val_source = "held-out"
     if val_set.pairs < 2:
-        val_set = train_set
+        val_set, val_source = train_set, "train"
     if model is None:
         model = RetrievalModel(config, dataset.regions.shape[-1],
                                dataset.words.shape[-1],
@@ -118,7 +126,8 @@ def train(config: RunConfig, dataset: Dataset, out_dir: str | None = None,
         return config.lr_fusion if name.startswith("fusion/") else config.lr_encoder
 
     optimizer = AdamW(params, lr_for, weight_decay=config.weight_decay)
-    result = TrainResult(model=model)
+    result = TrainResult(model=model, val_source=val_source)
+    log_suffix = " val_source=train" if val_source == "train" else ""
     step = 0
     t_start = time.monotonic()
     for epoch in range(config.epochs):
@@ -153,13 +162,15 @@ def train(config: RunConfig, dataset: Dataset, out_dir: str | None = None,
             "epoch": epoch,
             "lr_scale": scale,
             "seconds": round(time.monotonic() - t_start, 3),
+            "val_source": val_source,
         }
         record.update(
             {f"loss_{k}": v / max(n_steps, 1) for k, v in epoch_losses.items()})
         record.update({f"val_{k}": v for k, v in val_metrics.items()})
         result.history.append(record)
         if log_fn is not None:
-            log_fn(f"epoch={epoch} val_r_sum={val_metrics['r_sum']:.2f}")
+            log_fn(f"epoch={epoch} val_r_sum={val_metrics['r_sum']:.2f}"
+                   f"{log_suffix}")
         if val_metrics["r_sum"] >= result.best_r_sum:
             result.best_r_sum = val_metrics["r_sum"]
             result.best_epoch = epoch

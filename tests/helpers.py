@@ -1,21 +1,100 @@
-"""Shared test utilities: finite-difference oracles, the LIF reference fold
-and the composed pooled-similarity chain."""
+"""Shared test utilities: finite-difference oracles, the generic ops only
+the oracles use, and the composed graphs of generic ops that the one-node
+kernels replace: the LIF fold, the normalisations, the contrastive loss and
+the pooled similarity."""
 
 import numpy as np
 
-from spikefusion.alignment import l2_normalize
-from spikefusion.errors import DimensionError, ParameterError
+from spikefusion.errors import DimensionError, ParameterError, StateError, UsageError
 from spikefusion.neurons import surrogate_derivative, surrogate_primitive
 from spikefusion.tensor import (
     Tensor,
     _make,
     as_tensor,
-    logsumexp,
     matmul,
     smooth_spike_mode,
     smooth_spikes_active,
     stack,
 )
+
+
+# -- generic ops with no caller in the package ---------------------------------
+
+
+def mean(x, axis=None, keepdims=False):
+    """Mean over ``axis`` (int, tuple or all): a sum times 1 / count."""
+    x = as_tensor(x)
+    if axis is None:
+        count = x.size
+    else:
+        count = int(np.prod([x.shape[a] for a in np.atleast_1d(axis)]))
+    return x.sum(axis=axis, keepdims=keepdims) * np.float32(1.0 / count)
+
+
+def reduce_max(x, axis, keepdims=False):
+    """Maximum along one axis; gradient routes to the first maximal entry."""
+    x = as_tensor(x)
+
+    def bw(g):
+        if not keepdims:
+            g = np.expand_dims(g, axis)
+        idx = np.expand_dims(np.argmax(x.data, axis=axis), axis)
+        buf = np.zeros_like(x.data)
+        np.put_along_axis(buf, idx, g, axis)
+        x._accumulate(buf)
+
+    # a reduction keeps its input's memory order; C order keeps the
+    # summation order of later reductions independent of that
+    return _make(np.ascontiguousarray(
+        np.max(x.data, axis=axis, keepdims=keepdims)), (x,), bw)
+
+
+def sqrt(x):
+    x = as_tensor(x)
+    out_data = np.sqrt(x.data)
+    return _make(out_data, (x,), lambda g: x._accumulate(g * (0.5 / out_data)))
+
+
+def clip_min(x, floor):
+    """Elementwise max with a constant; gradient passes where x >= floor."""
+    x = as_tensor(x)
+    floor = np.float32(floor)
+    return _make(np.maximum(x.data, floor), (x,), lambda g: x._accumulate(
+        g * (x.data >= floor).astype(np.float32)))
+
+
+def logsumexp(x, axis, mask=None, keepdims=False):
+    """Max-shifted log-sum-exp over ``axis`` (int or tuple of ints).
+
+    An optional binary ``mask`` (constant) selects participating entries; the
+    gradient is the masked softmax.  Every reduced slice must keep at least
+    one active entry.
+    """
+    x = as_tensor(x)
+    xd = x.data
+    if mask is not None:
+        mask = np.asarray(mask, dtype=np.float32)
+        shifted_src = np.where(mask > 0, xd, -np.inf)
+    else:
+        shifted_src = xd
+    shift = np.max(shifted_src, axis=axis, keepdims=True)
+    if np.isneginf(shift).any():
+        raise UsageError("logsumexp: a reduced slice has no active entries")
+    e = np.exp(shifted_src - shift)  # masked-out entries hold -inf, exp -> 0
+    s = e.sum(axis=axis, keepdims=True)
+    out_data = shift + np.log(s)
+    if not keepdims:
+        out_data = np.squeeze(out_data, axis=axis)
+
+    def bw(g):
+        if not keepdims:
+            g = np.expand_dims(g, axis)
+        x._accumulate((g * (e / s)).astype(np.float32))
+
+    return _make(out_data.astype(np.float32), (x,), bw)
+
+
+# -- finite differences ----------------------------------------------------------
 
 
 def central_difference(loss_fn, param, eps=1e-3, indices=None):
@@ -36,6 +115,27 @@ def central_difference(loss_fn, param, eps=1e-3, indices=None):
         flat[i] = original
         grads[pos] = (plus - minus) / (2.0 * eps)
     return grads
+
+
+def bytes_after_backward(out, upstream, *tensors):
+    """Backpropagate ``sum(out * upstream)`` and return the bytes of ``out``
+    and of each tensor's gradient (None where it got none), for bit-for-bit
+    comparisons of a one-node op with its composed oracle."""
+    (out * Tensor(upstream)).sum().backward()
+    return [out.data.tobytes()] + [
+        None if t.grad is None else t.grad.tobytes() for t in tensors]
+
+
+def interior_nodes(out):
+    """Interior nodes (built by ``_make``) of the graph behind ``out``."""
+    seen, todo = set(), [out]
+    while todo:
+        node = todo.pop()
+        if id(node) in seen or not node._parents:
+            continue
+        seen.add(id(node))
+        todo.extend(node._parents)
+    return len(seen)
 
 
 def smooth_central_difference(loss_fn, param, eps=1e-3, indices=None):
@@ -149,6 +249,75 @@ def reference_fold(x, tau, v_th, v_reset, alpha=2.0):
     return stack(spikes, axis=0), potentials
 
 
+# -- normalisations and the contrastive loss composed from generic ops ------
+
+
+def reference_layer_norm(x, gamma, beta, eps=1e-5):
+    """``spikefusion.tensor.layer_norm`` as a graph of generic tape ops."""
+    if not eps > 0:
+        raise ParameterError(f"layer_norm: eps must be > 0, got {eps}")
+    x = as_tensor(x)
+    mu = mean(x, axis=-1, keepdims=True)
+    xc = x - mu
+    var = mean(xc * xc, axis=-1, keepdims=True)
+    xhat = xc / sqrt(var + np.float32(eps))
+    return xhat * gamma + beta
+
+
+def reference_batch_norm(x, gamma, beta, stats, train, momentum=0.1,
+                         eps=1e-5):
+    """``spikefusion.tensor.batch_norm`` as a graph of generic tape ops."""
+    if not eps > 0:
+        raise ParameterError(f"batch_norm: eps must be > 0, got {eps}")
+    x = as_tensor(x)
+    axes = tuple(range(x.ndim - 1))
+    if train:
+        mu = mean(x, axis=axes, keepdims=True)
+        xc = x - mu
+        var = mean(xc * xc, axis=axes, keepdims=True)
+        stats.update(mu.data.reshape(-1), var.data.reshape(-1), momentum)
+        xhat = xc / sqrt(var + np.float32(eps))
+    else:
+        if not stats.initialized:
+            raise StateError("batch_norm: eval mode requires initialized running stats")
+        mu = stats.mean.astype(np.float32)
+        sd = np.sqrt(stats.var.astype(np.float32) + np.float32(eps))
+        xhat = (x - Tensor(mu)) / Tensor(sd)
+    return xhat * gamma + beta
+
+
+def reference_l2_normalize(x, eps=1e-2):
+    """``spikefusion.alignment.l2_normalize`` as a graph of generic tape ops."""
+    if not eps > 0:
+        raise ParameterError(f"l2_normalize: eps must be > 0, got {eps}")
+    x = as_tensor(x)
+    ss = (x * x).sum(axis=-1, keepdims=True)
+    return x / sqrt(clip_min(ss, eps))
+
+
+def reference_infonce_pair(s, temperature):
+    """``spikefusion.losses.infonce_pair`` as a graph of generic tape ops."""
+    s = as_tensor(s)
+    if s.ndim != 2 or s.shape[0] != s.shape[1]:
+        raise UsageError(f"similarity matrix must be square, got {s.shape}")
+    b = s.shape[0]
+    if b < 2:
+        raise UsageError("contrastive loss needs at least 2 pairs in the batch")
+    if not temperature > 0:
+        raise ParameterError(f"temperature must be > 0, got {temperature}")
+    inv_t = np.float32(1.0 / temperature)
+    off_diag = (1.0 - np.eye(b, dtype=np.float32))
+
+    def directional(mat):
+        diag = (mat * np.eye(b, dtype=np.float32)).sum(axis=1, keepdims=True)
+        margins = (mat - diag) * inv_t
+        return mean(logsumexp(margins, axis=-1, mask=off_diag))
+
+    l_i2t = directional(s)
+    l_t2i = directional(s.swapaxes(0, 1))
+    return (l_i2t + l_t2i) * np.float32(0.5)
+
+
 # -- the pooled similarity composed from generic tensor ops ------------------
 
 
@@ -165,20 +334,20 @@ def fine_similarity(e_tokens, r_tokens):
         )
     be, nl, d = e_tokens.shape
     br, nn, _ = r_tokens.shape
-    e_hat = l2_normalize(e_tokens).reshape((be * nl, d))
-    r_hat = l2_normalize(r_tokens).reshape((br * nn, d))
+    e_hat = reference_l2_normalize(e_tokens).reshape((be * nl, d))
+    r_hat = reference_l2_normalize(r_tokens).reshape((br * nn, d))
     flat = matmul(r_hat, e_hat.swapaxes(-1, -2))  # (B_r*N, B_e*L)
     return flat.reshape((br, nn, be, nl)).transpose((0, 2, 3, 1))
 
 
 def hard_align_word(fine):
     """Per-word maximum over regions: (B, B, L, N) -> (B, B, L)."""
-    return as_tensor(fine).max(axis=-1)
+    return reduce_max(fine, axis=-1)
 
 
 def hard_align_region(fine):
     """Per-region maximum over words: (B, B, L, N) -> (B, B, N)."""
-    return as_tensor(fine).max(axis=-2)
+    return reduce_max(fine, axis=-2)
 
 
 def biha_enhance(word_max, region_max):

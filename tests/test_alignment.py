@@ -17,11 +17,14 @@ from spikefusion.tensor import Tensor
 
 from helpers import (
     biha_enhance,
+    bytes_after_backward,
     central_difference,
     fine_similarity,
     hard_align_region,
     hard_align_word,
+    interior_nodes,
     lse_pool,
+    reference_l2_normalize,
     reference_similarity,
 )
 
@@ -264,18 +267,6 @@ class TestSimilarityModes:
             assert (err <= tol).all(), f"{mode}: max err {err.max()}"
 
 
-def _tape_nodes(out):
-    """Interior nodes of the graph behind ``out``."""
-    seen, todo = set(), [out]
-    while todo:
-        node = todo.pop()
-        if id(node) in seen or not node._parents:
-            continue
-        seen.add(id(node))
-        todo.extend(node._parents)
-    return len(seen)
-
-
 class TestPooledNode:
     """The one-node ``similarity`` against the composed chain, bit for bit."""
 
@@ -314,9 +305,53 @@ class TestPooledNode:
         e, r = Tensor.param(e0), Tensor.param(r0)
         out = similarity(e, r, PoolConfig(alpha=0.1, mode=mode))
         r_hat, e_hat = out._parents
-        # l2_normalize ends in a division whose first parent is its input
-        assert r_hat._parents[0] is r and e_hat._parents[0] is e
+        assert r_hat._parents == (r,) and e_hat._parents == (e,)
         assert r_hat.data.tobytes() == l2_normalize(r).data.tobytes()
         assert e_hat.data.tobytes() == l2_normalize(e).data.tobytes()
-        assert _tape_nodes(out) == (_tape_nodes(l2_normalize(e))
-                                    + _tape_nodes(l2_normalize(r)) + 1)
+        assert interior_nodes(out) == (interior_nodes(l2_normalize(e))
+                                       + interior_nodes(l2_normalize(r)) + 1)
+
+
+class TestL2Node:
+    """``l2_normalize`` is one tape node over its input, bit for bit equal to
+    the composed ``x / sqrt(max(sum(x * x), eps))``."""
+
+    @staticmethod
+    def inputs():
+        # one token under the eps floor, as a fully masked fused token is
+        rng = np.random.default_rng(58)
+        x = rng.standard_normal((3, 4, 6)).astype(np.float32)
+        x[1, 2] = 0.01
+        g = rng.standard_normal(x.shape).astype(np.float32)
+        g.reshape(-1)[::5] = -0.0
+        return x, g
+
+    def test_bit_identical_to_composed_graph(self):
+        x0, g = self.inputs()
+        runs = []
+        for fn in (l2_normalize, reference_l2_normalize):
+            x = Tensor.param(x0)
+            runs.append(bytes_after_backward(fn(x), g, x))
+        assert runs[0] == runs[1]
+
+    def test_shared_input_bit_identical_to_composed_graph(self):
+        # ``pooled`` feeds four normalisations per step: each node hands the
+        # shared input its three gradients one at a time, in the composed
+        # graph's order, so the running sum rounds as it did
+        x0, g = self.inputs()
+        runs = []
+        for fn in (l2_normalize, reference_l2_normalize):
+            x = Tensor.param(x0)
+            out = (fn(x) * np.float32(2.0) + fn(x) + fn(x * np.float32(1.5))
+                   + fn(x))
+            runs.append(bytes_after_backward(out, g, x))
+        assert runs[0] == runs[1]
+
+    def test_one_node_over_its_input(self):
+        x = Tensor.param(self.inputs()[0])
+        assert l2_normalize(x)._parents == (x,)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-2, float("nan")])
+    def test_eps_must_be_positive(self, eps):
+        with pytest.raises(ParameterError, match="eps must be > 0"):
+            l2_normalize(Tensor(self.inputs()[0]), eps=eps)

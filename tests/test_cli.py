@@ -99,6 +99,29 @@ def test_eval_on_saturated_toy_prints_600(tmp_path, capsys):
     assert "R@Sum 600" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("pairs, split", [(4, "train"), (12, "val")])
+def test_train_names_the_split_its_best_r_sum_ranks(tmp_path, capsys, pairs,
+                                                    split):
+    # at val_fraction 0.25, 4 pairs hold out 1, too few to rank
+    data_dir = tmp_path / "data"
+    main(["synth-data", "--out", str(data_dir), "--pairs", str(pairs),
+          "--regions", "4", "--words", "4", "--region-width", "12",
+          "--word-width", "10", "--seed", "9"])
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(CONFIG_TEXT.replace("epochs = 12", "epochs = 1"))
+    run_dir = tmp_path / "run"
+    rc = main(["train", "--data", str(data_dir), "--config", str(config_path),
+               "--out", str(run_dir)])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert f"best {split} r_sum " in out
+    assert ("val_source=train" in out) == (split == "train")
+    history = (run_dir / "history.csv").read_text().splitlines()
+    column = history[0].split(",").index("val_source")
+    expected = "train" if split == "train" else "held-out"
+    assert history[1].split(",")[column] == expected
+
+
 def test_energy_report_command(workspace, capsys):
     tmp_path, data_dir, config_path = workspace
     run_dir = tmp_path / "run"

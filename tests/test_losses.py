@@ -9,6 +9,8 @@ from spikefusion.errors import ContractError, ParameterError, UsageError
 from spikefusion.losses import SIMILARITY_KEYS, LossWeights, infonce_pair, total_loss
 from spikefusion.tensor import Tensor
 
+from helpers import bytes_after_backward, reference_infonce_pair
+
 RNG = np.random.default_rng(606)
 
 
@@ -75,6 +77,42 @@ class TestInfonce:
         s = Tensor.param(RNG.standard_normal((4, 4)).astype(np.float32))
         infonce_pair(s, 0.5).backward()
         assert (np.diag(s.grad) < 0).all()  # raising S_ii lowers the loss
+
+
+class TestInfonceNode:
+    """``infonce_pair`` is one tape node over ``s``, bit for bit equal to the
+    composed graph of two masked log-sum-exp directions."""
+
+    @pytest.mark.parametrize("b", [2, 7, 9, 32])
+    def test_bit_identical_to_composed_graph(self, b):
+        # from B = 9 on, the transposed direction's gradient sums round
+        # differently unless they keep the transposed view's layout
+        s0 = np.random.default_rng(b).standard_normal((b, b)).astype(np.float32)
+        runs = []
+        for fn in (infonce_pair, reference_infonce_pair):
+            s = Tensor.param(s0)
+            runs.append(bytes_after_backward(fn(s, 0.05), np.float32(0.75), s))
+        assert runs[0] == runs[1]
+
+    def test_shared_matrix_bit_identical_to_composed_graph(self):
+        s0 = np.random.default_rng(5).standard_normal((9, 9)).astype(np.float32)
+        g = np.random.default_rng(6).standard_normal((9, 9)).astype(np.float32)
+        g[::2, 1] = -0.0
+        runs = []
+        for fn in (infonce_pair, reference_infonce_pair):
+            s = Tensor.param(s0)
+            loss = (fn(s, 0.1) + (s * Tensor(g)).sum() + fn(s * 2.0, 0.3))
+            runs.append(bytes_after_backward(loss, np.float32(1.0), s))
+        assert runs[0] == runs[1]
+
+    def test_one_node_over_the_matrix(self):
+        s = Tensor.param(np.eye(3, dtype=np.float32))
+        assert infonce_pair(s, 0.5)._parents == (s,)
+
+    @pytest.mark.parametrize("temperature", [0.0, -0.5, float("nan")])
+    def test_temperature_must_be_positive(self, temperature):
+        with pytest.raises(ParameterError, match="temperature must be > 0"):
+            infonce_pair(Tensor(np.eye(3, dtype=np.float32)), temperature)
 
 
 class TestTotalLoss:

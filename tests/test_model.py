@@ -5,6 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from spikefusion import alignment as alignment_module
+from spikefusion import layers as layers_module
+from spikefusion import losses as losses_module
 from spikefusion import model as model_module
 from spikefusion.alignment import POOL_MODES, similarity
 from spikefusion.config import RunConfig
@@ -14,7 +17,15 @@ from spikefusion.model import EVAL_BLOCK, RetrievalModel
 from spikefusion.tensor import Tensor, no_grad, smooth_spike_mode
 from spikefusion.train import evaluate_recall
 
-from helpers import reference_similarity, smooth_fd_audit
+from helpers import (
+    interior_nodes,
+    reference_batch_norm,
+    reference_infonce_pair,
+    reference_l2_normalize,
+    reference_layer_norm,
+    reference_similarity,
+    smooth_fd_audit,
+)
 
 
 def toy_model(fusion="scca", seed=8, **kw):
@@ -167,6 +178,48 @@ class TestPooledSimilarityNode:
         assert all(g is not None for g in node_grads.values())
         moved = [n for n in node_grads if node_grads[n] != chain_grads[n]]
         assert moved == []
+
+
+class TestOneNodeGlue:
+    """A training step with one-node normalisations and contrastive losses
+    against the same step through their composed graphs (``helpers``)."""
+
+    @staticmethod
+    def step(fusion, generator, lam):
+        regions, words = toy_batch(seed=103)
+        model = toy_model(fusion=fusion, seed=4, lam=lam, generator=generator)
+        total, _ = model.training_losses(regions, words)
+        total.backward()
+        grads = {name: None if p.grad is None else p.grad.tobytes()
+                 for name, p in model.params().items()}
+        stats = {name: a.tobytes() for name, a in model.buffers().items()}
+        return total.data.tobytes(), grads, stats
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("generator", ["repeat-ln", "linear-bn"])
+    @pytest.mark.parametrize("fusion", ["sca", "scca", "scsa", "none"])
+    def test_step_is_bit_identical_to_composed_graphs(
+            self, fusion, generator, lam, monkeypatch):
+        node = self.step(fusion, generator, lam)
+        monkeypatch.setattr(layers_module, "layer_norm", reference_layer_norm)
+        monkeypatch.setattr(layers_module, "batch_norm", reference_batch_norm)
+        monkeypatch.setattr(alignment_module, "l2_normalize",
+                            reference_l2_normalize)
+        monkeypatch.setattr(losses_module, "infonce_pair",
+                            reference_infonce_pair)
+        composed = self.step(fusion, generator, lam)
+        assert node[0] == composed[0], "loss"
+        assert node[2] == composed[2], "running stats"
+        moved = [n for n in node[1] if node[1][n] != composed[1][n]]
+        assert moved == []
+
+    def test_interior_node_count_is_pinned(self):
+        # one node per normalisation, similarity and contrastive loss: 140
+        # interior nodes, 428 with their composed graphs.  A change that
+        # composes one of them again changes this count.
+        regions, words = toy_batch()
+        total, _ = toy_model().training_losses(regions, words)
+        assert interior_nodes(total) == 140
 
 
 class TestEvalPath:

@@ -1,4 +1,8 @@
-"""Engine tests: arithmetic, shape ops, normalization, and the spike op."""
+"""Engine tests: arithmetic, shape ops, normalization, and the spike op.
+
+``mean``, ``reduce_max``, ``sqrt``, ``clip_min`` and ``logsumexp`` live in
+``helpers``: only the composed oracles use them.
+"""
 
 import weakref
 from dataclasses import replace
@@ -6,8 +10,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spikefusion.alignment import PoolConfig, similarity
+from spikefusion.alignment import PoolConfig, l2_normalize, similarity
 from spikefusion.errors import DimensionError, ParameterError, StateError, UsageError
+from spikefusion.losses import infonce_pair
 from spikefusion.neurons import (
     LIFParams,
     TLSNParams,
@@ -22,7 +27,6 @@ from spikefusion.tensor import (
     batch_norm,
     concat,
     layer_norm,
-    logsumexp,
     matmul,
     no_grad,
     repeat_steps,
@@ -31,7 +35,17 @@ from spikefusion.tensor import (
     stack,
 )
 
-from helpers import central_difference
+from helpers import (
+    bytes_after_backward,
+    central_difference,
+    clip_min,
+    logsumexp,
+    mean,
+    reduce_max,
+    reference_batch_norm,
+    reference_layer_norm,
+    sqrt,
+)
 
 RNG = np.random.default_rng(20240601)
 
@@ -49,6 +63,20 @@ def spike(h, v_th):
 # (3, 4) entries in [0.5, 1.5], none within 0.04 of the clip_min floor 1.0
 X_DATA = (0.5 + np.arange(12, dtype=np.float32) / 11).reshape(3, 4)
 
+
+def _affine(d):
+    return (Tensor(np.full(d, 1.5, dtype=np.float32)),
+            Tensor(np.full(d, 0.25, dtype=np.float32)))
+
+
+def _primed_stats(d):
+    """Running stats as one train-mode batch leaves them (eval mode's)."""
+    stats = RunningStats()
+    stats.update(np.linspace(-0.5, 0.5, d).astype(np.float32),
+                 np.linspace(0.5, 2.0, d).astype(np.float32), momentum=0.1)
+    return stats
+
+
 # the ops without a gradient test of their own, each applied to X_DATA
 GRAD_OPS = {
     "reshape": lambda x: x.reshape((2, 6)),
@@ -58,10 +86,10 @@ GRAD_OPS = {
     "getitem_slice": lambda x: x[1:, ::2],
     "sum_axis": lambda x: x.sum(axis=0),
     "sum_keepdims": lambda x: x.sum(axis=1, keepdims=True),
-    "mean": lambda x: x.mean(axis=-1),
+    "mean": lambda x: mean(x, axis=-1),
     "exp": lambda x: x.exp(),
-    "sqrt": lambda x: x.sqrt(),
-    "clip_min": lambda x: x.clip_min(1.0),
+    "sqrt": sqrt,
+    "clip_min": lambda x: clip_min(x, 1.0),
     "neg": lambda x: -x,
     "rsub": lambda x: 2.0 - x,
     "rtruediv": lambda x: 2.0 / x,
@@ -74,7 +102,7 @@ TAPE_OPS = {
     "sub": lambda x: x - 1.0,
     "truediv": lambda x: x / 2.0,
     "matmul": lambda x: matmul(x, Tensor(np.ones((4, 2), dtype=np.float32))),
-    "max": lambda x: x.max(axis=1),
+    "max": lambda x: reduce_max(x, axis=1),
     "stack": lambda x: stack([x, x]),
     "concat": lambda x: concat([x, x], axis=0),
     "repeat_steps": lambda x: repeat_steps(x, 2),
@@ -83,6 +111,13 @@ TAPE_OPS = {
     "lif_fold": lambda x: lif_sequence(x, SPIKE),
     "pooled_similarity": lambda x: similarity(
         x.reshape((3, 1, 4)), x.reshape((1, 3, 4)), PoolConfig()),
+    "layer_norm": lambda x: layer_norm(x, *_affine(4)),
+    "batch_norm_train": lambda x: batch_norm(x, *_affine(4), RunningStats(),
+                                             train=True),
+    "batch_norm_eval": lambda x: batch_norm(x, *_affine(4), _primed_stats(4),
+                                            train=False),
+    "l2_normalize": l2_normalize,
+    "infonce_pair": lambda x: infonce_pair(x[:, :3], 0.5),
 }
 
 
@@ -155,7 +190,7 @@ class TestElementwise:
     def test_max_routes_to_first_argmax(self):
         x = Tensor.param(np.array([[1.0, 3.0, 3.0], [0.5, 0.2, 0.1]],
                                   dtype=np.float32))
-        x.max(axis=1).sum().backward()
+        reduce_max(x, axis=1).sum().backward()
         np.testing.assert_array_equal(
             x.grad, [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
 
@@ -164,7 +199,7 @@ class TestElementwise:
         # strides of the fine similarity tensor's transpose (this axis
         # order) would change their rounding
         x = Tensor(RNG.standard_normal((2, 3, 4, 5)).astype(np.float32))
-        out = x.transpose((0, 2, 3, 1)).max(axis=-2)
+        out = reduce_max(x.transpose((0, 2, 3, 1)), axis=-2)
         assert out.data.flags.c_contiguous
         np.testing.assert_array_equal(out.data,
                                       x.data.max(axis=3).transpose((0, 2, 1)))
@@ -448,6 +483,84 @@ class TestBatchNorm:
         assert np.abs(flat.var(axis=0) - 1.0).max() < 1e-3
 
 
+# name -> (one-node op, composed oracle), both called as f(x, gamma, beta)
+NORMS = {
+    "layer_norm": (layer_norm, reference_layer_norm),
+    "batch_norm_train": (
+        lambda x, g, b: batch_norm(x, g, b, RunningStats(), train=True),
+        lambda x, g, b: reference_batch_norm(x, g, b, RunningStats(),
+                                             train=True)),
+    "batch_norm_eval": (
+        lambda x, g, b: batch_norm(x, g, b, _primed_stats(6), train=False),
+        lambda x, g, b: reference_batch_norm(x, g, b, _primed_stats(6),
+                                             train=False)),
+}
+
+
+class TestNormNode:
+    """``layer_norm`` and ``batch_norm`` (train and eval) are one tape node
+    over ``(x, gamma, beta)``, bit for bit equal to the composed graphs."""
+
+    @staticmethod
+    def inputs():
+        rng = np.random.default_rng(41)
+        x = rng.standard_normal((2, 3, 5, 6)).astype(np.float32) * 2.0 + 0.5
+        gamma = rng.uniform(-1.5, 1.5, 6).astype(np.float32)
+        gamma[2] = 0.0
+        beta = rng.standard_normal(6).astype(np.float32)
+        g = rng.standard_normal(x.shape).astype(np.float32)
+        g.reshape(-1)[::7] = -0.0
+        return x, gamma, beta, g
+
+    @pytest.mark.parametrize("x_grad", [True, False], ids=["x", "no_x"])
+    @pytest.mark.parametrize("name", sorted(NORMS))
+    def test_bit_identical_to_composed_graph(self, name, x_grad):
+        x0, gamma0, beta0, g = self.inputs()
+        runs = []
+        for fn in NORMS[name]:
+            x = Tensor(x0.copy(), requires_grad=x_grad)
+            gamma, beta = Tensor.param(gamma0), Tensor.param(beta0)
+            out = fn(x, gamma, beta)
+            runs.append(bytes_after_backward(out, g, x, gamma, beta))
+        node, oracle = runs
+        for what, a, b in zip(("out", "x", "gamma", "beta"), node, oracle):
+            assert a == b, what
+
+    def test_running_stats_match_composed_graph(self):
+        x0, gamma0, beta0, _ = self.inputs()
+        stats = [RunningStats(), RunningStats()]
+        for _ in range(2):
+            batch_norm(Tensor(x0), Tensor(gamma0), Tensor(beta0), stats[0],
+                       train=True, momentum=0.3)
+            reference_batch_norm(Tensor(x0), Tensor(gamma0), Tensor(beta0),
+                                 stats[1], train=True, momentum=0.3)
+            x0 = x0 * np.float32(1.5) - np.float32(0.25)
+        assert stats[0].mean.tobytes() == stats[1].mean.tobytes()
+        assert stats[0].var.tobytes() == stats[1].var.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(NORMS))
+    def test_one_node_over_input_and_affine(self, name):
+        x0, gamma0, beta0, _ = self.inputs()
+        x, gamma, beta = (Tensor.param(a) for a in (x0, gamma0, beta0))
+        assert NORMS[name][0](x, gamma, beta)._parents == (x, gamma, beta)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-5, float("nan")])
+@pytest.mark.parametrize("name", sorted(NORMS))
+def test_norm_eps_must_be_positive(name, eps):
+    stats = _primed_stats(4)
+    ops = {
+        "layer_norm": lambda x, g, b: layer_norm(x, g, b, eps=eps),
+        "batch_norm_train": lambda x, g, b: batch_norm(
+            x, g, b, RunningStats(), train=True, eps=eps),
+        "batch_norm_eval": lambda x, g, b: batch_norm(
+            x, g, b, stats, train=False, eps=eps),
+    }
+    gamma, beta = _affine(4)
+    with pytest.raises(ParameterError, match="eps must be > 0"):
+        ops[name](Tensor(X_DATA), gamma, beta)
+
+
 class TestSpikeThreshold:
     def test_boundary_fires(self):
         out = spike(Tensor(np.array([1.0], dtype=np.float32)), 1.0)
@@ -516,7 +629,7 @@ def test_composed_graph_matches_finite_differences():
     def forward():
         y = layer_norm(matmul(x, w), gamma, beta)
         z = logsumexp(y * np.float32(2.0), axis=-1)
-        return (z * z).mean()
+        return mean(z * z)
 
     def loss():
         return float(forward().data)

@@ -110,6 +110,28 @@ class TestTrainLoop:
                     continue
                 assert a[key] == b[key], key
 
+    def test_tiny_validation_split_falls_back_to_train_and_says_so(
+            self, tmp_path):
+        # 4 pairs at 0.25 hold out 1 pair, too few to rank: recall is
+        # ranked on the 3 training pairs and every record names that split
+        data = tiny_dataset(tmp_path, pairs=4)
+        lines = []
+        result = train(tiny_config(epochs=2), data, log_fn=lines.append)
+        assert result.val_source == "train"
+        assert [r["val_source"] for r in result.history] == ["train", "train"]
+        epoch_lines = [l for l in lines if l.startswith("epoch=")]
+        assert len(epoch_lines) == 2
+        assert all(l.endswith(" val_source=train") for l in epoch_lines)
+
+    def test_held_out_validation_logs_keep_their_form(self, tmp_path):
+        data = tiny_dataset(tmp_path)
+        lines = []
+        result = train(tiny_config(epochs=1), data, log_fn=lines.append)
+        assert result.val_source == "held-out"
+        assert result.history[0]["val_source"] == "held-out"
+        assert not any("val_source" in l for l in lines)
+        assert lines[-1].startswith("epoch=0 val_r_sum=")
+
     def test_step_logs_carry_all_components(self, tmp_path):
         data = tiny_dataset(tmp_path)
         lines = []
