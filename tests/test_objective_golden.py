@@ -1,11 +1,12 @@
 """The training objective is pinned by what it trains.
 
 A tiny fixed-seed model is trained for two epochs for every fusion kind at
-lambda 0, 0.5 and 1 under biha pooling, and at lambda 0.5 under each of the
-other three alignments, and the sha256 of its parameters (sorted by name)
+lambda 0, 0.5 and 1 under biha pooling, at lambda 0.5 under each of the
+other three alignments, and with scca at lambda 0.5 under each of the other
+five spike generators, and the sha256 of its parameters (sorted by name)
 must match ``golden/objective_params.txt``.  Any change to which loss terms
-are computed, their weights, their arithmetic or the pooling that feeds them
-moves at least one hash.
+are computed, their weights, their arithmetic, the pooling that feeds them
+or the encoder that produces their inputs moves at least one hash.
 
 Regenerate the golden file with ``PYTHONPATH=src python
 tests/test_objective_golden.py > tests/golden/objective_params.txt``.
@@ -26,6 +27,7 @@ GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
 FUSIONS = ("none", "scca", "sca", "scsa")
 LAMBDAS = (0.0, 0.5, 1.0)
 ALIGNMENTS = ("lse", "vha", "tha")
+GENERATORS = ("repeat-bn", "linear-ln", "linear-bn", "conv-bn", "delta-bn")
 
 
 def make_dataset(root):
@@ -34,11 +36,11 @@ def make_dataset(root):
         region_width=12, word_width=10, noise=0.1))
 
 
-def param_hash(dataset, fusion, lam, alignment="biha"):
+def param_hash(dataset, fusion, lam, alignment="biha", generator="repeat-ln"):
     cfg = RunConfig(d=16, t=2, batch=8, heads=2, seed=5, epochs=2,
                     lr_encoder=2e-3, lr_fusion=2e-3, temperature=0.05,
                     lr_decay_epochs=1, val_fraction=0.25, fusion=fusion,
-                    lam=lam, alignment=alignment)
+                    lam=lam, alignment=alignment, generator=generator)
     params = train(cfg, dataset).model.params()
     digest = hashlib.sha256()
     for name in sorted(params):
@@ -48,8 +50,9 @@ def param_hash(dataset, fusion, lam, alignment="biha"):
 
 
 def read_golden():
-    """Hash by case; a line is ``<fusion> <lambda> [<alignment>] <sha256>``,
-    and a line without an alignment is biha."""
+    """Hash by case; a line is ``<fusion> <lambda> [<alignment> or
+    <generator>] <sha256>``, and a line without either is biha over
+    repeat-ln."""
     with open(GOLDEN_PATH, encoding="utf-8") as fh:
         rows = (line.split() for line in fh if line.strip())
         return {tuple(row[:-1]): row[-1] for row in rows}
@@ -73,6 +76,12 @@ def test_alignment_parameters_match_golden(dataset, fusion, alignment):
         == read_golden()[(fusion, "0.5", alignment)]
 
 
+@pytest.mark.parametrize("generator", GENERATORS)
+def test_generator_parameters_match_golden(dataset, generator):
+    assert param_hash(dataset, "scca", 0.5, generator=generator) \
+        == read_golden()[("scca", "0.5", generator)]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as root:
         data = make_dataset(root)
@@ -82,3 +91,5 @@ if __name__ == "__main__":
         for f in FUSIONS:
             for a in ALIGNMENTS:
                 print(f"{f} 0.5 {a} {param_hash(data, f, 0.5, a)}")
+        for g in GENERATORS:
+            print(f"scca 0.5 {g} {param_hash(data, 'scca', 0.5, generator=g)}")
