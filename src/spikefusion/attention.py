@@ -18,7 +18,7 @@ from .errors import DimensionError
 from .layers import BatchNorm, Linear, Module
 from .neurons import LIFParams
 from .tensor import Tensor, as_tensor, matmul
-from .encoding import GeneratorConfig, SpikeGenerator, project_features
+from .encoding import GeneratorConfig, SpikeGenerator
 
 
 class SpikeSelfAttention(Module):
@@ -63,14 +63,12 @@ class SpikeGatedMLP(Module):
     information survives the gate.
     """
 
-    def __init__(self, d: int, lif: LIFParams, rng: np.random.Generator,
-                 d_hidden: int | None = None):
-        d_hidden = d if d_hidden is None else d_hidden
+    def __init__(self, d: int, lif: LIFParams, rng: np.random.Generator):
         # no norm inside this block: the larger gain keeps the gate drive
         # near threshold at init so the gate and output paths stay trainable
-        self.w_g = Linear(d, d_hidden, rng, bias=False, gain=3.0)
-        self.w_p = Linear(d, d_hidden, rng, bias=False)
-        self.w_o = Linear(d_hidden, d, rng, bias=False, gain=3.0)
+        self.w_g = Linear(d, d, rng, bias=False, gain=3.0)
+        self.w_p = Linear(d, d, rng, bias=False)
+        self.w_o = Linear(d, d, rng, bias=False, gain=3.0)
         self.lif = lif
 
     def __call__(self, x_s: Tensor) -> Tensor:
@@ -130,7 +128,7 @@ class UnimodalEncoder(Module):
 
     def __call__(self, x_raw: Tensor, train: bool = False) -> EncoderOutput:
         record_matmul("linear", x_raw, self.proj.w, 1, "float")
-        x_f = project_features(x_raw, self.proj)
+        x_f = self.proj(x_raw)
         x_s = self.gen(x_f, train)
         x_s1 = x_s + self.attn(x_s, train)
         x_s2 = x_s1 + self.mlp(x_s1)

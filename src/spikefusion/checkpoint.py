@@ -37,10 +37,6 @@ class Checkpoint:
     epoch: int
     config_text: str
 
-    def params(self) -> dict[str, np.ndarray]:
-        return {k: v for k, v in self.arrays.items()
-                if not k.startswith(("buffer/", "adam_m/", "adam_v/"))}
-
     def buffers(self) -> dict[str, np.ndarray]:
         return {k.split("/", 1)[1]: v for k, v in self.arrays.items()
                 if k.startswith("buffer/")}
@@ -103,6 +99,8 @@ def load_checkpoint(path) -> Checkpoint:
         raise UsageError(f"{path}: malformed checkpoint header ({exc})") from exc
     arrays: dict[str, np.ndarray] = {}
     for name, shape, offset, nbytes in entries:
+        if name in arrays:
+            raise UsageError(f"{path}: array {name!r} is indexed twice")
         if offset + nbytes > len(payload):
             raise UsageError(f"{path}: array {name!r} overruns the payload")
         flat = np.frombuffer(payload[offset:offset + nbytes], dtype="<f4")
@@ -137,6 +135,6 @@ def restore_model(checkpoint: Checkpoint, region_width: int, word_width: int):
 
     config = parse_config(checkpoint.config_text)
     model = RetrievalModel(config, region_width, word_width)
-    model.load_params(checkpoint.params())
+    model.load_params(checkpoint.arrays)
     model.load_buffers(checkpoint.buffers())
     return model

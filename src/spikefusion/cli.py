@@ -11,7 +11,7 @@ import numpy as np
 from . import data as data_mod
 from .checkpoint import load_checkpoint, restore_model
 from .config import RunConfig, load_config
-from .energy import EnergyConstants, energy_report
+from .energy import energy_report
 from .errors import ContractError, StateError, UsageError
 from .tensor import Tensor
 from .train import ABLATION_AXES, ablation_sweep, evaluate_recall, train
@@ -107,7 +107,7 @@ def cmd_energy(args) -> int:
     n = min(args.batch, dataset.pairs)
     regions = Tensor(dataset.regions[:n])
     words = Tensor(dataset.words[:n])
-    report = energy_report(model, regions, words, EnergyConstants())
+    report = energy_report(model, regions, words)
     text = report.render()
     # parameter count is informational; it depends on the feature widths
     n_params = sum(int(np.prod(p.data.shape)) for p in model.params().values())
@@ -142,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth-data", help="generate a synthetic paired dataset")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", required=True)
     p.add_argument("--pairs", type=int, default=200)
     p.add_argument("--regions", type=int, default=36)
     p.add_argument("--words", type=int, default=36)
@@ -186,8 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "synth-data" and not args.out:
-        parser.error("synth-data requires --out")
     try:
         return args.func(args)
     except (UsageError, ValueError, FloatingPointError, OSError, ContractError,

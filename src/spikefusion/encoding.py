@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError
 from .layers import BatchNorm, LayerNorm, Linear, Module
 from .neurons import LIFParams, TLSNParams
 from .tensor import Tensor, as_tensor, concat, repeat_steps, stack
@@ -41,17 +41,6 @@ class GeneratorConfig:
             )
         if not self.t >= 1:
             raise ConfigError(f"spike generator needs t >= 1, got {self.t}")
-
-
-def project_features(x_raw: Tensor, projection: Linear) -> Tensor:
-    """Map raw token features (..., K, D_raw) to the common width D."""
-    x_raw = as_tensor(x_raw)
-    if x_raw.shape[-1] != projection.w.shape[0]:
-        raise DimensionError(
-            f"feature width {x_raw.shape[-1]} does not match projection "
-            f"input width {projection.w.shape[0]}"
-        )
-    return projection(x_raw)
 
 
 def _shift_tokens(x: Tensor, offset: int) -> Tensor:

@@ -196,8 +196,7 @@ def record_mask(name: str, multiplies: int = 0):
                                   0.0))
 
 
-def energy_report(model, regions, words,
-                  consts: EnergyConstants | None = None) -> EnergyReport:
+def energy_report(model, regions, words) -> EnergyReport:
     """Instrumented eval-mode forward of both encoders over a calibration
     batch, in one call each.
 
@@ -208,4 +207,4 @@ def energy_report(model, regions, words,
         model.encode(regions, words, train=False)
     if not layers:
         raise AccountingError("instrumented forward recorded no layers")
-    return EnergyReport(layers, consts or EnergyConstants())
+    return EnergyReport(layers, EnergyConstants())

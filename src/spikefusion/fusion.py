@@ -158,19 +158,18 @@ class SpikeFusion(Module):
     """
 
     def __init__(self, cfg: FusionConfig, d: int, t: int, lif: LIFParams,
-                 rng: np.random.Generator, comb_lif: LIFParams | None = None):
+                 rng: np.random.Generator, comb_lif: LIFParams):
         self.cfg = cfg
         self.pool = TemporalPool(t)
         self.call_count = 0
-        self.comb_lif = comb_lif or lif
+        self.comb_lif = comb_lif
         if cfg.kind == "sca":
             self.cross_r = SpikeCrossAttention(d, lif, rng)
             self.cross_e = SpikeCrossAttention(d, lif, rng)
         elif cfg.kind == "scsa":
             self.concat = ConcatSelfAttention(d, lif, rng)
 
-    def fuse_and_pool(self, r_spikes: Tensor, e_spikes: Tensor,
-                      train: bool = True):
+    def fuse_and_pool(self, r_spikes: Tensor, e_spikes: Tensor):
         """Fuse the two pre-pool spike streams and pool each over time.
 
         Returns (r_bar, e_bar) float embeddings of shapes (B, N, D) and
@@ -183,8 +182,8 @@ class SpikeFusion(Module):
             r_fused = comb_mask(e_spikes, r_spikes, self.cfg.h, self.comb_lif)
             e_fused = comb_mask(r_spikes, e_spikes, self.cfg.h, self.comb_lif)
         elif kind == "sca":
-            r_fused = self.cross_r(r_spikes, e_spikes, train)
-            e_fused = self.cross_e(e_spikes, r_spikes, train)
+            r_fused = self.cross_r(r_spikes, e_spikes, train=True)
+            e_fused = self.cross_e(e_spikes, r_spikes, train=True)
         else:
-            r_fused, e_fused = self.concat(r_spikes, e_spikes, train)
+            r_fused, e_fused = self.concat(r_spikes, e_spikes, train=True)
         return self.pool(r_fused), self.pool(e_fused)

@@ -99,26 +99,22 @@ class Linear(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, d: int, eps: float = 1e-5):
+    def __init__(self, d: int):
         self.gamma = Tensor.param(np.ones(d, dtype=np.float32))
         self.beta = Tensor.param(np.zeros(d, dtype=np.float32))
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gamma, self.beta, self.eps)
+        return layer_norm(x, self.gamma, self.beta)
 
 
 class BatchNorm(Module):
     """Channel batch norm with stats pooled over time, batch and token axes."""
 
-    def __init__(self, d: int, eps: float = 1e-5, momentum: float = 0.1):
+    def __init__(self, d: int):
         self.gamma = Tensor.param(np.ones(d, dtype=np.float32))
         self.beta = Tensor.param(np.zeros(d, dtype=np.float32))
         self.stats = RunningStats()
         self.d = d
-        self.eps = eps
-        self.momentum = momentum
 
     def __call__(self, x: Tensor, train: bool) -> Tensor:
-        return batch_norm(x, self.gamma, self.beta, self.stats, train,
-                          self.momentum, self.eps)
+        return batch_norm(x, self.gamma, self.beta, self.stats, train)

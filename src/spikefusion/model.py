@@ -93,8 +93,7 @@ class RetrievalModel(Module):
         if lam < 1.0:
             sims["basic"] = sim(e_out.pooled, r_out.pooled)
         if lam < 1.0 and self.fusion is not None:
-            r_bar, e_bar = self.fusion.fuse_and_pool(r_out.spikes, e_out.spikes,
-                                                     train=True)
+            r_bar, e_bar = self.fusion.fuse_and_pool(r_out.spikes, e_out.spikes)
             sims.update(fusion=sim(e_bar, r_bar),
                         inter_er=sim(e_out.pooled, r_bar),
                         inter_re=sim(e_bar, r_out.pooled),

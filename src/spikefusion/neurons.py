@@ -24,7 +24,7 @@ oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,10 +148,9 @@ class TLSNParams(Module):
     v_th_raw: Tensor
 
     @staticmethod
-    def create(lif: LIFParams, init_v_th: float | None = None) -> "TLSNParams":
-        # replace() re-checks the threshold floor for a custom initial value
-        target = lif if init_v_th is None else replace(lif, v_th=init_v_th)
-        gap = target.v_th - lif.v_reset - THRESHOLD_FLOOR
+    def create(lif: LIFParams) -> "TLSNParams":
+        """Start the learnable threshold at ``lif.v_th``."""
+        gap = lif.v_th - lif.v_reset - THRESHOLD_FLOOR
         raw = gap + math.log(-math.expm1(-gap))  # inverse softplus, no overflow
         return TLSNParams(lif=lif, v_th_raw=Tensor.param(np.float32(raw)))
 

@@ -122,9 +122,6 @@ class Tensor:
         else:
             self.grad += g
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     # -- autodiff core --------------------------------------------------------
 
     def backward(self):
@@ -238,12 +235,6 @@ class Tensor:
         old = self.data.shape
         return _make(self.data.reshape(shape), (self,),
                      lambda g: self._accumulate(g.reshape(old)))
-
-    def transpose(self, axes) -> "Tensor":
-        axes = tuple(axes)
-        inverse = tuple(np.argsort(axes))
-        return _make(self.data.transpose(axes), (self,),
-                     lambda g: self._accumulate(g.transpose(inverse)))
 
     def swapaxes(self, a: int, b: int) -> "Tensor":
         return _make(self.data.swapaxes(a, b), (self,),

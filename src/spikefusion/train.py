@@ -16,7 +16,7 @@ from .errors import UsageError
 from .losses import LOSS_NAMES
 from .model import RetrievalModel
 from .optim import AdamW
-from .tensor import Tensor, no_grad
+from .tensor import Tensor
 
 RECALL_KS = (1, 5, 10)
 
@@ -57,13 +57,10 @@ def recall_from_similarity(s: np.ndarray, ks=RECALL_KS) -> dict[str, float]:
     return metrics
 
 
-def evaluate_recall(model: RetrievalModel, dataset: Dataset,
-                    ks=RECALL_KS) -> dict[str, float]:
+def evaluate_recall(model: RetrievalModel, dataset: Dataset) -> dict[str, float]:
     """Rank the full evaluation set via the pooled similarity matrix."""
-    with no_grad():
-        s = model.eval_similarity(Tensor(dataset.regions),
-                                  Tensor(dataset.words))
-    return recall_from_similarity(s.data, ks)
+    s = model.eval_similarity(Tensor(dataset.regions), Tensor(dataset.words))
+    return recall_from_similarity(s.data)
 
 
 @dataclass
@@ -196,8 +193,8 @@ def ablation_sweep(axis: str, values, config: RunConfig, dataset: Dataset,
 
     Rows carry the training-split recall of the final model, mirroring the
     layout of the alignment / fusion / time-step / head-count comparisons.
-    Every value is converted and validated before the first model trains;
-    a bad one raises ``UsageError`` naming it.
+    Every value (and its comb count against the token counts) is checked
+    before the first model trains; a bad one raises ``UsageError`` naming it.
     """
     if axis not in ABLATION_AXES:
         raise UsageError(
@@ -208,10 +205,13 @@ def ablation_sweep(axis: str, values, config: RunConfig, dataset: Dataset,
     runs = []
     for value in values:
         try:
-            runs.append((value,
-                         replace(config, **{name: kind(value)}).validate()))
+            cfg = replace(config, **{name: kind(value)}).validate()
+            fusion = cfg.components().fusion
+            if fusion is not None:
+                fusion.check_token_counts(dataset.n_regions, dataset.n_words)
         except ValueError as exc:
             raise UsageError(f"--values entry {value!r}: {exc}") from exc
+        runs.append((value, cfg))
     rows = []
     for value, cfg in runs:
         result = train(cfg, dataset, log_fn=log_fn)

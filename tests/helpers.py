@@ -49,6 +49,19 @@ def reduce_max(x, axis, keepdims=False):
         np.max(x.data, axis=axis, keepdims=keepdims)), (x,), bw)
 
 
+def transpose(x, axes):
+    x = as_tensor(x)
+    axes = tuple(axes)
+    inverse = tuple(np.argsort(axes))
+    return _make(x.data.transpose(axes), (x,),
+                 lambda g: x._accumulate(g.transpose(inverse)))
+
+
+def detach(x):
+    """The same values as a new leaf, cut off from the tape."""
+    return Tensor(as_tensor(x).data)
+
+
 def sqrt(x):
     x = as_tensor(x)
     out_data = np.sqrt(x.data)
@@ -242,7 +255,7 @@ def reference_fold(x, tau, v_th, v_reset, alpha=2.0):
     for t in range(x.shape[0]):
         h = v + (x[t] - (v - np.float32(v_reset))) / np.float32(tau)
         s = _reference_spike(h, v_th, alpha)
-        s_reset = s if smooth_spikes_active() else s.detach()
+        s_reset = s if smooth_spikes_active() else detach(s)
         v = h * (np.float32(1.0) - s_reset) + np.float32(v_reset) * s_reset
         spikes.append(s)
         potentials.append(v)
@@ -337,7 +350,7 @@ def fine_similarity(e_tokens, r_tokens):
     e_hat = reference_l2_normalize(e_tokens).reshape((be * nl, d))
     r_hat = reference_l2_normalize(r_tokens).reshape((br * nn, d))
     flat = matmul(r_hat, e_hat.swapaxes(-1, -2))  # (B_r*N, B_e*L)
-    return flat.reshape((br, nn, be, nl)).transpose((0, 2, 3, 1))
+    return transpose(flat.reshape((br, nn, be, nl)), (0, 2, 3, 1))
 
 
 def hard_align_word(fine):

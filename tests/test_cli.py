@@ -257,8 +257,10 @@ def test_train_rejects_a_training_split_too_small_to_step(
 
 
 def test_synth_data_requires_out(capsys):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["synth-data", "--pairs", "4"])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
 
 
 def test_synth_data_rejects_zero_regions(tmp_path):
@@ -336,6 +338,21 @@ def test_eval_rejects_checkpoint_saved_before_calibration(fixture_workspace):
     rc, err = eval_checkpoint(fixture_workspace, path.read_bytes())
     assert_one_line_error(rc, err)
     assert "running stats" in err
+
+
+def test_eval_rejects_an_array_indexed_twice(fixture_workspace):
+    """A second index line for an array, here pointing at the next array's
+    bytes, would silently replace the first."""
+    pos = next(i for i, l in enumerate(HEADER_LINES)
+               if l.startswith("arrays "))
+    n_arrays = int(HEADER_LINES[pos].split()[1])
+    name = HEADER_LINES[pos + 1].split(" ")[0]
+    _, *fields = HEADER_LINES[pos + 2].split(" ")
+    lines = HEADER_LINES[:pos] + [f"arrays {n_arrays + 1}"] \
+        + HEADER_LINES[pos + 1:] + [" ".join([name] + fields)]
+    rc, err = eval_checkpoint(fixture_workspace, with_header(lines))
+    assert_one_line_error(rc, err)
+    assert f"array {name!r} is indexed twice" in err
 
 
 @pytest.mark.parametrize("shape", ["1", "scalar"])

@@ -7,7 +7,6 @@ from spikefusion.encoding import (
     GENERATOR_VARIANTS,
     GeneratorConfig,
     SpikeGenerator,
-    project_features,
 )
 from spikefusion.errors import ConfigError, DimensionError
 from spikefusion.layers import Linear
@@ -30,25 +29,25 @@ class TestProjection:
         proj.w.data = np.eye(4, dtype=np.float32)
         proj.b.data = np.zeros(4, dtype=np.float32)
         x = Tensor(RNG.standard_normal((3, 4)).astype(np.float32))
-        np.testing.assert_array_equal(project_features(x, proj).data, x.data)
+        np.testing.assert_array_equal(proj(x).data, x.data)
 
     def test_zero_weight_gives_zero(self):
         proj = Linear(4, 6, np.random.default_rng(0))
         proj.w.data = np.zeros((4, 6), dtype=np.float32)
         x = Tensor(RNG.standard_normal((3, 4)).astype(np.float32))
-        np.testing.assert_array_equal(project_features(x, proj).data,
+        np.testing.assert_array_equal(proj(x).data,
                                       np.zeros((3, 6)))
 
     def test_region_width_contract(self):
         # 36 region features of width 2048 project to the common width 1024
         proj = Linear(2048, 1024, np.random.default_rng(0))
         x = Tensor(RNG.standard_normal((36, 2048)).astype(np.float32))
-        assert project_features(x, proj).shape == (36, 1024)
+        assert proj(x).shape == (36, 1024)
 
     def test_width_mismatch(self):
         proj = Linear(8, 4, np.random.default_rng(0))
         with pytest.raises(DimensionError):
-            project_features(Tensor(np.zeros((3, 7))), proj)
+            proj(Tensor(np.zeros((3, 7))))
 
 
 class TestConfig:

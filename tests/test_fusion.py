@@ -190,7 +190,7 @@ class TestSpikeFusion:
     @pytest.mark.parametrize("kind", ["scca", "sca", "scsa"])
     def test_fuse_and_pool_shapes(self, kind):
         fusion = SpikeFusion(FusionConfig(kind=kind, h=2), d=8, t=2, lif=LIF,
-                             rng=np.random.default_rng(1))
+                             rng=np.random.default_rng(1), comb_lif=LIF)
         r_bar, e_bar = fusion.fuse_and_pool(self._spikes(4, 1),
                                             self._spikes(6, 2))
         assert r_bar.shape == (3, 4, 8)
@@ -199,7 +199,7 @@ class TestSpikeFusion:
 
     def test_zero_spikes_give_zero_embeddings(self):
         fusion = SpikeFusion(FusionConfig(kind="scca", h=2), d=8, t=2, lif=LIF,
-                             rng=np.random.default_rng(1))
+                             rng=np.random.default_rng(1), comb_lif=LIF)
         zeros_r = Tensor(np.zeros((2, 3, 4, 8), dtype=np.float32))
         zeros_e = Tensor(np.zeros((2, 3, 6, 8), dtype=np.float32))
         r_bar, e_bar = fusion.fuse_and_pool(zeros_r, zeros_e)

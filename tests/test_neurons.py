@@ -1,6 +1,8 @@
 """LIF dynamics against hand evaluations, the composed reference fold and
 the scalar step simulator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -142,7 +144,7 @@ class TestThresholdLearnable:
                                       lif_sequence(x, DEFAULT).data)
 
     def test_huge_threshold_silences(self):
-        tlsn = TLSNParams.create(DEFAULT, init_v_th=50.0)
+        tlsn = TLSNParams.create(replace(DEFAULT, v_th=50.0))
         x = Tensor(RNG.uniform(0, 2, (4, 16)).astype(np.float32))
         assert tlsn_forward(x, tlsn).data.sum() == 0.0
 

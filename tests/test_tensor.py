@@ -1,7 +1,8 @@
 """Engine tests: arithmetic, shape ops, normalization, and the spike op.
 
-``mean``, ``reduce_max``, ``sqrt``, ``clip_min`` and ``logsumexp`` live in
-``helpers``: only the composed oracles use them.
+``mean``, ``reduce_max``, ``sqrt``, ``clip_min``, ``logsumexp``,
+``transpose`` and ``detach`` live in ``helpers``: only the composed oracles
+use them.
 """
 
 import weakref
@@ -45,6 +46,7 @@ from helpers import (
     reference_batch_norm,
     reference_layer_norm,
     sqrt,
+    transpose,
 )
 
 RNG = np.random.default_rng(20240601)
@@ -80,7 +82,7 @@ def _primed_stats(d):
 # the ops without a gradient test of their own, each applied to X_DATA
 GRAD_OPS = {
     "reshape": lambda x: x.reshape((2, 6)),
-    "transpose": lambda x: x.transpose((1, 0)),
+    "transpose": lambda x: transpose(x, (1, 0)),
     "swapaxes": lambda x: x.swapaxes(0, 1),
     "getitem_int": lambda x: x[1],
     "getitem_slice": lambda x: x[1:, ::2],
@@ -199,7 +201,7 @@ class TestElementwise:
         # strides of the fine similarity tensor's transpose (this axis
         # order) would change their rounding
         x = Tensor(RNG.standard_normal((2, 3, 4, 5)).astype(np.float32))
-        out = reduce_max(x.transpose((0, 2, 3, 1)), axis=-2)
+        out = reduce_max(transpose(x, (0, 2, 3, 1)), axis=-2)
         assert out.data.flags.c_contiguous
         np.testing.assert_array_equal(out.data,
                                       x.data.max(axis=3).transpose((0, 2, 1)))

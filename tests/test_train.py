@@ -14,6 +14,7 @@ from spikefusion.model import RetrievalModel
 from spikefusion.optim import AdamW
 from spikefusion.tensor import Tensor, no_grad
 from spikefusion.train import (
+    ablation_sweep,
     evaluate_recall,
     recall_from_similarity,
     train,
@@ -181,6 +182,20 @@ class TestTrainLoop:
         from spikefusion.errors import ConfigError
         with pytest.raises(ConfigError, match="divide"):
             train(tiny_config(heads=3), data)
+
+    @pytest.mark.parametrize("axis, values, heads, bad", [
+        ("heads", ["2", "3"], 2, "3"),
+        ("fusion", ["none", "scca"], 3, "scca"),
+    ])
+    def test_ablation_checks_comb_counts_before_training(
+            self, tmp_path, axis, values, heads, bad):
+        data = tiny_dataset(tmp_path, nl=4)
+        logs = []
+        with pytest.raises(UsageError, match=repr(bad)):
+            ablation_sweep(axis, values,
+                           RunConfig(d=8, batch=4, epochs=1, heads=heads),
+                           data, log_fn=logs.append)
+        assert logs == []
 
     def test_held_loss_does_not_keep_its_graph_into_the_next_step(
             self, tmp_path):
