@@ -5,10 +5,18 @@ pinned in ``golden/checkpoint_names.txt``, and a checkpoint written by an
 earlier release (``golden/sca_linear_bn_d8.ckpt``) must still restore to
 bit-identical similarity scores.  So must the same model saved by a release
 that also wrote the AdamW moments (``golden/sca_linear_bn_d8_moments.ckpt``:
-``adam_m/``, ``adam_v/`` arrays and ``adam_step 3``).
+``adam_m/``, ``adam_v/`` arrays and ``adam_step 3``).  And a fixed-seed
+trained run must save the very bytes pinned in
+``golden/checkpoint_sha256.txt``: header, config, index, parameters and
+running stats.
+
+Regenerate that file with ``PYTHONPATH=src python
+tests/test_checkpoint_format.py > tests/golden/checkpoint_sha256.txt``.
 """
 
+import hashlib
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -27,8 +35,11 @@ NAMES_PATH = os.path.join(GOLDEN, "checkpoint_names.txt")
 FIXTURE_PATH = os.path.join(GOLDEN, "sca_linear_bn_d8.ckpt")
 MOMENTS_FIXTURE_PATH = os.path.join(GOLDEN, "sca_linear_bn_d8_moments.ckpt")
 FIXTURE_SIM_PATH = os.path.join(GOLDEN, "sca_linear_bn_d8_similarity.npy")
+SHA256_PATH = os.path.join(GOLDEN, "checkpoint_sha256.txt")
 FUSIONS = ("none", "scca", "sca", "scsa")
 VARIANTS = [(f, g) for f in FUSIONS for g in GENERATOR_VARIANTS]
+# every fusion kind, and a batch-norm generator for its running stats
+SAVED_RUNS = [(f, "repeat-ln") for f in FUSIONS] + [("sca", "linear-bn")]
 
 
 def toy_batch(seed, b=3, k=4):
@@ -135,3 +146,33 @@ def test_fixture_header_rewritten_byte_for_byte(tmp_path):
     with open(FIXTURE_PATH, "rb") as fh:
         old = fh.read()
     assert now.split(b"\n---\n")[0] == old.split(b"\n---\n")[0]
+
+
+def saved_sha256(root, fusion, generator):
+    """sha256 of the ``best.ckpt`` a fixed-seed two-epoch run saves."""
+    dataset = load_manifest(synth_dataset(
+        os.path.join(root, "data"), seed=11, pairs=24, n_regions=4,
+        n_words=4, region_width=12, word_width=10, noise=0.1))
+    cfg = RunConfig(d=16, t=2, batch=8, heads=2, seed=5, epochs=2,
+                    val_fraction=0.25, fusion=fusion, generator=generator)
+    result = train(cfg, dataset, out_dir=os.path.join(root, "run"))
+    with open(result.checkpoint_path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def read_golden_sha256():
+    with open(SHA256_PATH, encoding="utf-8") as fh:
+        rows = (line.split() for line in fh if line.strip())
+        return {(fusion, generator): sha for fusion, generator, sha in rows}
+
+
+@pytest.mark.parametrize("fusion,generator", SAVED_RUNS)
+def test_saved_checkpoint_bytes_match_golden(tmp_path, fusion, generator):
+    assert saved_sha256(tmp_path, fusion, generator) \
+        == read_golden_sha256()[(fusion, generator)]
+
+
+if __name__ == "__main__":
+    for f, g in SAVED_RUNS:
+        with tempfile.TemporaryDirectory() as root:
+            print(f"{f} {g} {saved_sha256(root, f, g)}")
