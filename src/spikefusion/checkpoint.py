@@ -12,11 +12,11 @@ Layout::
     ---
     <binary payload>
 
-Array names cover model parameters and batch-norm running stats
-(``buffer/`` prefix), the state restoring a model reads.  ``adam_step`` is
+The arrays are ``model.state()``: parameters and batch-norm running stats
+(``buffer/`` prefix), what restoring a model reads.  ``adam_step`` is
 always 0.  Files from earlier releases that also hold AdamW moments
 (``adam_m/``, ``adam_v/`` arrays, nonzero ``adam_step``) load with the
-moments skipped.
+moments skipped; any other array the model does not read is an error.
 """
 
 from __future__ import annotations
@@ -37,24 +37,15 @@ class Checkpoint:
     epoch: int
     config_text: str
 
-    def buffers(self) -> dict[str, np.ndarray]:
-        return {k.split("/", 1)[1]: v for k, v in self.arrays.items()
-                if k.startswith("buffer/")}
-
 
 def save_checkpoint(path, model, epoch: int = 0):
-    arrays: dict[str, np.ndarray] = {}
-    for name, p in model.params().items():
-        arrays[name] = p.data
-    for name, buf in model.buffers().items():
-        arrays[f"buffer/{name}"] = buf
     config_text = model.config.to_text()
     config_lines = config_text.splitlines()
 
     index_lines = []
     payload = bytearray()
-    for name in sorted(arrays):
-        arr = np.asarray(arrays[name], dtype="<f4")
+    for name, arr in sorted(model.state().items()):
+        arr = np.asarray(arr, dtype="<f4")
         shape = ",".join(str(s) for s in arr.shape) or "scalar"
         index_lines.append(f"{name} {shape} {len(payload)} {arr.nbytes}")
         payload.extend(arr.tobytes())
@@ -135,6 +126,6 @@ def restore_model(checkpoint: Checkpoint, region_width: int, word_width: int):
 
     config = parse_config(checkpoint.config_text)
     model = RetrievalModel(config, region_width, word_width)
-    model.load_params(checkpoint.arrays)
-    model.load_buffers(checkpoint.buffers())
+    model.load_state({name: a for name, a in checkpoint.arrays.items()
+                      if not name.startswith(("adam_m/", "adam_v/"))})
     return model

@@ -3,7 +3,8 @@
 Six variants combine a temporal expansion (repeat the features, per-step
 linear maps, a kernel-3 convolution over the token axis, or a first
 difference along tokens) with a normalization (layer norm or batch norm),
-followed by a threshold-learnable spiking neuron.
+followed by a threshold-learnable spiking neuron.  The energy ledger records
+each per-step map or conv tap as a float layer ``gen_step{i}``/``gen_tap{i}``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .energy import record_matmul
 from .errors import ConfigError
 from .layers import BatchNorm, LayerNorm, Linear, Module
 from .neurons import LIFParams, TLSNParams
@@ -84,6 +86,9 @@ class SpikeGenerator(Module):
         t = self.cfg.t
         if self.base == "repeat":
             return repeat_steps(x_f, t)
+        for kind, maps in (("step", self.step), ("tap", self.tap)):
+            for i, m in enumerate(maps):
+                record_matmul(f"gen_{kind}{i}", x_f, m.w, 1, "float")
         if self.base == "linear":
             return stack([m(x_f) for m in self.step], axis=0)
         if self.base == "conv":

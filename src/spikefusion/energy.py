@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccountingError, ParameterError, UsageError
-from .tensor import Tensor, as_tensor, no_grad
+from .tensor import Tensor, _context_set, as_tensor, no_grad
 
 LAYER_KINDS = ("spiking", "float", "mask")
 
@@ -146,29 +146,20 @@ _ledger: ContextVar[list[LayerLedger] | None] = ContextVar("energy_ledger",
 _scope: ContextVar[str] = ContextVar("energy_scope", default="")
 
 
-@contextlib.contextmanager
 def recording():
     """Collect one :class:`LayerLedger` per ``record_*`` call in the block.
 
     Yields the list the records go to.  Outside a recording the ``record_*``
     calls do nothing, so training never computes occupancies.
     """
-    layers: list[LayerLedger] = []
-    token = _ledger.set(layers)
-    try:
-        yield layers
-    finally:
-        _ledger.reset(token)
+    return _context_set(_ledger, [])
 
 
 @contextlib.contextmanager
 def scope(prefix: str):
     """Prefix the names recorded in the block (``"region/"``); nests."""
-    token = _scope.set(_scope.get() + prefix)
-    try:
+    with _context_set(_scope, _scope.get() + prefix):
         yield
-    finally:
-        _scope.reset(token)
 
 
 def record_matmul(name: str, a: Tensor, b: Tensor, t: int, kind: str):

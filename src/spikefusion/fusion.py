@@ -98,15 +98,16 @@ def qkv_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
 
 
 class _ProjectSpike(Module):
-    """{Linear, BN, LIF} stage in front of the fusion attention products."""
+    """{Linear, BN, LIF} stage in front of the fusion attention products;
+    fusion runs only while training, so its batch norms use batch stats."""
 
     def __init__(self, d: int, lif: LIFParams, rng: np.random.Generator):
         self.linear = Linear(d, d, rng, bias=False)
         self.bn = BatchNorm(d)
         self.lif = lif
 
-    def __call__(self, x: Tensor, train: bool) -> Tensor:
-        return self.lif(self.bn(self.linear(x), train))
+    def __call__(self, x: Tensor) -> Tensor:
+        return self.lif(self.bn(self.linear(x), True))
 
 
 class SpikeCrossAttention(Module):
@@ -121,12 +122,9 @@ class SpikeCrossAttention(Module):
         self.bn_out = BatchNorm(d)
         self.lif = lif
 
-    def __call__(self, x_q: Tensor, x_kv: Tensor, train: bool) -> Tensor:
-        q = self.q(x_q, train)
-        k = self.k(x_kv, train)
-        v = self.v(x_kv, train)
-        attn = qkv_attention(q, k, v)
-        return self.lif(self.bn_out(self.out(attn), train))
+    def __call__(self, x_q: Tensor, x_kv: Tensor) -> Tensor:
+        attn = qkv_attention(self.q(x_q), self.k(x_kv), self.v(x_kv))
+        return self.lif(self.bn_out(self.out(attn), True))
 
 
 class ConcatSelfAttention(SpikeCrossAttention):
@@ -137,7 +135,7 @@ class ConcatSelfAttention(SpikeCrossAttention):
     and split back by modality.
     """
 
-    def __call__(self, r: Tensor, e: Tensor, train: bool):
+    def __call__(self, r: Tensor, e: Tensor):
         r, e = as_tensor(r), as_tensor(e)
         if r.shape[-1] != e.shape[-1] or r.shape[:2] != e.shape[:2]:
             raise DimensionError(
@@ -146,7 +144,7 @@ class ConcatSelfAttention(SpikeCrossAttention):
             )
         n = r.shape[2]
         x = concat([r, e], axis=2)
-        out = super().__call__(x, x, train)
+        out = super().__call__(x, x)
         return out[:, :, :n, :], out[:, :, n:, :]
 
 
@@ -182,8 +180,8 @@ class SpikeFusion(Module):
             r_fused = comb_mask(e_spikes, r_spikes, self.cfg.h, self.comb_lif)
             e_fused = comb_mask(r_spikes, e_spikes, self.cfg.h, self.comb_lif)
         elif kind == "sca":
-            r_fused = self.cross_r(r_spikes, e_spikes, train=True)
-            e_fused = self.cross_e(e_spikes, r_spikes, train=True)
+            r_fused = self.cross_r(r_spikes, e_spikes)
+            e_fused = self.cross_e(e_spikes, r_spikes)
         else:
-            r_fused, e_fused = self.concat(r_spikes, e_spikes, train=True)
+            r_fused, e_fused = self.concat(r_spikes, e_spikes)
         return self.pool(r_fused), self.pool(e_fused)

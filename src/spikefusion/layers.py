@@ -1,9 +1,10 @@
 """Parameter-owning building blocks and the registry that names their state.
 
-``Module`` finds a block's parameters and batch-norm buffers by walking its
-attributes in insertion order, PyTorch ``named_parameters`` style.  The
-``/``-joined attribute paths are the checkpoint array names, so renaming an
-attribute of any block is a checkpoint format change.
+``Module`` finds a block's parameters and batch-norm running stats by
+walking its attributes in insertion order, PyTorch ``state_dict`` style.
+``state()`` names a parameter by its ``/``-joined attribute path and a
+running stat ``buffer/<path>running_mean|var``: the checkpoint array names,
+so renaming an attribute of any block is a checkpoint format change.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ class Module:
 
     The walk visits child modules, lists of them (list attribute ``x`` yields
     children ``x0``, ``x1``, ...), parameter tensors, and the ``BatchNorm``
-    blocks, whose running stats contribute ``running_mean``/``running_var``
-    once initialized.
+    blocks, whose running stats join the state once initialized.
     """
 
     def _walk(self, prefix: str = ""):
@@ -38,35 +38,40 @@ class Module:
             elif isinstance(value, RunningStats):
                 yield prefix, self
 
-    def _norms(self):
-        return [(p, m) for p, m in self._walk() if isinstance(m, BatchNorm)]
-
     def params(self) -> dict[str, Tensor]:
         return {n: v for n, v in self._walk() if isinstance(v, Tensor)}
 
-    def buffers(self) -> dict[str, np.ndarray]:
-        buffers: dict[str, np.ndarray] = {}
-        for prefix, norm in self._norms():
-            if norm.stats.initialized:
-                buffers[f"{prefix}running_mean"] = norm.stats.mean
-                buffers[f"{prefix}running_var"] = norm.stats.var
-        return buffers
+    def state(self) -> dict[str, np.ndarray]:
+        """Every array a checkpoint holds: the parameters, and the running
+        stats of each initialized batch norm."""
+        arrays: dict[str, np.ndarray] = {}
+        for name, value in self._walk():
+            if isinstance(value, Tensor):
+                arrays[name] = value.data
+            elif value.stats.initialized:
+                arrays[f"buffer/{name}running_mean"] = value.stats.mean
+                arrays[f"buffer/{name}running_var"] = value.stats.var
+        return arrays
 
-    def load_params(self, arrays: dict[str, np.ndarray]):
-        """Copy every parameter from ``arrays``; each must be present with
-        its current shape."""
-        for name, param in self.params().items():
-            param.data = _required(arrays, name, "parameter", param.data.shape)
-
-    def load_buffers(self, arrays: dict[str, np.ndarray]):
-        """Restore every running-stats pair present in ``arrays``, each of
-        shape ``(d,)``; half a pair is an error."""
-        for prefix, norm in self._norms():
-            names = (f"{prefix}running_mean", f"{prefix}running_var")
+    def load_state(self, arrays: dict[str, np.ndarray]):
+        """Restore what :meth:`state` names.  Every parameter must be present
+        with its current shape; each running-stats pair is optional, but
+        half a pair or a shape other than ``(d,)`` is an error, and so is an
+        array that names neither."""
+        for name, value in self._walk():
+            if isinstance(value, Tensor):
+                value.data = _required(arrays, name, "parameter", value.shape)
+                continue
+            names = (f"buffer/{name}running_mean", f"buffer/{name}running_var")
             if names[0] in arrays or names[1] in arrays:
-                norm.stats.mean, norm.stats.var = (
-                    _required(arrays, n, "buffer", (norm.d,)) for n in names)
-                norm.stats.initialized = True
+                value.stats.mean, value.stats.var = (
+                    _required(arrays, n, "buffer", value.gamma.shape)
+                    for n in names)
+                value.stats.initialized = True
+        stray = sorted(arrays.keys() - self.state().keys())
+        if stray:
+            raise ValueError(f"checkpoint array {stray[0]!r} is neither a "
+                             "parameter nor a running stat of this model")
 
 
 def _required(arrays: dict[str, np.ndarray], name: str, kind: str,
@@ -114,7 +119,6 @@ class BatchNorm(Module):
         self.gamma = Tensor.param(np.ones(d, dtype=np.float32))
         self.beta = Tensor.param(np.zeros(d, dtype=np.float32))
         self.stats = RunningStats()
-        self.d = d
 
     def __call__(self, x: Tensor, train: bool) -> Tensor:
         return batch_norm(x, self.gamma, self.beta, self.stats, train)

@@ -14,7 +14,9 @@ Every op computes its value, defines its backward closure and returns
 result on the tape: it sets ``_parents``, ``requires_grad`` and ``_backward``
 only when grad mode is on and some parent requires grad (a node with parents
 always does).  Arrays needed only by a backward are computed inside its
-closure, so untracked and ``no_grad`` passes never build them.
+closure, so untracked and ``no_grad`` passes never build them.  The
+broadcast binary ops (``+ - * /`` and ``matmul``) are each ``_binary`` given
+a numpy op and one gradient rule per operand.
 
 Layer and batch normalisation are one node each, like the fused ops of the
 other modules (the neuron fold, l2 normalisation, the pooled similarity, the
@@ -35,6 +37,7 @@ tape.
 from __future__ import annotations
 
 import contextlib
+import operator
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 
@@ -48,13 +51,20 @@ _smooth_spikes: ContextVar[bool] = ContextVar("smooth_spikes", default=False)
 
 
 @contextlib.contextmanager
+def _context_set(var: ContextVar, value):
+    """Set ``var`` to ``value`` for the block, yield ``value``, reset ``var``."""
+    token = var.set(value)
+    try:
+        yield value
+    finally:
+        var.reset(token)
+
+
+@contextlib.contextmanager
 def no_grad():
     """Disable tape construction (evaluation passes)."""
-    token = _grad_enabled.set(False)
-    try:
+    with _context_set(_grad_enabled, False):
         yield
-    finally:
-        _grad_enabled.reset(token)
 
 
 @contextlib.contextmanager
@@ -65,11 +75,8 @@ def smooth_spike_mode():
     exact derivative of the forward pass (neuron resets also stay attached to
     the graph, see :mod:`spikefusion.neurons`).
     """
-    token = _smooth_spikes.set(True)
-    try:
+    with _context_set(_smooth_spikes, True):
         yield
-    finally:
-        _smooth_spikes.reset(token)
 
 
 def smooth_spikes_active() -> bool:
@@ -167,28 +174,14 @@ class Tensor:
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
-        other = as_tensor(other)
-
-        def bw(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g, self.data.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g, other.data.shape))
-
-        return _make(self.data + other.data, (self, other), bw)
+        return _binary(self, other, operator.add,
+                       lambda g, a, b: g, lambda g, a, b: g)
 
     __radd__ = __add__
 
     def __mul__(self, other):
-        other = as_tensor(other)
-
-        def bw(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g * other.data, self.data.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g * self.data, other.data.shape))
-
-        return _make(self.data * other.data, (self, other), bw)
+        return _binary(self, other, operator.mul,
+                       lambda g, a, b: g * b, lambda g, a, b: g * a)
 
     __rmul__ = __mul__
 
@@ -196,32 +189,16 @@ class Tensor:
         return self * np.float32(-1.0)
 
     def __sub__(self, other):
-        other = as_tensor(other)
-
-        def bw(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g, self.data.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(-g, other.data.shape))
-
-        return _make(self.data - other.data, (self, other), bw)
+        return _binary(self, other, operator.sub,
+                       lambda g, a, b: g, lambda g, a, b: -g)
 
     def __rsub__(self, other):
         return as_tensor(other) - self
 
     def __truediv__(self, other):
-        other = as_tensor(other)
-
-        def bw(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g / other.data, self.data.shape))
-            if other.requires_grad:
-                other._accumulate(
-                    _unbroadcast(-g * self.data / (other.data * other.data),
-                                 other.data.shape)
-                )
-
-        return _make(self.data / other.data, (self, other), bw)
+        return _binary(self, other, operator.truediv,
+                       lambda g, a, b: g / b,
+                       lambda g, a, b: -g * a / (b * b))
 
     def __rtruediv__(self, other):
         return as_tensor(other) / self
@@ -294,6 +271,21 @@ def _make(data: np.ndarray, parents, backward) -> Tensor:
     return out
 
 
+def _binary(x: Tensor, other, op, grad_x, grad_other) -> Tensor:
+    """One broadcast node ``op(x, other)``.  Each gradient rule maps
+    ``(g, x.data, other.data)`` to its operand's gradient before that is
+    summed back to the operand's shape."""
+    other = as_tensor(other)
+
+    def bw(g):
+        for t, rule in ((x, grad_x), (other, grad_other)):
+            if t.requires_grad:
+                t._accumulate(_unbroadcast(rule(g, x.data, other.data),
+                                           t.data.shape))
+
+    return _make(op(x.data, other.data), (x, other), bw)
+
+
 def _is_basic_key(key) -> bool:
     """True for a key of ints, slices, ``...`` and ``None``: no repeated index."""
     parts = key if isinstance(key, tuple) else (key,)
@@ -329,21 +321,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul: inner axes differ for shapes {a.shape} and {b.shape}"
         )
 
-    def bw(g):
-        if a.requires_grad:
-            ga = g @ b.data.swapaxes(-1, -2)
-            a._accumulate(_unbroadcast(ga, a.data.shape))
-        if b.requires_grad:
-            if b.ndim == 2 and g.ndim > 2:
-                # weight-matrix case: contract the batch in one gemm
-                k = a.data.shape[-1]
-                n = g.shape[-1]
-                gb = a.data.reshape(-1, k).T @ g.reshape(-1, n)
-            else:
-                gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape)
-            b._accumulate(gb)
+    def grad_b(g, x, w):
+        if w.ndim == 2 and g.ndim > 2:
+            # weight-matrix case: contract the batch in one gemm
+            return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        return x.swapaxes(-1, -2) @ g
 
-    return _make(a.data @ b.data, (a, b), bw)
+    return _binary(a, b, operator.matmul,
+                   lambda g, x, w: g @ w.swapaxes(-1, -2), grad_b)
 
 
 def stack(tensors, axis: int = 0) -> Tensor:

@@ -21,8 +21,9 @@ from .tensor import Tensor
 RECALL_KS = (1, 5, 10)
 
 
-def recall_from_similarity(s: np.ndarray, ks=RECALL_KS) -> dict[str, float]:
-    """Recall@K in percent for both directions, ground truth on the diagonal.
+def recall_from_similarity(s: np.ndarray) -> dict[str, float]:
+    """Recall@K in percent for both directions, ground truth on the diagonal,
+    for each K in ``RECALL_KS``.
 
     ``s[i, j]`` scores image i against caption j.  A query's rank is the
     number of other candidates scoring at least as high as its true
@@ -43,13 +44,11 @@ def recall_from_similarity(s: np.ndarray, ks=RECALL_KS) -> dict[str, float]:
     rank_t2i = (s >= diag[None, :]).sum(axis=0) - 1  # caption query over images
     metrics: dict[str, float] = {}
     total = 0.0
-    for k in ks:
-        kk = k
-        if kk > m:
+    for k in RECALL_KS:
+        if k > m:
             warnings.warn(f"recall@{k} clamped to {m} items")
-            kk = m
-        r_i2t = 100.0 * float((rank_i2t < kk).mean())
-        r_t2i = 100.0 * float((rank_t2i < kk).mean())
+        r_i2t = 100.0 * float((rank_i2t < min(k, m)).mean())
+        r_t2i = 100.0 * float((rank_t2i < min(k, m)).mean())
         metrics[f"i2t_r@{k}"] = r_i2t
         metrics[f"t2i_r@{k}"] = r_t2i
         total += r_i2t + r_t2i

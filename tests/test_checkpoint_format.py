@@ -58,8 +58,7 @@ def array_names(fusion, generator):
     model.calibrate(regions, words)
     with no_grad():
         model.training_losses(regions, words)
-    return sorted(list(model.params())
-                  + [f"buffer/{n}" for n in model.buffers()])
+    return sorted(model.state())
 
 
 def read_golden_names():
@@ -132,9 +131,7 @@ def test_trained_checkpoint_holds_no_optimizer_state(tmp_path):
         assert fh.read().split(b"\n")[2] == b"adam_step 0"
     names = load_checkpoint(result.checkpoint_path).arrays
     assert not [n for n in names if n.startswith("adam_")]
-    assert sorted(names) == sorted(
-        list(result.model.params())
-        + [f"buffer/{n}" for n in result.model.buffers()])
+    assert sorted(names) == sorted(result.model.state())
 
 
 def test_fixture_header_rewritten_byte_for_byte(tmp_path):

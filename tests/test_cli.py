@@ -355,6 +355,21 @@ def test_eval_rejects_an_array_indexed_twice(fixture_workspace):
     assert f"array {name!r} is indexed twice" in err
 
 
+def test_eval_rejects_an_array_nothing_reads(fixture_workspace):
+    """An extra index line, here for the first array's bytes under a name
+    that no parameter or running stat of the model has, would be ignored."""
+    pos = next(i for i, l in enumerate(HEADER_LINES)
+               if l.startswith("arrays "))
+    n_arrays = int(HEADER_LINES[pos].split()[1])
+    _, *fields = HEADER_LINES[pos + 1].split(" ")
+    lines = HEADER_LINES[:pos] + [f"arrays {n_arrays + 1}"] \
+        + HEADER_LINES[pos + 1:] + [" ".join(["image/attn/w_qq/w"] + fields)]
+    rc, err = eval_checkpoint(fixture_workspace, with_header(lines))
+    assert_one_line_error(rc, err)
+    assert "'image/attn/w_qq/w' is neither a parameter nor a running stat" \
+        in err
+
+
 @pytest.mark.parametrize("shape", ["1", "scalar"])
 def test_eval_rejects_buffer_of_wrong_shape(fixture_workspace, shape):
     """A running variance of one value would broadcast over every channel;

@@ -281,6 +281,30 @@ class TestEnergyReport:
         with open(GOLDEN_PATH, "r", encoding="utf-8") as fh:
             assert text == fh.read().rstrip("\n")
 
+    # d=8, B=4, N=L=6, widths 24/16: the two projections cost
+    # 4*6*(24 + 16)*8 = 7680 MACs, and each per-step map (T=2) or conv tap
+    # (3) costs 4*6*8*8 = 1536 per modality: 7680 + 2*2*1536 = 13824 and
+    # 7680 + 2*3*1536 = 16896
+    @pytest.mark.parametrize("generator,macs", [
+        ("repeat-ln", 7680), ("repeat-bn", 7680), ("delta-bn", 7680),
+        ("linear-ln", 13824), ("linear-bn", 13824), ("conv-bn", 16896)])
+    def test_mac_ops_count_the_generator_maps(self, generator, macs):
+        cfg = RunConfig(d=8, t=2, batch=4, heads=2, seed=0,
+                        generator=generator)
+        model = RetrievalModel(cfg, region_width=24, word_width=16)
+        rng = np.random.default_rng(5)
+        regions = Tensor(rng.standard_normal((4, 6, 24)).astype(np.float32))
+        words = Tensor(rng.standard_normal((4, 6, 16)).astype(np.float32))
+        model.calibrate(regions, words)
+        report = energy_report(model, regions, words)
+        assert report.mac_ops == macs
+        float_rows = [l.name for l in report.layers if l.kind == "float"]
+        maps = {"linear": "gen_step0 gen_step1",
+                "conv": "gen_tap0 gen_tap1 gen_tap2"}.get(
+                    generator.split("-")[0], "").split()
+        assert float_rows == [f"{m}/{n}" for m in ("region", "word")
+                              for n in ["linear"] + maps]
+
     def test_empty_recording_rejected(self):
         class NoOpModel:
             def encode(self, r, w, train):

@@ -134,7 +134,7 @@ class TestSpikeCrossAttention:
         sca = SpikeCrossAttention(8, LIF, np.random.default_rng(0))
         x_q = Tensor(binary((2, 2, 5, 8)))
         x_kv = Tensor(binary((2, 2, 7, 8)))
-        out = sca(x_q, x_kv, train=True)
+        out = sca(x_q, x_kv)
         assert out.shape == (2, 2, 5, 8)
         assert set(np.unique(out.data)) <= {0.0, 1.0}
 
@@ -177,7 +177,7 @@ class TestConcatSelfAttention:
     def test_module_output_shapes(self):
         scsa = ConcatSelfAttention(8, LIF, np.random.default_rng(0))
         r_bar, e_bar = scsa(Tensor(binary((2, 2, 4, 8))),
-                            Tensor(binary((2, 2, 6, 8))), train=True)
+                            Tensor(binary((2, 2, 6, 8))))
         assert r_bar.shape == (2, 2, 4, 8)
         assert e_bar.shape == (2, 2, 6, 8)
 

@@ -36,6 +36,10 @@ def toy_model(fusion="scca", seed=8, **kw):
                           n_regions=3, n_words=3)
 
 
+def buffer_names(model):
+    return [n for n in model.state() if n.startswith("buffer/")]
+
+
 def toy_batch(seed=100, b=2, k=3):
     rng = np.random.default_rng(seed)
     return (Tensor(rng.standard_normal((b, k, 6)).astype(np.float32)),
@@ -51,10 +55,10 @@ class TestRegistry:
 
     def test_buffers_appear_after_training_pass(self):
         model = toy_model()
-        assert model.buffers() == {}
+        assert buffer_names(model) == []
         regions, words = toy_batch()
         model.calibrate(regions, words)
-        buffers = model.buffers()
+        buffers = buffer_names(model)
         assert any(n.endswith("running_mean") for n in buffers)
 
     def test_load_rejects_missing_parameter(self):
@@ -62,7 +66,7 @@ class TestRegistry:
         arrays = {n: p.data for n, p in model.params().items()}
         arrays.pop(next(iter(arrays)))
         with pytest.raises(KeyError):
-            model.load_params(arrays)
+            model.load_state(arrays)
 
     def test_load_rejects_shape_mismatch(self):
         model = toy_model()
@@ -70,7 +74,25 @@ class TestRegistry:
         first = next(iter(arrays))
         arrays[first] = np.zeros((1, 1), dtype=np.float32)
         with pytest.raises(ValueError, match="shape"):
-            model.load_params(arrays)
+            model.load_state(arrays)
+
+    @pytest.mark.parametrize("extra", ["image/attn/w_qq/w",
+                                       "buffer/image/attn/bn_qq/running_mean"])
+    def test_load_rejects_an_array_nothing_reads(self, extra):
+        model = toy_model()
+        model.calibrate(*toy_batch())
+        arrays = model.state()
+        arrays[extra] = np.zeros(8, dtype=np.float32)
+        with pytest.raises(ValueError, match=f"'{extra}' is neither"):
+            model.load_state(arrays)
+
+    def test_load_rejects_half_a_running_stats_pair(self):
+        model = toy_model()
+        model.calibrate(*toy_batch())
+        arrays = model.state()
+        arrays.pop("buffer/image/attn/bn_q/running_var")
+        with pytest.raises(KeyError, match="bn_q/running_var"):
+            toy_model().load_state(arrays)
 
 
 class TestGradientFlow:
@@ -192,7 +214,8 @@ class TestOneNodeGlue:
         total.backward()
         grads = {name: None if p.grad is None else p.grad.tobytes()
                  for name, p in model.params().items()}
-        stats = {name: a.tobytes() for name, a in model.buffers().items()}
+        stats = {name: model.state()[name].tobytes()
+                 for name in buffer_names(model)}
         return total.data.tobytes(), grads, stats
 
     @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])

@@ -11,6 +11,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from spikefusion import energy
+from spikefusion import tensor as tensor_module
 from spikefusion.alignment import PoolConfig, l2_normalize, similarity
 from spikefusion.errors import DimensionError, ParameterError, StateError, UsageError
 from spikefusion.losses import infonce_pair
@@ -241,6 +243,21 @@ class TestElementwise:
             for y in untracked:
                 assert y._parents == () and not y.requires_grad, name
                 assert y._backward is None, name
+
+    def test_context_switches_yield_and_reset(self):
+        """Each switch sets its variable for the block only, also when the
+        block raises, and yields what it always has."""
+        cases = [(no_grad, (), tensor_module._grad_enabled, None),
+                 (smooth_spike_mode, (), tensor_module._smooth_spikes, None),
+                 (energy.recording, (), energy._ledger, []),
+                 (energy.scope, ("a/",), energy._scope, None)]
+        for switch, args, var, yielded in cases:
+            before = var.get()
+            with pytest.raises(RuntimeError):
+                with switch(*args) as got:
+                    assert got == yielded and var.get() != before
+                    raise RuntimeError
+            assert var.get() == before
 
     def test_neuron_fold_is_one_node(self):
         x = Tensor.param(X_DATA.copy())

@@ -1,5 +1,6 @@
 """Recall metrics, training determinism, checkpointing."""
 
+import importlib
 import os
 import tracemalloc
 
@@ -19,6 +20,8 @@ from spikefusion.train import (
     recall_from_similarity,
     train,
 )
+
+train_module = importlib.import_module("spikefusion.train")
 
 RNG = np.random.default_rng(2323)
 
@@ -74,10 +77,11 @@ class TestRecallFromSimilarity:
         # a silent network scores every pair alike: ties rank each query last
         assert recall_from_similarity(np.zeros((50, 50)))["r_sum"] == 0.0
 
-    def test_tie_with_one_candidate_costs_one_rank(self):
+    def test_tie_with_one_candidate_costs_one_rank(self, monkeypatch):
+        monkeypatch.setattr(train_module, "RECALL_KS", (1, 2))
         s = np.eye(4, dtype=np.float32)
         s[0, 1] = 1.0
-        metrics = recall_from_similarity(s, ks=(1, 2))
+        metrics = recall_from_similarity(s)
         assert metrics["i2t_r@1"] == 75.0
         assert metrics["i2t_r@2"] == 100.0
 
