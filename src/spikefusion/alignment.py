@@ -15,10 +15,19 @@ modes:
 The first batch axis indexes the region side (images), the second the word
 side (captions): pooled[i, j] scores image i against caption j.
 
-The node's forward is one matmul of the flattened token sets,
-``f4 = r @ e.T`` viewed as (B_r, N, B_e, L) (``fine`` is ``f4`` transposed
-to (B_r, B_e, L, N)), and the pooling in numpy.  For its backward it keeps
-``f4``, the log-sum-exp's exponentials and sums, and the maxima it pooled:
+The node walks the image axis in blocks of rows.  A block is as many rows
+as fit ``_BLOCK_BYTES`` (1 MiB, half a 2 MiB per-core L2 cache) of
+(B_e, L, N) float32 slabs, and at least one, so only one block of ``fine``
+is alive at a time.  Per block the forward is one matmul of the
+flattened token sets, ``f4 = r[block] @ e.T`` viewed as (rows, N, B_e, L)
+(``fine`` is ``f4`` transposed to (rows, B_e, L, N)), the maxima it pools,
+and a log-sum-exp computed in place over one buffer.  When the node joins
+the tape (``tensor._joins_tape``) it keeps, per block, only the maxima, the
+first-maximum routing indices, the log-sum-exp shift and sums, and in lse
+mode ``f4`` itself (its gradient is dense).  An untracked call keeps
+nothing.  The backward recomputes each block's exponentials from those,
+with the forward's own expressions, fills that block's rows of the
+gradient of ``f4``, then runs two full matmuls:
 
   g_x    = g / alpha * softmax(alpha * x) * alpha   (x: what the LSE pools)
   biha:  g_word = sum_n g_x * region_max,  g_region = sum_l g_x * word_max
@@ -30,11 +39,11 @@ Its parents are ``(r_hat, e_hat)``, the order of the composed matmul it
 replaces, so the tape walk accumulates every gradient in the same order.
 As that graph's ``_accumulate`` did, the backward turns a -0.0 into +0.0
 (by adding +0.0) after the log-sum-exp gradient and after each biha
-profile gradient.  A maximum is the same whatever the memory order it is
-taken in, so the maxima read whichever axis of ``f4`` is cheapest; a sum is
-not, so every summed array keeps the layout the composed chain of generic
-ops gave it.  Scores and gradients are bit-identical to that chain, which
-the tests keep as the oracle.
+profile gradient.  A maximum is the same whatever the order it is taken
+in, so the maxima read whichever axis of ``f4`` is cheapest, the per-region
+one as a fold of its L slices; a sum is not, so every summed array keeps
+the layout the composed chain of generic ops gave it.  Scores and gradients are bit-identical to that chain, which
+the tests keep as the oracle, whatever the block size.
 """
 
 from __future__ import annotations
@@ -44,10 +53,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, ParameterError
-from .tensor import Tensor, _make, _unbroadcast, as_tensor
+from .neurons import FLOAT32_MAX
+from .tensor import Tensor, _joins_tape, _make, _unbroadcast, as_tensor
 
 POOL_MODES = ("lse", "vha", "tha", "biha")
 _ZERO = np.float32(0.0)
+# bytes of one (rows, B_e, L, N) float32 block of the fine tensor: half the
+# 2 MiB per-core L2 of the Xeon host perfbench runs on, so a block and its
+# log-sum-exp buffer stay in that cache
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -56,8 +70,11 @@ class PoolConfig:
     mode: str = "biha"
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ParameterError(f"pool alpha must be > 0, got {self.alpha}")
+        # compared, not cast: a NaN fails, and an alpha beyond float32 makes
+        # every score NaN
+        if not 0 < self.alpha <= FLOAT32_MAX:
+            raise ParameterError(
+                f"pool alpha must be > 0, finite and fit float32, got {self.alpha}")
         if self.mode not in POOL_MODES:
             raise ConfigError(
                 f"unknown alignment mode {self.mode!r}; expected one of {POOL_MODES}"
@@ -111,55 +128,106 @@ def similarity(e_tokens: Tensor, r_tokens: Tensor, cfg: PoolConfig) -> Tensor:
     return _pooled(l2_normalize(e_tokens), l2_normalize(r_tokens), cfg)
 
 
-def _lse(x: np.ndarray, alpha: float, axis):
-    """(1/alpha) log sum exp(alpha x) over ``axis``, max-shifted; returns the
-    pooled value and the exponentials and sums its gradient reads."""
-    scaled = x * np.float32(alpha)
-    shift = np.max(scaled, axis=axis, keepdims=True)
-    ex = np.exp(scaled - shift)
-    s = ex.sum(axis=axis, keepdims=True)
-    out = np.squeeze(shift + np.log(s), axis=axis).astype(np.float32)
-    return out * np.float32(1.0 / alpha), ex, s
+def _block_rows(be: int, nl: int, nn: int) -> int:
+    """Image rows per block: as many (B_e, L, N) float32 slabs as fit
+    ``_BLOCK_BYTES``, at least one."""
+    return max(1, _BLOCK_BYTES // (be * nl * nn * 4))
+
+
+def _max_last_axis(f4: np.ndarray) -> np.ndarray:
+    """``f4.max(axis=-1)`` as a fold of whole slices: numpy reduces a short
+    innermost axis in one short loop per output entry, 2-9x slower."""
+    m = f4[..., 0].copy()
+    for k in range(1, f4.shape[-1]):
+        np.maximum(m, f4[..., k], out=m)
+    return m
+
+
+def _alpha_x(f4, word_max, region_max, mode: str, alpha: float):
+    """alpha times what the log-sum-exp pools, for one row block, in a fresh
+    buffer laid out as the composed chain lays it out."""
+    a = np.float32(alpha)
+    if mode == "lse":
+        return f4.transpose(0, 2, 3, 1) * a  # f4's memory order
+    if mode == "vha":
+        return region_max * a
+    if mode == "tha":
+        return word_max * a
+    x = word_max[:, :, :, None] * region_max[:, :, None, :]
+    return np.multiply(x, a, out=x)
+
+
+def _exp_shifted(ax: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """exp(ax - shift), in place over ``ax``."""
+    np.subtract(ax, shift, out=ax)
+    return np.exp(ax, out=ax)
 
 
 def _pooled(e_hat: Tensor, r_hat: Tensor, cfg: PoolConfig) -> Tensor:
     """One tape node: unit token sets (B_e, L, D) and (B_r, N, D) -> the
-    pooled (B_r, B_e) scores; see the module docstring for its backward."""
+    pooled (B_r, B_e) scores, one block of image rows at a time; see the
+    module docstring for what it keeps and its backward."""
     be, nl, d = e_hat.shape
     br, nn, _ = r_hat.shape
     e2 = e_hat.data.reshape(be * nl, d)
     r2 = r_hat.data.reshape(br * nn, d)
-    f4 = (r2 @ e2.T).reshape(br, nn, be, nl)
     alpha, mode = cfg.alpha, cfg.mode
-    word_max = region_max = None
-    if mode in ("tha", "biha"):
-        word_max = f4.max(axis=1)  # (B_r, B_e, L), C order
-    if mode in ("vha", "biha"):
-        region_max = np.ascontiguousarray(f4.max(axis=3).transpose(0, 2, 1))
-    if mode == "lse":
-        out, ex, s = _lse(f4.transpose(0, 2, 3, 1), alpha, (-2, -1))
-    elif mode == "vha":
-        out, ex, s = _lse(region_max, alpha, -1)
-    elif mode == "tha":
-        out, ex, s = _lse(word_max, alpha, -1)
-    else:
-        out, ex, s = _lse(word_max[:, :, :, None] * region_max[:, :, None, :],
-                          alpha, (-2, -1))
+    axes = (-2, -1) if mode in ("lse", "biha") else -1
+    tracked = _joins_tape((r_hat, e_hat))
+    out = np.empty((br, be), dtype=np.float32)
+
+    def pool_rows(i0: int, i1: int):
+        """Fill ``out[i0:i1]`` with alpha times the pooled scores; return
+        what the backward reads of this block (nothing when untracked).
+        Every other array of the block dies with this call."""
+        f4 = (r2[i0 * nn:i1 * nn] @ e2.T).reshape(i1 - i0, nn, be, nl)
+        word_max = region_max = word_arg = region_arg = None
+        if mode in ("tha", "biha"):
+            word_max = f4.max(axis=1)  # (rows, B_e, L), C order
+        if mode in ("vha", "biha"):
+            region_max = np.ascontiguousarray(
+                _max_last_axis(f4).transpose(0, 2, 1))
+        ax = _alpha_x(f4, word_max, region_max, mode, alpha)
+        shift = ax.max(axis=axes, keepdims=True)
+        s = _exp_shifted(ax, shift).sum(axis=axes, keepdims=True)
+        out[i0:i1] = np.squeeze(shift + np.log(s), axis=axes)
+        if not tracked:
+            return None
+        # each maximum routes its gradient to its first maximal entry, as
+        # np.argmax picks
+        if word_max is not None:
+            word_arg = np.argmax(f4 == word_max[:, None], axis=1)  # (rows, B_e, L)
+        if region_max is not None:
+            region_nb = region_max.transpose(0, 2, 1)[..., None]
+            region_arg = np.argmax(f4 == region_nb, axis=3)  # (rows, N, B_e)
+        return (i0, i1, f4 if mode == "lse" else None, word_max, region_max,
+                word_arg, region_arg, shift, s)
+
+    rows = _block_rows(be, nl, nn)
+    blocks = [pool_rows(i0, min(i0 + rows, br)) for i0 in range(0, br, rows)]
+    np.multiply(out, np.float32(1.0 / alpha), out=out)
 
     def bw(g):
         g = g * np.float32(1.0 / alpha)
-        g = g.reshape(g.shape + (1,) * (ex.ndim - g.ndim))
-        # g * softmax * alpha, in place over ``ex`` (the walk runs this
-        # closure once); a +0.0 before the positive ``* alpha`` is implied
-        # by the one after it
-        g_x = np.divide(ex, s, out=ex)
-        np.multiply(g, g_x, out=g_x)
-        np.multiply(g_x, np.float32(alpha), out=g_x)
-        np.add(g_x, _ZERO, out=g_x)
-        if mode == "lse":
-            g_flat = g_x.transpose(0, 3, 1, 2).reshape(br * nn, be * nl)
-        else:
-            g_flat = np.zeros(br * nn * be * nl, dtype=np.float32)
+        # lse writes every entry; the other modes route to a few
+        g_flat = (np.empty if mode == "lse" else np.zeros)(
+            (br * nn, be * nl), dtype=np.float32)
+        for (i0, i1, f4, word_max, region_max, word_arg, region_arg, shift,
+             s) in blocks:
+            m = i1 - i0
+            ex = _exp_shifted(_alpha_x(f4, word_max, region_max, mode, alpha),
+                              shift)
+            g_m = g[i0:i1].reshape((m, be) + (1,) * (ex.ndim - 2))
+            # g * softmax * alpha, in place over ``ex``; a +0.0 before the
+            # positive ``* alpha`` is implied by the one after it
+            g_x = np.divide(ex, s, out=ex)
+            np.multiply(g_m, g_x, out=g_x)
+            np.multiply(g_x, np.float32(alpha), out=g_x)
+            np.add(g_x, _ZERO, out=g_x)
+            g_block = g_flat[i0 * nn:i1 * nn]
+            if mode == "lse":
+                g_block[...] = g_x.transpose(0, 3, 1, 2).reshape(m * nn, be * nl)
+                continue
             if mode == "tha":
                 g_word, g_region = g_x, None
             elif mode == "vha":
@@ -169,20 +237,16 @@ def _pooled(e_hat: Tensor, r_hat: Tensor, cfg: PoolConfig) -> Tensor:
                 g_word = prod.sum(3) + _ZERO
                 np.multiply(g_x, word_max[:, :, :, None], out=prod)
                 g_region = prod.sum(2) + _ZERO
-            # linear index of f4[i, n, j, l] in the flat gradient; each
-            # maximum routes to its first maximal entry, as np.argmax picks
-            i = np.arange(br).reshape(br, 1, 1) * (nn * be * nl)
+            # linear index of f4[i, n, j, l] in the block's rows of g_flat
+            g_block = g_block.reshape(-1)
+            i = np.arange(m).reshape(m, 1, 1) * (nn * be * nl)
             if g_word is not None:
-                n = np.argmax(f4 == word_max[:, None], axis=1)  # (B_r, B_e, L)
                 j, l = np.arange(be).reshape(1, be, 1) * nl, np.arange(nl)
-                g_flat[i + n * (be * nl) + j + l] = g_word
+                g_block[i + word_arg * (be * nl) + j + l] = g_word
             if g_region is not None:
-                region_nb = region_max.transpose(0, 2, 1)[..., None]
-                l = np.argmax(f4 == region_nb, axis=3)  # (B_r, N, B_e)
                 n = np.arange(nn).reshape(1, nn, 1) * (be * nl)
                 j = np.arange(be) * nl
-                g_flat[i + n + j + l] += g_region.transpose(0, 2, 1)
-            g_flat = g_flat.reshape(br * nn, be * nl)
+                g_block[i + n + j + region_arg] += g_region.transpose(0, 2, 1)
         if r_hat.requires_grad:
             r_hat._accumulate((g_flat @ e2).reshape(br, nn, d))
         if e_hat.requires_grad:

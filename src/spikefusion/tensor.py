@@ -12,9 +12,13 @@ second ``backward()`` that reaches a spent node is a :class:`UsageError`.
 Every op computes its value, defines its backward closure and returns
 ``_make(value, parents, backward)``.  ``_make`` is the only code that puts a
 result on the tape: it sets ``_parents``, ``requires_grad`` and ``_backward``
-only when grad mode is on and some parent requires grad (a node with parents
-always does).  Arrays needed only by a backward are computed inside its
-closure, so untracked and ``no_grad`` passes never build them.  The
+only when ``_joins_tape(parents)``, that is when grad mode is on and some
+parent requires grad (a node with parents always does).  Arrays needed only
+by a backward are computed inside its closure, so untracked and ``no_grad``
+passes never build them.  The one exception is the pooled similarity
+(:mod:`spikefusion.alignment`): its forward saves routing indices from each
+block of the fine tensor while that block is alive, and asks
+``_joins_tape`` first, so an untracked call saves none.  The
 broadcast binary ops (``+ - * /`` and ``matmul``) are each ``_binary`` given
 a numpy op and one gradient rule per operand.
 
@@ -261,10 +265,16 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _joins_tape(parents) -> bool:
+    """The one rule for recording a node: grad mode is on and some parent
+    requires grad."""
+    return _grad_enabled.get() and any(p.requires_grad for p in parents)
+
+
 def _make(data: np.ndarray, parents, backward) -> Tensor:
     """Wrap an op's value; the only place a result joins the tape."""
     out = Tensor(data)
-    if _grad_enabled.get() and any(p.requires_grad for p in parents):
+    if _joins_tape(parents):
         out._parents = tuple(parents)
         out.requires_grad = True
         out._backward = backward

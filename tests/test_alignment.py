@@ -7,13 +7,15 @@ oracles here, and the node against the chain bit for bit.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from spikefusion import alignment
 from spikefusion.alignment import POOL_MODES, PoolConfig, l2_normalize, similarity
 from spikefusion.errors import ConfigError, DimensionError, ParameterError
-from spikefusion.tensor import Tensor
+from spikefusion.tensor import Tensor, no_grad
 
 from helpers import (
     biha_enhance,
@@ -187,9 +189,11 @@ class TestLsePool:
         with pytest.raises(ParameterError):
             lse_pool(Tensor(np.zeros((1, 1, 2, 2))), 0.0)
 
-    @pytest.mark.parametrize("alpha", [0.0, -0.1, math.nan])
+    @pytest.mark.parametrize(
+        "alpha", [0.0, -0.1, math.nan, math.inf, 1e39])
     def test_pool_config_rejects_alpha(self, alpha):
-        # similarity reads its alpha from a PoolConfig only
+        # similarity reads its alpha from a PoolConfig only; past float32
+        # every score would be NaN
         with pytest.raises(ParameterError):
             PoolConfig(alpha=alpha)
 
@@ -271,23 +275,20 @@ class TestPooledNode:
     """The one-node ``similarity`` against the composed chain, bit for bit."""
 
     @staticmethod
-    def inputs():
+    def inputs(br=2):
         # ragged: B_e != B_r and L != N; an all-zero token on each side ties
         # its similarity row at 0, as fully masked fused tokens do
         rng = np.random.default_rng(77)
         e = rng.standard_normal((3, 4, 5)).astype(np.float32)
-        r = rng.standard_normal((2, 6, 5)).astype(np.float32)
+        r = rng.standard_normal((br, 6, 5)).astype(np.float32)
         e[1, 2] = 0.0
         r[0, 3] = 0.0
-        g = rng.standard_normal((2, 3)).astype(np.float32)
+        g = rng.standard_normal((br, 3)).astype(np.float32)
         g[0, 1] = g[1, 2] = -0.0
         return e, r, g
 
-    @pytest.mark.parametrize("alpha", [0.1, 2.0])
-    @pytest.mark.parametrize("mode", POOL_MODES)
-    def test_bit_identical_to_composed_chain(self, mode, alpha):
-        e0, r0, g = self.inputs()
-        cfg = PoolConfig(alpha=alpha, mode=mode)
+    @staticmethod
+    def assert_bit_identical(cfg, e0, r0, g):
         runs = []
         for fn in (similarity, reference_similarity):
             e, r = Tensor.param(e0), Tensor.param(r0)
@@ -298,6 +299,26 @@ class TestPooledNode:
         assert node[0] == chain[0], "scores"
         assert node[1] == chain[1], "e.grad"
         assert node[2] == chain[2], "r.grad"
+
+    @pytest.mark.parametrize("alpha", [0.1, 2.0])
+    @pytest.mark.parametrize("mode", POOL_MODES)
+    def test_bit_identical_to_composed_chain(self, mode, alpha):
+        self.assert_bit_identical(PoolConfig(alpha=alpha, mode=mode),
+                                  *self.inputs())
+
+    @pytest.mark.parametrize("alpha", [0.1, 2.0])
+    @pytest.mark.parametrize("mode", POOL_MODES)
+    def test_bit_identical_across_row_blocks(self, mode, alpha, monkeypatch):
+        # a budget of three and a bit (B_e, L, N) slabs: 7 image rows run as
+        # blocks of 3, 3 and 1, against the chain's one full-batch matmul;
+        # the partial last block gets a zero token and a -0.0 of its own
+        e0, r0, g = self.inputs(br=7)
+        r0[6, 1] = 0.0
+        g[6, 0] = -0.0
+        monkeypatch.setattr(alignment, "_BLOCK_BYTES", 3 * 3 * 4 * 6 * 4 + 7)
+        assert alignment._block_rows(3, 4, 6) == 3
+        self.assert_bit_identical(PoolConfig(alpha=alpha, mode=mode),
+                                  e0, r0, g)
 
     @pytest.mark.parametrize("mode", POOL_MODES)
     def test_one_node_after_the_normalisations(self, mode):
@@ -310,6 +331,54 @@ class TestPooledNode:
         assert e_hat.data.tobytes() == l2_normalize(e).data.tobytes()
         assert interior_nodes(out) == (interior_nodes(l2_normalize(e))
                                        + interior_nodes(l2_normalize(r)) + 1)
+
+
+class TestPooledMemory:
+    """What the node holds, measured against one (B_r, B_e, L, N) float32
+    fine tensor; tracemalloc sees numpy's buffers."""
+
+    @staticmethod
+    def traced(fn):
+        """``fn()``, with the bytes still held after it and its peak."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = fn()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, held - base, peak - base
+
+    @staticmethod
+    def tokens(b, k, requires_grad):
+        rng = np.random.default_rng(5)
+        return [Tensor(rng.standard_normal((b, k, 8)).astype(np.float32),
+                       requires_grad=requires_grad) for _ in range(2)]
+
+    @pytest.mark.parametrize("mode", POOL_MODES)
+    def test_tracked_node_keeps_less_than_the_fine_tensor(self, mode):
+        b, k = 24, 16
+        fine = b * b * k * k * 4
+        e, r = self.tokens(b, k, requires_grad=True)
+        out, held, _ = self.traced(
+            lambda: similarity(e, r, PoolConfig(mode=mode)))
+        assert out.requires_grad
+        # lse keeps its fine blocks for its dense gradient, but not the
+        # exponentials, a second fine tensor
+        assert held < (1.5 if mode == "lse" else 1) * fine
+
+    @pytest.mark.parametrize("mode", POOL_MODES)
+    def test_untracked_call_peaks_below_the_fine_tensor(self, mode):
+        b, k = 48, 24
+        assert alignment._block_rows(b, k, k) < b
+        e, r = self.tokens(b, k, requires_grad=False)
+
+        def call():
+            with no_grad():
+                return similarity(e, r, PoolConfig(mode=mode))
+
+        _, _, peak = self.traced(call)
+        assert peak < b * b * k * k * 4
 
 
 class TestL2Node:
