@@ -15,19 +15,22 @@ modes:
 The first batch axis indexes the region side (images), the second the word
 side (captions): pooled[i, j] scores image i against caption j.
 
-The node walks the image axis in blocks of rows.  A block is as many rows
-as fit ``_BLOCK_BYTES`` (1 MiB, half a 2 MiB per-core L2 cache) of
-(B_e, L, N) float32 slabs, and at least one, so only one block of ``fine``
-is alive at a time.  Per block the forward is one matmul of the
-flattened token sets, ``f4 = r[block] @ e.T`` viewed as (rows, N, B_e, L)
-(``fine`` is ``f4`` transposed to (rows, B_e, L, N)), the maxima it pools,
-and a log-sum-exp computed in place over one buffer.  When the node joins
-the tape (``tensor._joins_tape``) it keeps, per block, only the maxima, the
+The node walks ``fine`` in 2-D blocks, whose shapes only ``_blocks``
+picks.  The captions split as evenly as possible into column blocks of at
+most ``_BLOCK_COLS``, never one caption wide unless B_e is 1 (numpy would
+merge its L and N axes and sum lse in another order).  A block takes as
+many image rows as fit ``_BLOCK_BYTES`` (1 MiB, half a 2 MiB per-core L2
+cache) of (cols, L, N) float32 slabs, and at least one, so only one block
+of ``fine`` is alive at a time.  Per block the forward is one matmul,
+``f4 = r[rows] @ e[cols].T`` viewed as (rows, N, cols, L) (``fine`` is
+``f4`` transposed to (rows, cols, L, N)), the maxima it pools, and a
+log-sum-exp computed in place over one buffer.  When the node joins the
+tape (``tensor._joins_tape``) it keeps, per block, only the maxima, the
 first-maximum routing indices, the log-sum-exp shift and sums, and in lse
 mode ``f4`` itself (its gradient is dense).  An untracked call keeps
 nothing.  The backward recomputes each block's exponentials from those,
-with the forward's own expressions, fills that block's rows of the
-gradient of ``f4``, then runs two full matmuls:
+with the forward's own expressions, fills that block of a (B_r, N, B_e, L)
+view of the gradient of ``f4``, then runs two full matmuls:
 
   g_x    = g / alpha * softmax(alpha * x) * alpha   (x: what the LSE pools)
   biha:  g_word = sum_n g_x * region_max,  g_region = sum_l g_x * word_max
@@ -42,8 +45,9 @@ As that graph's ``_accumulate`` did, the backward turns a -0.0 into +0.0
 profile gradient.  A maximum is the same whatever the order it is taken
 in, so the maxima read whichever axis of ``f4`` is cheapest, the per-region
 one as a fold of its L slices; a sum is not, so every summed array keeps
-the layout the composed chain of generic ops gave it.  Scores and gradients are bit-identical to that chain, which
-the tests keep as the oracle, whatever the block size.
+the layout the composed chain of generic ops gave it.  Scores and gradients
+are bit-identical to that chain, which the tests keep as the oracle,
+whatever the block shape.
 """
 
 from __future__ import annotations
@@ -58,10 +62,13 @@ from .tensor import Tensor, _joins_tape, _make, _unbroadcast, as_tensor
 
 POOL_MODES = ("lse", "vha", "tha", "biha")
 _ZERO = np.float32(0.0)
-# bytes of one (rows, B_e, L, N) float32 block of the fine tensor: half the
+_L2_EPS = np.float32(1e-2)
+# bytes of one (rows, cols, L, N) float32 block of the fine tensor: half the
 # 2 MiB per-core L2 of the Xeon host perfbench runs on, so a block and its
 # log-sum-exp buffer stay in that cache
 _BLOCK_BYTES = 1 << 20
+# captions per block, at most; a training batch (B <= 32) is one column
+_BLOCK_COLS = 32
 
 
 @dataclass(frozen=True)
@@ -81,13 +88,13 @@ class PoolConfig:
             )
 
 
-def l2_normalize(x: Tensor, eps: float = 1e-2) -> Tensor:
+def l2_normalize(x: Tensor) -> Tensor:
     """Unit-normalize the last axis with a floored norm, as one tape node.
 
-    Tokens whose squared norm reaches ``eps`` are normalized exactly; smaller
-    ones (fully masked fused tokens in particular) are scaled by the constant
-    1/sqrt(eps), which keeps them at zero similarity while bounding the
-    backward pass (an unguarded cosine has unbounded gradient at the origin).
+    Tokens whose squared norm reaches ``eps`` (``_L2_EPS``) are normalized
+    exactly; smaller ones (fully masked fused tokens in particular) are
+    scaled by 1/sqrt(eps), which keeps them at zero similarity while bounding
+    the backward (an unguarded cosine has unbounded gradient at the origin).
 
     The node keeps the squared norms ``ss`` and the floored norms ``n``, both
     (..., 1).  Its backward hands ``x`` three gradients, one at a time, in
@@ -96,17 +103,14 @@ def l2_normalize(x: Tensor, eps: float = 1e-2) -> Tensor:
         g / n,   then  g_ss * x  twice,
         g_ss = sum(-g * x / (n * n)) * (0.5 / n) * [ss >= eps]
     """
-    if not eps > 0:
-        raise ParameterError(f"l2_normalize: eps must be > 0, got {eps}")
     x = as_tensor(x)
-    floor = np.float32(eps)
     ss = (x.data * x.data).sum(axis=-1, keepdims=True)
-    n = np.sqrt(np.maximum(ss, floor))
+    n = np.sqrt(np.maximum(ss, _L2_EPS))
 
     def bw(g):
         x._accumulate(g / n)
         g_n = _unbroadcast(-g * x.data / (n * n), n.shape) + _ZERO
-        g_ss = g_n * (0.5 / n) * (ss >= floor).astype(np.float32) + _ZERO
+        g_ss = g_n * (0.5 / n) * (ss >= _L2_EPS).astype(np.float32) + _ZERO
         g_sq = g_ss * x.data
         x._accumulate(g_sq)
         x._accumulate(g_sq)
@@ -128,10 +132,13 @@ def similarity(e_tokens: Tensor, r_tokens: Tensor, cfg: PoolConfig) -> Tensor:
     return _pooled(l2_normalize(e_tokens), l2_normalize(r_tokens), cfg)
 
 
-def _block_rows(be: int, nl: int, nn: int) -> int:
-    """Image rows per block: as many (B_e, L, N) float32 slabs as fit
-    ``_BLOCK_BYTES``, at least one."""
-    return max(1, _BLOCK_BYTES // (be * nl * nn * 4))
+def _blocks(br: int, be: int, nl: int, nn: int) -> list:
+    """The (rows, cols) slices ``_pooled`` walks; see the module docstring."""
+    n_cols = -(-be // _BLOCK_COLS)
+    cuts = [be * k // n_cols for k in range(n_cols + 1)]
+    rows = max(1, _BLOCK_BYTES // (-(-be // n_cols) * nl * nn * 4))
+    return [(slice(i0, min(i0 + rows, br)), slice(j0, j1))
+            for i0 in range(0, br, rows) for j0, j1 in zip(cuts, cuts[1:])]
 
 
 def _max_last_axis(f4: np.ndarray) -> np.ndarray:
@@ -165,7 +172,7 @@ def _exp_shifted(ax: np.ndarray, shift: np.ndarray) -> np.ndarray:
 
 def _pooled(e_hat: Tensor, r_hat: Tensor, cfg: PoolConfig) -> Tensor:
     """One tape node: unit token sets (B_e, L, D) and (B_r, N, D) -> the
-    pooled (B_r, B_e) scores, one block of image rows at a time; see the
+    pooled (B_r, B_e) scores, one ``_blocks`` block at a time; see the
     module docstring for what it keeps and its backward."""
     be, nl, d = e_hat.shape
     br, nn, _ = r_hat.shape
@@ -176,35 +183,35 @@ def _pooled(e_hat: Tensor, r_hat: Tensor, cfg: PoolConfig) -> Tensor:
     tracked = _joins_tape((r_hat, e_hat))
     out = np.empty((br, be), dtype=np.float32)
 
-    def pool_rows(i0: int, i1: int):
-        """Fill ``out[i0:i1]`` with alpha times the pooled scores; return
+    def pool(i: slice, j: slice):
+        """Fill ``out[i, j]`` with alpha times the pooled scores; return
         what the backward reads of this block (nothing when untracked).
         Every other array of the block dies with this call."""
-        f4 = (r2[i0 * nn:i1 * nn] @ e2.T).reshape(i1 - i0, nn, be, nl)
+        r, e = r_hat.data[i], e_hat.data[j]
+        f4 = (r.reshape(-1, d) @ e.reshape(-1, d).T).reshape(len(r), nn, -1, nl)
         word_max = region_max = word_arg = region_arg = None
         if mode in ("tha", "biha"):
-            word_max = f4.max(axis=1)  # (rows, B_e, L), C order
+            word_max = f4.max(axis=1)  # (rows, cols, L), C order
         if mode in ("vha", "biha"):
             region_max = np.ascontiguousarray(
                 _max_last_axis(f4).transpose(0, 2, 1))
         ax = _alpha_x(f4, word_max, region_max, mode, alpha)
         shift = ax.max(axis=axes, keepdims=True)
         s = _exp_shifted(ax, shift).sum(axis=axes, keepdims=True)
-        out[i0:i1] = np.squeeze(shift + np.log(s), axis=axes)
+        out[i, j] = np.squeeze(shift + np.log(s), axis=axes)
         if not tracked:
             return None
         # each maximum routes its gradient to its first maximal entry, as
         # np.argmax picks
         if word_max is not None:
-            word_arg = np.argmax(f4 == word_max[:, None], axis=1)  # (rows, B_e, L)
+            word_arg = np.argmax(f4 == word_max[:, None], axis=1)  # (rows, cols, L)
         if region_max is not None:
             region_nb = region_max.transpose(0, 2, 1)[..., None]
-            region_arg = np.argmax(f4 == region_nb, axis=3)  # (rows, N, B_e)
-        return (i0, i1, f4 if mode == "lse" else None, word_max, region_max,
+            region_arg = np.argmax(f4 == region_nb, axis=3)  # (rows, N, cols)
+        return (i, j, f4 if mode == "lse" else None, word_max, region_max,
                 word_arg, region_arg, shift, s)
 
-    rows = _block_rows(be, nl, nn)
-    blocks = [pool_rows(i0, min(i0 + rows, br)) for i0 in range(0, br, rows)]
+    blocks = [pool(i, j) for i, j in _blocks(br, be, nl, nn)]
     np.multiply(out, np.float32(1.0 / alpha), out=out)
 
     def bw(g):
@@ -212,21 +219,21 @@ def _pooled(e_hat: Tensor, r_hat: Tensor, cfg: PoolConfig) -> Tensor:
         # lse writes every entry; the other modes route to a few
         g_flat = (np.empty if mode == "lse" else np.zeros)(
             (br * nn, be * nl), dtype=np.float32)
-        for (i0, i1, f4, word_max, region_max, word_arg, region_arg, shift,
+        g4 = g_flat.reshape(br, nn, be, nl)  # laid out as f4
+        for (i, j, f4, word_max, region_max, word_arg, region_arg, shift,
              s) in blocks:
-            m = i1 - i0
             ex = _exp_shifted(_alpha_x(f4, word_max, region_max, mode, alpha),
                               shift)
-            g_m = g[i0:i1].reshape((m, be) + (1,) * (ex.ndim - 2))
+            g_m = g[i, j].reshape(ex.shape[:2] + (1,) * (ex.ndim - 2))
             # g * softmax * alpha, in place over ``ex``; a +0.0 before the
             # positive ``* alpha`` is implied by the one after it
             g_x = np.divide(ex, s, out=ex)
             np.multiply(g_m, g_x, out=g_x)
             np.multiply(g_x, np.float32(alpha), out=g_x)
             np.add(g_x, _ZERO, out=g_x)
-            g_block = g_flat[i0 * nn:i1 * nn]
+            g_block = g4[i, :, j]
             if mode == "lse":
-                g_block[...] = g_x.transpose(0, 3, 1, 2).reshape(m * nn, be * nl)
+                g_block[...] = g_x.transpose(0, 3, 1, 2)
                 continue
             if mode == "tha":
                 g_word, g_region = g_x, None
@@ -237,16 +244,13 @@ def _pooled(e_hat: Tensor, r_hat: Tensor, cfg: PoolConfig) -> Tensor:
                 g_word = prod.sum(3) + _ZERO
                 np.multiply(g_x, word_max[:, :, :, None], out=prod)
                 g_region = prod.sum(2) + _ZERO
-            # linear index of f4[i, n, j, l] in the block's rows of g_flat
-            g_block = g_block.reshape(-1)
-            i = np.arange(m).reshape(m, 1, 1) * (nn * be * nl)
             if g_word is not None:
-                j, l = np.arange(be).reshape(1, be, 1) * nl, np.arange(nl)
-                g_block[i + word_arg * (be * nl) + j + l] = g_word
-            if g_region is not None:
-                n = np.arange(nn).reshape(1, nn, 1) * (be * nl)
-                j = np.arange(be) * nl
-                g_block[i + n + j + region_arg] += g_region.transpose(0, 2, 1)
+                np.put_along_axis(g_block, word_arg[:, None], g_word[:, None], 1)
+            if g_region is not None:  # added to what the word routing wrote
+                at = region_arg[..., None]
+                np.put_along_axis(
+                    g_block, at, np.take_along_axis(g_block, at, axis=3)
+                    + g_region.transpose(0, 2, 1)[..., None], axis=3)
         if r_hat.requires_grad:
             r_hat._accumulate((g_flat @ e2).reshape(br, nn, d))
         if e_hat.requires_grad:

@@ -14,10 +14,16 @@ from .config import RunConfig, load_config
 from .energy import energy_report
 from .errors import ContractError, StateError, UsageError
 from .tensor import Tensor
-from .train import ABLATION_AXES, ablation_sweep, evaluate_recall, train
+from .train import (ABLATION_AXES, RECALL_KS, ablation_sweep,
+                    evaluate_recall, train)
 
-METRIC_COLUMNS = ("i2t_r@1", "i2t_r@5", "i2t_r@10",
-                  "t2i_r@1", "t2i_r@5", "t2i_r@10", "r_sum")
+# the keys ``recall_from_similarity`` builds, in table order
+METRIC_COLUMNS = tuple(f"{side}_r@{k}" for side in ("i2t", "t2i")
+                       for k in RECALL_KS) + ("r_sum",)
+
+
+def _row_label(row: dict) -> str:
+    return str(row.get("label", row.get("value", "")))
 
 
 def metrics_table(rows: list[dict], label: str = "run") -> str:
@@ -25,18 +31,16 @@ def metrics_table(rows: list[dict], label: str = "run") -> str:
     header = f"{label:<14}" + "".join(f"{c:>10}" for c in METRIC_COLUMNS)
     lines = [header, "-" * len(header)]
     for row in rows:
-        name = str(row.get("label", row.get("value", "")))
-        lines.append(
-            f"{name:<14}" + "".join(f"{row[c]:>10.2f}" for c in METRIC_COLUMNS)
-        )
+        lines.append(f"{_row_label(row):<14}"
+                     + "".join(f"{row[c]:>10.2f}" for c in METRIC_COLUMNS))
     return "\n".join(lines)
 
 
 def metrics_csv(rows: list[dict], label: str = "run") -> str:
     lines = [",".join((label,) + METRIC_COLUMNS)]
     for row in rows:
-        name = str(row.get("label", row.get("value", "")))
-        lines.append(",".join([name] + [f"{row[c]:.4f}" for c in METRIC_COLUMNS]))
+        lines.append(",".join([_row_label(row)]
+                              + [f"{row[c]:.4f}" for c in METRIC_COLUMNS]))
     return "\n".join(lines)
 
 
@@ -88,8 +92,7 @@ def cmd_eval(args) -> int:
     dataset = data_mod.load_manifest(args.data)
     model = _model_from_checkpoint(args, dataset)
     metrics = evaluate_recall(model, dataset)
-    row = dict(metrics)
-    row["label"] = "eval"
+    row = dict(metrics, label="eval")
     print(metrics_table([row]))
     print(metrics_csv([row]))
     print(f"R@Sum {metrics['r_sum']:g}")

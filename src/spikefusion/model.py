@@ -16,8 +16,7 @@ from .layers import Module
 from .losses import infonce_pair, total_loss  # noqa: F401
 from .tensor import Tensor, no_grad
 
-# images (rows) and captions (columns) per tile of the evaluation score
-# matrix, and samples per encoder call when building it
+# samples per encoder call when evaluation encodes a gallery
 EVAL_BLOCK = 32
 
 
@@ -61,21 +60,15 @@ class RetrievalModel(Module):
     def eval_similarity(self, regions: Tensor, words: Tensor) -> Tensor:
         """Inference path: the pooled score matrix, fusion never touched.
 
-        ``s[i, j]`` is filled one ``EVAL_BLOCK`` x ``EVAL_BLOCK`` tile at a
-        time, so at most one tile's (b, b, L, N) fine tensor is alive: memory
-        is O(EVAL_BLOCK^2 * L * N + P^2), not O(P^2 * L * N).  Every tile's
-        scores are bit-identical to those of one full-batch ``similarity``.
+        One ``similarity`` call over the whole gallery; its node walks the
+        fine tensor in blocks of at most ``_BLOCK_BYTES`` (see
+        ``spikefusion.alignment``), so memory is O(P^2 + P (L + N) D), not
+        O(P^2 * L * N).
         """
         with no_grad():
             r_pooled = _pooled_in_chunks(self.image, regions)
             e_pooled = _pooled_in_chunks(self.text, words)
-            s = np.empty((r_pooled.shape[0], e_pooled.shape[0]), np.float32)
-            for i in range(0, s.shape[0], EVAL_BLOCK):
-                for j in range(0, s.shape[1], EVAL_BLOCK):
-                    s[i:i + EVAL_BLOCK, j:j + EVAL_BLOCK] = similarity(
-                        e_pooled[j:j + EVAL_BLOCK], r_pooled[i:i + EVAL_BLOCK],
-                        self.pool_cfg).data
-        return Tensor(s)
+            return similarity(e_pooled, r_pooled, self.pool_cfg)
 
     def training_losses(self, regions: Tensor, words: Tensor):
         """The objective on one batch; returns (total, parts dict).  Only

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, StateError, UsageError
+from .errors import DimensionError, StateError, UsageError
 
 _ZERO = np.float32(0.0)
 _grad_enabled: ContextVar[bool] = ContextVar("grad_enabled", default=True)
@@ -408,17 +408,18 @@ def softplus(x: Tensor) -> Tensor:
 # alone.  Where that graph turned a -0.0 into +0.0 (``_first_gradient``) and
 # it can matter, the backward adds +0.0 too.
 
+_NORM_EPS = 1e-5
+_BN_MOMENTUM = 0.1  # weight of a train-mode batch in the running stats
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize over the last axis to zero mean / unit variance, then affine."""
-    if not eps > 0:
-        raise ParameterError(f"layer_norm: eps must be > 0, got {eps}")
     x = as_tensor(x)
-    mu, _, sd, inv_n = _moments(x.data, -1, eps)
+    mu, _, sd, inv_n = _moments(x.data, -1)
     return _normalize(x, gamma, beta, mu, sd, inv_n)
 
 
-def _moments(xd: np.ndarray, axis, eps: float):
+def _moments(xd: np.ndarray, axis):
     """Mean, variance and ``sqrt(var + eps)`` over ``axis`` (kept as size-1
     axes), and the ``1 / count`` both means were scaled by."""
     total = xd.sum(axis=axis, keepdims=True)
@@ -426,7 +427,7 @@ def _moments(xd: np.ndarray, axis, eps: float):
     mu = total * inv_n
     xc = xd - mu
     var = (xc * xc).sum(axis=axis, keepdims=True) * inv_n
-    return mu, var, np.sqrt(var + np.float32(eps)), inv_n
+    return mu, var, np.sqrt(var + np.float32(_NORM_EPS)), inv_n
 
 
 def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, mu: np.ndarray,
@@ -474,33 +475,31 @@ class RunningStats:
     var: np.ndarray | None = None
     initialized: bool = field(default=False)
 
-    def update(self, mean: np.ndarray, var: np.ndarray, momentum: float):
+    def update(self, mean: np.ndarray, var: np.ndarray):
         if not self.initialized:
             self.mean = mean.copy()
             self.var = var.copy()
             self.initialized = True
         else:
-            self.mean = (1.0 - momentum) * self.mean + momentum * mean
-            self.var = (1.0 - momentum) * self.var + momentum * var
+            self.mean = (1.0 - _BN_MOMENTUM) * self.mean + _BN_MOMENTUM * mean
+            self.var = (1.0 - _BN_MOMENTUM) * self.var + _BN_MOMENTUM * var
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
-               train: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+               train: bool) -> Tensor:
     """Normalize per embedding channel (last axis) over all leading axes.
 
     Statistics pool the time, batch and token axes together, so a single set
     is shared by every time step.  Train mode normalizes with batch moments
     and folds them into the running stats; eval mode uses the stored stats.
     """
-    if not eps > 0:
-        raise ParameterError(f"batch_norm: eps must be > 0, got {eps}")
     x = as_tensor(x)
     if train:
-        mu, var, sd, inv_n = _moments(x.data, tuple(range(x.ndim - 1)), eps)
-        stats.update(mu.reshape(-1), var.reshape(-1), momentum)
+        mu, var, sd, inv_n = _moments(x.data, tuple(range(x.ndim - 1)))
+        stats.update(mu.reshape(-1), var.reshape(-1))
         return _normalize(x, gamma, beta, mu, sd, inv_n)
     if not stats.initialized:
         raise StateError("batch_norm: eval mode requires initialized running stats")
     mu = stats.mean.astype(np.float32)
-    sd = np.sqrt(stats.var.astype(np.float32) + np.float32(eps))
+    sd = np.sqrt(stats.var.astype(np.float32) + np.float32(_NORM_EPS))
     return _normalize(x, gamma, beta, mu, sd)

@@ -288,7 +288,12 @@ def reference_batch_norm(x, gamma, beta, stats, train, momentum=0.1,
         mu = mean(x, axis=axes, keepdims=True)
         xc = x - mu
         var = mean(xc * xc, axis=axes, keepdims=True)
-        stats.update(mu.data.reshape(-1), var.data.reshape(-1), momentum)
+        m, v = mu.data.reshape(-1), var.data.reshape(-1)
+        if not stats.initialized:
+            stats.mean, stats.var, stats.initialized = m.copy(), v.copy(), True
+        else:
+            stats.mean = (1.0 - momentum) * stats.mean + momentum * m
+            stats.var = (1.0 - momentum) * stats.var + momentum * v
         xhat = xc / sqrt(var + np.float32(eps))
     else:
         if not stats.initialized:
