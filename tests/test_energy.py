@@ -75,6 +75,16 @@ class TestSops:
         with pytest.raises(UsageError):
             sops(LayerLedger("l", "float", 100, 1.0))
 
+    def test_recorded_row_counts_every_spike_once_per_column(self):
+        # each input spike feeds n accumulates, one per output column
+        t, n = 3, 7
+        rng = np.random.default_rng(3)
+        a = (rng.random((t, 2, 5, 4)) < 0.4).astype(np.float32)
+        w = Tensor(rng.standard_normal((4, n)).astype(np.float32))
+        with recording() as layers:
+            record_matmul("lin", Tensor(a), w, t, "spiking")
+        assert sops(layers[0]) == np.count_nonzero(a) * n
+
 
 class TestLayerEnergy:
     CONSTS = EnergyConstants()  # 4.6 pJ per MAC, 0.9 pJ per AC
@@ -271,6 +281,17 @@ class TestEnergyReport:
         report = energy_report(model, regions, words)
         assert model.fusion.call_count == 0
         assert not any("fusion" in l.name for l in report.layers)
+
+    def test_exact_totals(self):
+        """Bit-exact totals: the golden text rounds the energy, so a change
+        in summation order would pass it."""
+        model = tiny_model()
+        regions, words = calibration_batch()
+        model.calibrate(regions, words)
+        report = energy_report(model, regions, words)
+        assert (report.ac_ops, report.mac_ops,
+                repr(report.total_picojoules)) == (1304, 1408,
+                                                   "7650.400000000001")
 
     def test_golden_report(self):
         """Frozen serialization of the deterministic tiny-model report."""
