@@ -9,7 +9,7 @@ theoretical energy ledger accounts for every inference-path layer.
 from .alignment import PoolConfig, similarity
 from .config import RunConfig, load_config, parse_config
 from .data import Dataset, load_manifest, synth_dataset
-from .energy import EnergyConstants, EnergyReport, energy_report, firing_rate
+from .energy import EnergyReport, energy_report
 from .fusion import FusionConfig, SpikeFusion, comb_mask
 from .losses import LossWeights, infonce_pair, total_loss
 from .model import RetrievalModel
@@ -21,7 +21,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dataset",
-    "EnergyConstants",
     "EnergyReport",
     "FusionConfig",
     "LIFParams",
@@ -29,13 +28,13 @@ __all__ = [
     "PoolConfig",
     "RetrievalModel",
     "RunConfig",
+    "SpikeFusion",
     "TLSNParams",
     "Tensor",
     "ablation_sweep",
     "comb_mask",
     "energy_report",
     "evaluate_recall",
-    "firing_rate",
     "infonce_pair",
     "lif_sequence",
     "load_config",

@@ -21,7 +21,9 @@ moments skipped; any other array the model does not read is an error.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,9 +60,18 @@ def save_checkpoint(path, model, epoch: int = 0):
     header.append(f"arrays {len(index_lines)}")
     header.extend(index_lines)
     header.append("---")
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(header) + "\n").encode("utf-8"))
-        fh.write(bytes(payload))
+    # write beside the target and rename over it, so a failed write leaves
+    # the previous file whole
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(("\n".join(header) + "\n").encode("utf-8"))
+            fh.write(bytes(payload))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
     return path
 
 

@@ -85,6 +85,15 @@ class RunConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if not (self.lr_encoder > 0 and self.lr_fusion > 0):
             raise ConfigError("learning rates must be > 0")
+        if not self.lr_decay_factor > 0:
+            raise ConfigError(
+                f"lr_decay_factor must be > 0, got {self.lr_decay_factor}")
+        if self.lr_decay_epochs < 0:
+            raise ConfigError(
+                f"lr_decay_epochs must be >= 0, got {self.lr_decay_epochs}")
+        if not self.weight_decay >= 0:
+            raise ConfigError(
+                f"weight_decay must be >= 0, got {self.weight_decay}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ConfigError(
                 f"val_fraction must be in [0, 1), got {self.val_fraction}"

@@ -9,7 +9,9 @@ operation,
 where ``rate`` is the occupancy (nonzero fraction) of the layer's input
 spike train and FLOPs counts a single time step.  Dense float layers cost
 ``E_MAC * FLOPs``; pure mask multiplies (spike gating) cost nothing.  The
-45 nm reference constants are E_MAC = 4.6 pJ and E_AC = 0.9 pJ.
+45 nm reference constants are E_MAC = 4.6 pJ and E_AC = 0.9 pJ.  Each
+:class:`LayerLedger` row prices itself (``sops``, ``macs``, ``picojoules``)
+and the report only sums rows.
 
 Layers record themselves with ``record_*`` calls, which append to the
 ledger of the enclosing :func:`recording` and do nothing outside one.  The
@@ -26,30 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccountingError, ParameterError, UsageError
+from .errors import AccountingError, UsageError
 from .tensor import Tensor, _context_set, as_tensor, no_grad
 
 LAYER_KINDS = ("spiking", "float", "mask")
-
-
-@dataclass(frozen=True)
-class EnergyConstants:
-    e_mac: float = 4.6  # pJ per multiply-accumulate
-    e_ac: float = 0.9   # pJ per accumulate
-
-    def __post_init__(self):
-        if self.e_mac <= 0 or self.e_ac <= 0:
-            raise ParameterError("energy constants must be positive")
-
-
-def firing_rate(s: Tensor | np.ndarray) -> float:
-    """Mean of a binary spike tensor."""
-    data = s.data if isinstance(s, Tensor) else np.asarray(s)
-    if data.size == 0:
-        raise UsageError("firing_rate: empty tensor")
-    if not np.isin(data, (0.0, 1.0)).all():
-        raise UsageError("firing_rate: tensor is not binary")
-    return float(data.mean())
+E_MAC = 4.6  # pJ per multiply-accumulate
+E_AC = 0.9   # pJ per accumulate
 
 
 def occupancy(x: Tensor | np.ndarray) -> float:
@@ -62,6 +46,7 @@ def occupancy(x: Tensor | np.ndarray) -> float:
 
 @dataclass
 class LayerLedger:
+    """One recorded layer; its kind decides what it costs."""
     name: str
     kind: str
     flops: int
@@ -76,39 +61,37 @@ class LayerLedger:
                 f"layer {self.name!r} rate {self.rate} outside [0, 1]"
             )
 
+    @property
+    def sops(self) -> int:
+        """Synaptic operations (accumulates): T * rate * single-step FLOPs."""
+        if self.kind != "spiking":
+            return 0
+        return int(round(self.t * self.rate * self.flops))
 
-def sops(ledger: LayerLedger) -> int:
-    """Synaptic operations: T * rate * single-step FLOPs."""
-    if ledger.kind != "spiking":
-        raise UsageError(f"sops: layer {ledger.name!r} is not spiking")
-    return int(round(ledger.t * ledger.rate * ledger.flops))
+    @property
+    def macs(self) -> int:
+        return self.flops if self.kind == "float" else 0
 
-
-def layer_energy(ledger: LayerLedger, consts: EnergyConstants) -> float:
-    """Energy of one layer in picojoules."""
-    if ledger.kind == "spiking":
-        return consts.e_ac * sops(ledger)
-    if ledger.kind == "float":
-        return consts.e_mac * ledger.flops
-    return 0.0
+    @property
+    def picojoules(self) -> float:
+        return E_AC * self.sops + E_MAC * self.macs
 
 
 @dataclass
 class EnergyReport:
     layers: list[LayerLedger]
-    consts: EnergyConstants
 
     @property
     def ac_ops(self) -> int:
-        return sum(sops(l) for l in self.layers if l.kind == "spiking")
+        return sum(l.sops for l in self.layers)
 
     @property
     def mac_ops(self) -> int:
-        return sum(l.flops for l in self.layers if l.kind == "float")
+        return sum(l.macs for l in self.layers)
 
     @property
     def total_picojoules(self) -> float:
-        return sum(layer_energy(l, self.consts) for l in self.layers)
+        return sum(l.picojoules for l in self.layers)
 
     @property
     def total_millijoules(self) -> float:
@@ -123,15 +106,14 @@ class EnergyReport:
         """Stable text serialization (one record per layer plus totals)."""
         lines = [
             "# energy report (1 FLOP-unit = 1 multiply-accumulate; "
-            f"E_MAC={self.consts.e_mac} pJ, E_AC={self.consts.e_ac} pJ)",
+            f"E_MAC={E_MAC} pJ, E_AC={E_AC} pJ)",
             f"{'layer':<28} {'kind':<8} {'flops':>12} {'rate':>9} "
             f"{'sops':>12} {'pJ':>14}",
         ]
         for l in self.layers:
-            layer_sops = sops(l) if l.kind == "spiking" else 0
             lines.append(
                 f"{l.name:<28} {l.kind:<8} {l.flops:>12d} {l.rate:>9.6f} "
-                f"{layer_sops:>12d} {layer_energy(l, self.consts):>14.3f}"
+                f"{l.sops:>12d} {l.picojoules:>14.3f}"
             )
         lines.append(
             f"total: ac_ops={self.ac_ops} mac_ops={self.mac_ops} "
@@ -198,4 +180,4 @@ def energy_report(model, regions, words) -> EnergyReport:
         model.encode(regions, words, train=False)
     if not layers:
         raise AccountingError("instrumented forward recorded no layers")
-    return EnergyReport(layers, EnergyConstants())
+    return EnergyReport(layers)

@@ -16,12 +16,11 @@ from spikefusion.alignment import PoolConfig, similarity
 from spikefusion.config import RunConfig
 from spikefusion.data import load_manifest, synth_dataset, train_val_split
 from spikefusion.energy import (
-    EnergyConstants,
+    E_AC,
+    E_MAC,
     LayerLedger,
     energy_report,
-    layer_energy,
     recording,
-    sops,
 )
 from spikefusion.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from spikefusion.fusion import comb_mask, qkv_attention
@@ -263,14 +262,12 @@ def test_criterion_06_loss_arithmetic():
 
 
 def test_criterion_07_energy_arithmetic():
-    consts = EnergyConstants()
-    constants_ok = consts.e_mac == 4.6 and consts.e_ac == 0.9
-    mixed_mj = 265.04e6 * (0.6 * consts.e_ac + 0.4 * consts.e_mac) * 1e-9
+    constants_ok = E_MAC == 4.6 and E_AC == 0.9
+    mixed_mj = 265.04e6 * (0.6 * E_AC + 0.4 * E_MAC) * 1e-9
     headline_ok = abs(mixed_mj - 0.626) / 0.626 < 0.02
 
-    sops_ok = sops(LayerLedger("l", "spiking", 1000, 0.25, t=2)) == 500
-    gate_free = layer_energy(LayerLedger("gate_multiply", "mask", 0, 0.0),
-                             consts) == 0.0
+    sops_ok = LayerLedger("l", "spiking", 1000, 0.25, t=2).sops == 500
+    gate_free = LayerLedger("gate_multiply", "mask", 0, 0.0).picojoules == 0.0
 
     golden = os.path.join(os.path.dirname(__file__), "golden",
                           "energy_report.txt")

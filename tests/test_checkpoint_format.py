@@ -14,6 +14,7 @@ Regenerate that file with ``PYTHONPATH=src python
 tests/test_checkpoint_format.py > tests/golden/checkpoint_sha256.txt``.
 """
 
+import errno
 import hashlib
 import os
 import tempfile
@@ -21,6 +22,7 @@ import tempfile
 import numpy as np
 import pytest
 
+from spikefusion import checkpoint
 from spikefusion.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from spikefusion.config import RunConfig
 from spikefusion.data import load_manifest, synth_dataset
@@ -143,6 +145,40 @@ def test_fixture_header_rewritten_byte_for_byte(tmp_path):
     with open(FIXTURE_PATH, "rb") as fh:
         old = fh.read()
     assert now.split(b"\n---\n")[0] == old.split(b"\n---\n")[0]
+
+
+class TornFile:
+    """A file whose second write stores half its bytes, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.writes = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 2:
+            self.fh.write(data[:len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.fh.write(data)
+
+
+def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    path = save_checkpoint(tmp_path / "best.ckpt", fixture_model(), epoch=1)
+    with open(path, "rb") as fh:
+        before = fh.read()
+    monkeypatch.setattr(checkpoint, "open",
+                        lambda *args: TornFile(open(*args)), raising=False)
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(path, fixture_model(), epoch=2)
+    with open(path, "rb") as fh:
+        assert fh.read() == before
+    assert os.listdir(tmp_path) == ["best.ckpt"]
 
 
 def saved_sha256(root, fusion, generator):

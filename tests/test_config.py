@@ -90,6 +90,10 @@ class TestValidate:
         dict(v_th=0.005),  # within the TLSN threshold floor of v_reset
         dict(v_th=1e39),  # finite in float64, overflows the float32 network
         dict(v_th=3e38, v_reset=-3e38),  # each fits float32, the gap does not
+        dict(lr_decay_factor=-1.0),  # would climb the loss in the decay epochs
+        dict(lr_decay_factor=0.0),
+        dict(weight_decay=-0.5),
+        dict(lr_decay_epochs=-3),
     ])
     def test_constraint_violations(self, kwargs):
         with pytest.raises(ConfigError):

@@ -1,0 +1,70 @@
+"""Import hygiene, checked on the source with ``ast`` (no linter needed).
+
+Every name a ``spikefusion`` module imports is used in that module, and
+every name the package ``__init__`` imports is exported in ``__all__``.
+"""
+
+import ast
+import os
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "spikefusion")
+MODULES = sorted(f[:-3] for f in os.listdir(SRC)
+                 if f.endswith(".py") and f != "__init__.py")
+# (module, name) imported for a caller outside the module to look up there
+REEXPORTED = {("model", "infonce_pair")}  # perfbench wraps it in model
+
+
+def parse(module):
+    with open(os.path.join(SRC, f"{module}.py"), encoding="utf-8") as fh:
+        return ast.parse(fh.read())
+
+
+def imported_names(tree):
+    """Names bound by the module's imports, ``from __future__`` excluded."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [a.asname or a.name for a in node.names]
+    return names
+
+
+def annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            yield node.annotation
+
+
+def used_names(tree):
+    """Names read anywhere, including inside quoted annotations."""
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for ann in filter(None, annotations(tree)):
+        for node in ast.walk(ann):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                expr = ast.parse(node.value, mode="eval")
+                used |= {n.id for n in ast.walk(expr)
+                         if isinstance(n, ast.Name)}
+    return used
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_import_is_used(module):
+    tree = parse(module)
+    unused = [name for name in imported_names(tree)
+              if name not in used_names(tree)
+              and (module, name) not in REEXPORTED]
+    assert unused == []
+
+
+def test_package_exports_every_import():
+    tree = parse("__init__")
+    exported = next(ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and node.targets[0].id == "__all__")
+    assert [n for n in imported_names(tree) if n not in exported] == []
+    assert sorted(exported) == exported
