@@ -8,7 +8,8 @@ that also wrote the AdamW moments (``golden/sca_linear_bn_d8_moments.ckpt``:
 ``adam_m/``, ``adam_v/`` arrays and ``adam_step 3``).  And a fixed-seed
 trained run must save the very bytes pinned in
 ``golden/checkpoint_sha256.txt``: header, config, index, parameters and
-running stats.
+running stats.  Those runs cover every fusion kind x alignment mode with the
+default generator, and every generator under sca fusion and biha alignment.
 
 Regenerate that file with ``PYTHONPATH=src python
 tests/test_checkpoint_format.py > tests/golden/checkpoint_sha256.txt``.
@@ -23,6 +24,7 @@ import numpy as np
 import pytest
 
 from spikefusion import checkpoint
+from spikefusion.alignment import POOL_MODES
 from spikefusion.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from spikefusion.config import RunConfig
 from spikefusion.data import load_manifest, synth_dataset
@@ -40,8 +42,12 @@ FIXTURE_SIM_PATH = os.path.join(GOLDEN, "sca_linear_bn_d8_similarity.npy")
 SHA256_PATH = os.path.join(GOLDEN, "checkpoint_sha256.txt")
 FUSIONS = ("none", "scca", "sca", "scsa")
 VARIANTS = [(f, g) for f in FUSIONS for g in GENERATOR_VARIANTS]
-# every fusion kind, and a batch-norm generator for its running stats
-SAVED_RUNS = [(f, "repeat-ln") for f in FUSIONS] + [("sca", "linear-bn")]
+# (fusion, alignment, generator) of each pinned run
+SAVED_RUNS = [(f, a, "repeat-ln") for f in FUSIONS for a in POOL_MODES] + [
+    ("sca", "biha", g) for g in GENERATOR_VARIANTS if g != "repeat-ln"]
+# biha is the default alignment, so its ids leave it out
+SAVED_IDS = ["-".join(run if run[1] != "biha" else run[::2])
+             for run in SAVED_RUNS]
 
 
 def toy_batch(seed, b=3, k=4):
@@ -181,13 +187,14 @@ def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["best.ckpt"]
 
 
-def saved_sha256(root, fusion, generator):
+def saved_sha256(root, fusion, alignment, generator):
     """sha256 of the ``best.ckpt`` a fixed-seed two-epoch run saves."""
     dataset = load_manifest(synth_dataset(
         os.path.join(root, "data"), seed=11, pairs=24, n_regions=4,
         n_words=4, region_width=12, word_width=10, noise=0.1))
     cfg = RunConfig(d=16, t=2, batch=8, heads=2, seed=5, epochs=2,
-                    val_fraction=0.25, fusion=fusion, generator=generator)
+                    val_fraction=0.25, fusion=fusion, alignment=alignment,
+                    generator=generator)
     result = train(cfg, dataset, out_dir=os.path.join(root, "run"))
     with open(result.checkpoint_path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
@@ -196,16 +203,19 @@ def saved_sha256(root, fusion, generator):
 def read_golden_sha256():
     with open(SHA256_PATH, encoding="utf-8") as fh:
         rows = (line.split() for line in fh if line.strip())
-        return {(fusion, generator): sha for fusion, generator, sha in rows}
+        return {tuple(row[:3]): row[3] for row in rows}
 
 
-@pytest.mark.parametrize("fusion,generator", SAVED_RUNS)
-def test_saved_checkpoint_bytes_match_golden(tmp_path, fusion, generator):
-    assert saved_sha256(tmp_path, fusion, generator) \
-        == read_golden_sha256()[(fusion, generator)]
+def test_golden_sha256_covers_every_saved_run():
+    assert sorted(read_golden_sha256()) == sorted(SAVED_RUNS)
+
+
+@pytest.mark.parametrize("run", SAVED_RUNS, ids=SAVED_IDS)
+def test_saved_checkpoint_bytes_match_golden(tmp_path, run):
+    assert saved_sha256(tmp_path, *run) == read_golden_sha256()[run]
 
 
 if __name__ == "__main__":
-    for f, g in SAVED_RUNS:
+    for run in SAVED_RUNS:
         with tempfile.TemporaryDirectory() as root:
-            print(f"{f} {g} {saved_sha256(root, f, g)}")
+            print(*run, saved_sha256(root, *run))
