@@ -46,17 +46,12 @@ class GeneratorConfig:
 
 
 def _shift_tokens(x: Tensor, offset: int) -> Tensor:
-    """Shift along the token axis (second to last), zero padding the edge."""
-    k = x.shape[-2]
-    pad_shape = list(x.shape)
-    pad_shape[-2] = abs(offset)
-    zeros = Tensor(np.zeros(pad_shape, dtype=np.float32))
-    idx = (Ellipsis,)
-    if offset > 0:  # token i sees token i-offset
-        body = x[idx + (slice(0, k - offset), slice(None))]
-        return concat([zeros, body], axis=-2)
-    body = x[idx + (slice(-offset, k), slice(None))]
-    return concat([body, zeros], axis=-2)
+    """Shift one token along the token axis (second to last), zero padding
+    the edge: with ``offset`` 1 token i sees token i-1, with -1 token i+1."""
+    zeros = Tensor(np.zeros(x.shape[:-2] + (1, x.shape[-1]), dtype=np.float32))
+    if offset == 1:
+        return concat([zeros, x[..., :x.shape[-2] - 1, :]], axis=-2)
+    return concat([x[..., 1:, :], zeros], axis=-2)
 
 
 class SpikeGenerator(Module):
@@ -65,27 +60,18 @@ class SpikeGenerator(Module):
         self.cfg = cfg
         self.tlsn = TLSNParams.create(lif)
         d = cfg.d
-        base, norm_kind = cfg.variant.split("-")
-        self.base = base
-        if norm_kind == "ln":
-            self.norm = LayerNorm(d)
-        else:
-            self.norm = BatchNorm(d)
-        self.norm_kind = norm_kind
-        self.step: list[Linear] = []  # one map per time step (linear)
-        self.tap: list[Linear] = []   # token-axis conv taps (conv)
-        if base == "linear":
-            self.step = [Linear(d, d, rng, bias=False) for _ in range(cfg.t)]
-        elif base == "conv":
-            # kernel-size-3, same-padding convolution over the token axis
-            self.tap = [Linear(d, d, rng, bias=False) for _ in range(3)]
+        self.base, norm = cfg.variant.split("-")
+        self.norm = LayerNorm(d) if norm == "ln" else BatchNorm(d)
+        # one map per time step (linear); the taps of a kernel-size-3,
+        # same-padding convolution over the token axis (conv)
+        self.step = [Linear(d, d, rng, bias=False)
+                     for _ in range(cfg.t if self.base == "linear" else 0)]
+        self.tap = [Linear(d, d, rng, bias=False)
+                    for _ in range(3 if self.base == "conv" else 0)]
 
     def expand(self, x_f: Tensor) -> Tensor:
         """Temporal expansion producing a (T, ..., K, D) float tensor."""
         x_f = as_tensor(x_f)
-        t = self.cfg.t
-        if self.base == "repeat":
-            return repeat_steps(x_f, t)
         for kind, maps in (("step", self.step), ("tap", self.tap)):
             for i, m in enumerate(maps):
                 record_matmul(f"gen_{kind}{i}", x_f, m.w, 1, "float")
@@ -93,19 +79,16 @@ class SpikeGenerator(Module):
             return stack([m(x_f) for m in self.step], axis=0)
         if self.base == "conv":
             prev_tap, mid_tap, next_tap = self.tap
-            y = prev_tap(_shift_tokens(x_f, 1)) + mid_tap(x_f) \
+            x_f = prev_tap(_shift_tokens(x_f, 1)) + mid_tap(x_f) \
                 + next_tap(_shift_tokens(x_f, -1))
-            return repeat_steps(y, t)
-        # delta: first difference along tokens, virtual zero before token 0
-        y = x_f - _shift_tokens(x_f, 1)
-        return repeat_steps(y, t)
+        elif self.base == "delta":
+            # first difference along tokens, virtual zero before token 0
+            x_f = x_f - _shift_tokens(x_f, 1)
+        return repeat_steps(x_f, self.cfg.t)
 
     def pre_neuron(self, x_f: Tensor, train: bool) -> Tensor:
         """Normalized drive handed to the spiking neuron."""
-        expanded = self.expand(x_f)
-        if self.norm_kind == "ln":
-            return self.norm(expanded)
-        return self.norm(expanded, train)
+        return self.norm(self.expand(x_f), train)
 
     def __call__(self, x_f: Tensor, train: bool = False) -> Tensor:
         return self.tlsn(self.pre_neuron(x_f, train))

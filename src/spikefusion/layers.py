@@ -108,7 +108,9 @@ class LayerNorm(Module):
         self.gamma = Tensor.param(np.ones(d, dtype=np.float32))
         self.beta = Tensor.param(np.zeros(d, dtype=np.float32))
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, train: bool) -> Tensor:
+        """``train`` is ignored: layer norm keeps no running stats, and it
+        takes ``BatchNorm``'s call signature so the two interchange."""
         return layer_norm(x, self.gamma, self.beta)
 
 
