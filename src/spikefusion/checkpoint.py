@@ -82,7 +82,11 @@ def load_checkpoint(path) -> Checkpoint:
     cut = blob.find(sep)
     if cut < 0:
         raise UsageError(f"{path}: not a checkpoint file (missing index separator)")
-    lines = blob[:cut].decode("utf-8").splitlines()
+    try:
+        lines = blob[:cut].decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise UsageError(
+            f"{path}: not a checkpoint file (header is not UTF-8)") from exc
     payload = blob[cut + len(sep):]
     if not lines or lines[0] != MAGIC:
         raise UsageError(f"{path}: unsupported checkpoint format {lines[:1]!r}")

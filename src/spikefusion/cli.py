@@ -67,7 +67,6 @@ def cmd_train(args) -> int:
     out_dir = args.out or "."
     result = train(config, dataset, out_dir=out_dir, log_fn=print)
     history_path = os.path.join(out_dir, "history.csv")
-    os.makedirs(out_dir, exist_ok=True)
     with open(history_path, "w", encoding="utf-8") as fh:
         if result.history:
             keys = list(result.history[0])

@@ -93,7 +93,7 @@ def train(config: RunConfig, dataset: Dataset, out_dir: str | None = None,
 
     Logs every loss component per step, evaluates recall on the validation
     split per epoch, and checkpoints at the best validation R@Sum (written
-    under ``out_dir`` when given).  A validation split of under 2 pairs
+    under ``out_dir`` when given; it is created before the first step).  A validation split of under 2 pairs
     cannot be ranked; recall is then ranked on the training split, the
     result and every history record say ``val_source`` ``"train"``, and
     each epoch log line ends in ``val_source=train``.  The checkpoint holds
@@ -116,6 +116,8 @@ def train(config: RunConfig, dataset: Dataset, out_dir: str | None = None,
         model = RetrievalModel(config, dataset.regions.shape[-1],
                                dataset.words.shape[-1],
                                dataset.n_regions, dataset.n_words)
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
     params = model.params()
 
     def lr_for(name: str) -> float:
@@ -171,7 +173,6 @@ def train(config: RunConfig, dataset: Dataset, out_dir: str | None = None,
             result.best_r_sum = val_metrics["r_sum"]
             result.best_epoch = epoch
             if out_dir is not None:
-                os.makedirs(out_dir, exist_ok=True)
                 result.checkpoint_path = os.path.join(out_dir, "best.ckpt")
                 save_checkpoint(result.checkpoint_path, model, epoch=epoch)
     return result

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spikefusion.checkpoint import save_checkpoint
+from spikefusion.checkpoint import load_checkpoint, save_checkpoint
 from spikefusion.cli import main
 from spikefusion.config import RunConfig
 from spikefusion.data import synth_dataset
@@ -120,6 +120,29 @@ def test_train_names_the_split_its_best_r_sum_ranks(tmp_path, capsys, pairs,
     column = history[0].split(",").index("val_source")
     expected = "train" if split == "train" else "held-out"
     assert history[1].split(",")[column] == expected
+
+
+def test_train_seed_flag_overrides_the_config_seed(workspace, capsys):
+    tmp_path, data_dir, config_path = workspace  # the config sets seed = 3
+    config_path.write_text(CONFIG_TEXT.replace("epochs = 12", "epochs = 1"))
+    run_dir = tmp_path / "run"
+    rc = main(["train", "--seed", "7", "--data", str(data_dir), "--config",
+               str(config_path), "--out", str(run_dir)])
+    assert rc == 0
+    config_text = load_checkpoint(run_dir / "best.ckpt").config_text
+    assert "seed = 7" in config_text.splitlines()
+
+
+def test_train_to_an_out_path_that_is_a_file_fails_before_a_step(workspace):
+    tmp_path, data_dir, config_path = workspace
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["train", "--data", str(data_dir), "--config",
+                   str(config_path), "--out", str(taken)])
+    assert_one_line_error(rc, err.getvalue())
+    assert "step=" not in out.getvalue()
 
 
 def test_energy_report_command(workspace, capsys):
@@ -370,6 +393,32 @@ def test_eval_rejects_an_array_nothing_reads(fixture_workspace):
         in err
 
 
+def test_eval_names_a_checkpoint_whose_header_is_not_utf8(fixture_workspace):
+    rc, err = eval_checkpoint(fixture_workspace,
+                              b"\xff" + with_header(HEADER_LINES))
+    assert_one_line_error(rc, err)
+    assert f"{fixture_workspace / 'under_test.ckpt'}: not a checkpoint file" \
+        in err
+
+
+@pytest.mark.parametrize("move, grow, message", [
+    (len(FIXTURE_PAYLOAD), 0, "overruns the payload"),
+    (0, 4, "byte length does not match shape"),
+])
+def test_eval_rejects_an_index_entry_off_its_bytes(fixture_workspace, move,
+                                                   grow, message):
+    """The first index entry moved to the payload's end, or declaring 4
+    bytes more than its shape holds."""
+    pos = next(i for i, l in enumerate(HEADER_LINES)
+               if l.startswith("arrays "))
+    name, shape, offset, nbytes = HEADER_LINES[pos + 1].split(" ")
+    entry = f"{name} {shape} {int(offset) + move} {int(nbytes) + grow}"
+    lines = HEADER_LINES[:pos + 1] + [entry] + HEADER_LINES[pos + 2:]
+    rc, err = eval_checkpoint(fixture_workspace, with_header(lines))
+    assert_one_line_error(rc, err)
+    assert f"array {name!r}" in err and message in err
+
+
 @pytest.mark.parametrize("shape", ["1", "scalar"])
 def test_eval_rejects_buffer_of_wrong_shape(fixture_workspace, shape):
     """A running variance of one value would broadcast over every channel;
@@ -420,7 +469,7 @@ def test_energy_rejects_batch_below_one(fixture_workspace, batch):
 
 @pytest.mark.parametrize("line", ["tau = nan", "temperature = inf",
                                   "comb_tau = 0.5", "v_th = 0.005",
-                                  "v_th = 1e39"])
+                                  "v_th = 1e39", "d = 0"])
 def test_train_rejects_out_of_range_config(workspace, line):
     tmp_path, data_dir, config_path = workspace
     config_path.write_text(CONFIG_TEXT + line + "\n")
@@ -494,3 +543,25 @@ def test_mutated_manifest_is_one_line_error(fixture_workspace, mutation):
         rc = main(["eval", "--data", str(data_dir), "--checkpoint",
                    str(FIXTURE)])
     assert_one_line_error(rc, err.getvalue())
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda manifest: [manifest], "manifest must be a JSON object"),
+    (lambda manifest: dict(manifest, entries={}),
+     "manifest field 'entries' must be a list"),
+], ids=["not-an-object", "entries-not-a-list"])
+def test_manifest_of_the_wrong_json_type_is_one_line_error(
+        fixture_workspace, edit, message):
+    data_dir = fixture_workspace / "retyped"
+    shutil.rmtree(data_dir, ignore_errors=True)
+    shutil.copytree(fixture_workspace / "data", data_dir)
+    manifest_path = data_dir / "manifest.json"
+    manifest_path.write_text(
+        json.dumps(edit(json.loads(manifest_path.read_text()))))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = main(["eval", "--data", str(data_dir), "--checkpoint",
+                   str(FIXTURE)])
+    assert_one_line_error(rc, err.getvalue())
+    assert message in err.getvalue()
