@@ -93,13 +93,13 @@ def train(config: RunConfig, dataset: Dataset, out_dir: str | None = None,
 
     Logs every loss component per step, evaluates recall on the validation
     split per epoch, and checkpoints at the best validation R@Sum (written
-    under ``out_dir`` when given; it is created before the first step).  A validation split of under 2 pairs
-    cannot be ranked; recall is then ranked on the training split, the
-    result and every history record say ``val_source`` ``"train"``, and
-    each epoch log line ends in ``val_source=train``.  The checkpoint holds
-    the parameters and batch-norm running stats, not the optimizer state: a
-    run cannot be resumed.  ``model`` trains a caller-built model in place
-    of a fresh one.
+    under ``out_dir`` when given; it is created before the first step).  A
+    validation split of under 2 pairs cannot be ranked; recall is then
+    ranked on the training split, the result and every history record say
+    ``val_source`` ``"train"``, and each epoch log line ends in
+    ``val_source=train``.  The checkpoint holds the parameters and
+    batch-norm running stats, not the optimizer state: a run cannot be
+    resumed.  ``model`` trains a caller-built model in place of a fresh one.
     """
     config.validate()
     train_set, val_set = train_val_split(dataset, config.val_fraction,

@@ -122,7 +122,7 @@ def test_train_names_the_split_its_best_r_sum_ranks(tmp_path, capsys, pairs,
     assert history[1].split(",")[column] == expected
 
 
-def test_train_seed_flag_overrides_the_config_seed(workspace, capsys):
+def test_train_seed_flag_overrides_the_config_seed(workspace):
     tmp_path, data_dir, config_path = workspace  # the config sets seed = 3
     config_path.write_text(CONFIG_TEXT.replace("epochs = 12", "epochs = 1"))
     run_dir = tmp_path / "run"
