@@ -1,5 +1,6 @@
 """Dataset synthesis, manifest validation, and loading."""
 
+import hashlib
 import json
 import math
 import os
@@ -41,6 +42,23 @@ class TestSynth:
                  open(os.path.join(tmp_path / "b", entry["regions"]), "rb") as f2:
                 assert f1.read() == f2.read()
         assert read_json(p1)["entries"] == read_json(p2)["entries"]
+
+    def test_written_bytes_match_the_golden(self, tmp_path):
+        # sha256 of the manifest, and of every record read in entry order as
+        # regions then words, for make()'s arguments
+        path = make(tmp_path)
+        with open(path, "rb") as fh:
+            manifest = fh.read()
+        assert hashlib.sha256(manifest).hexdigest() == (
+            "891f7156a2ceb1f7eb34790dc60655e837729240337096bb42a7dd15210b6915")
+        records = hashlib.sha256()
+        for entry in json.loads(manifest)["entries"]:
+            for key in ("regions", "words"):
+                with open(os.path.join(tmp_path / "data", entry[key]),
+                          "rb") as fh:
+                    records.update(fh.read())
+        assert records.hexdigest() == (
+            "020ad8f606e3a2db6e1bac9eee15ca765c6b83a480b08ffe2ed33645e2836c22")
 
     def test_different_seed_differs(self, tmp_path):
         d1 = load_manifest(make(tmp_path, "a", seed=1))
