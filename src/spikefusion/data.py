@@ -22,47 +22,41 @@ MANIFEST_NAME = "manifest.json"
 LATENT_DIM = 16
 
 
-@dataclass
-class DatasetManifest:
-    version: str
-    pairs: int
-    n_regions: int
-    n_words: int
-    region_width: int
-    word_width: int
-    entries: list[dict]
+# the manifest's integer fields, each >= 1; with "version" and "entries"
+# they are the whole format
+_INT_FIELDS = ("pairs", "n_regions", "n_words", "region_width", "word_width")
 
-    @staticmethod
-    def from_json(obj) -> "DatasetManifest":
-        if not isinstance(obj, dict):
-            raise UsageError("manifest must be a JSON object")
-        required = ("version", "pairs", "n_regions", "n_words",
-                    "region_width", "word_width", "entries")
-        for key in required:
-            if key not in obj:
-                raise UsageError(f"manifest missing field {key!r}")
-        if obj["version"] != MANIFEST_VERSION:
+
+def _check_manifest(obj) -> dict:
+    """Check a parsed manifest against the format; returns it unchanged."""
+    if not isinstance(obj, dict):
+        raise UsageError("manifest must be a JSON object")
+    for key in ("version",) + _INT_FIELDS + ("entries",):
+        if key not in obj:
+            raise UsageError(f"manifest missing field {key!r}")
+    if obj["version"] != MANIFEST_VERSION:
+        raise UsageError(f"unsupported manifest version {obj['version']!r}")
+    for key in _INT_FIELDS:
+        value = obj[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise UsageError(
-                f"unsupported manifest version {obj['version']!r}"
-            )
-        for key in required[1:-1]:
-            value = obj[key]
-            if isinstance(value, bool) or not isinstance(value, int) \
-                    or value < 1:
-                raise UsageError(
-                    f"manifest field {key!r} must be an integer >= 1, "
-                    f"got {value!r}")
-        entries = obj["entries"]
-        if not isinstance(entries, list):
-            raise UsageError("manifest field 'entries' must be a list")
-        for i, entry in enumerate(entries):
-            if not (isinstance(entry, dict)
-                    and isinstance(entry.get("regions"), str)
-                    and isinstance(entry.get("words"), str)):
-                raise UsageError(
-                    f"manifest entry {i} must be an object with string "
-                    f"'regions' and 'words' fields")
-        return DatasetManifest(**{k: obj[k] for k in required})
+                f"manifest field {key!r} must be an integer >= 1, "
+                f"got {value!r}")
+    entries = obj["entries"]
+    if not isinstance(entries, list):
+        raise UsageError("manifest field 'entries' must be a list")
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, dict)
+                and isinstance(entry.get("regions"), str)
+                and isinstance(entry.get("words"), str)):
+            raise UsageError(
+                f"manifest entry {i} must be an object with string "
+                f"'regions' and 'words' fields")
+    if len(entries) != obj["pairs"]:
+        raise UsageError(
+            f"manifest declares {obj['pairs']} pairs but lists "
+            f"{len(entries)} entries")
+    return obj
 
 
 @dataclass
@@ -81,9 +75,6 @@ class Dataset:
     @property
     def n_words(self) -> int:
         return self.words.shape[1]
-
-    def subset(self, indices) -> "Dataset":
-        return Dataset(self.regions[indices], self.words[indices])
 
 
 def synth_dataset(out_dir, seed: int, pairs: int, n_regions: int = 36,
@@ -127,15 +118,8 @@ def synth_dataset(out_dir, seed: int, pairs: int, n_regions: int = 36,
         with open(os.path.join(out_dir, w_name), "wb") as fh:
             fh.write(words[p].tobytes())
         entries.append({"regions": r_name, "words": w_name})
-    manifest = {
-        "version": MANIFEST_VERSION,
-        "pairs": pairs,
-        "n_regions": n_regions,
-        "n_words": n_words,
-        "region_width": region_width,
-        "word_width": word_width,
-        "entries": entries,
-    }
+    manifest = dict(version=MANIFEST_VERSION, pairs=pairs, entries=entries,
+                    **shape)
     manifest_path = os.path.join(out_dir, MANIFEST_NAME)
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
@@ -153,22 +137,17 @@ def load_manifest(path) -> Dataset:
         except ValueError as exc:
             raise UsageError(f"{path}: manifest is not valid JSON ({exc})") \
                 from exc
-    manifest = DatasetManifest.from_json(obj)
+    manifest = _check_manifest(obj)
     base = os.path.dirname(os.path.abspath(path))
-    if len(manifest.entries) != manifest.pairs:
-        raise UsageError(
-            f"manifest declares {manifest.pairs} pairs but lists "
-            f"{len(manifest.entries)} entries"
-        )
-    shapes = {"regions": (manifest.n_regions, manifest.region_width),
-              "words": (manifest.n_words, manifest.word_width)}
+    shapes = {"regions": (manifest["n_regions"], manifest["region_width"]),
+              "words": (manifest["n_words"], manifest["word_width"])}
     # every record's size is checked before any buffer is allocated
-    for entry in manifest.entries:
+    for entry in manifest["entries"]:
         for key, shape in shapes.items():
             _check_record(base, entry[key], shape)
-    arrays = {key: np.empty((manifest.pairs,) + shape, dtype=np.float32)
+    arrays = {key: np.empty((manifest["pairs"],) + shape, dtype=np.float32)
               for key, shape in shapes.items()}
-    for p, entry in enumerate(manifest.entries):
+    for p, entry in enumerate(manifest["entries"]):
         for key, shape in shapes.items():
             with open(os.path.join(base, entry[key]), "rb") as fh:
                 arrays[key][p] = np.frombuffer(fh.read(), dtype="<f4") \
@@ -193,5 +172,5 @@ def train_val_split(dataset: Dataset, val_fraction: float, seed: int):
     """Seed-stable shuffle split; returns (train, val)."""
     perm = np.random.default_rng(seed).permutation(dataset.pairs)
     n_val = int(round(dataset.pairs * val_fraction))
-    val_idx, train_idx = perm[:n_val], perm[n_val:]
-    return dataset.subset(np.sort(train_idx)), dataset.subset(np.sort(val_idx))
+    return tuple(Dataset(dataset.regions[idx], dataset.words[idx])
+                 for idx in (np.sort(perm[n_val:]), np.sort(perm[:n_val])))
