@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -51,6 +52,16 @@ def _load_run_config(args) -> RunConfig:
     return config.validate()
 
 
+def _open_out(args):
+    """``--out`` opened for writing, or a null context without one.
+
+    Commands open it before any work, so an unusable path fails first.
+    """
+    if not args.out:
+        return contextlib.nullcontext()
+    return open(args.out, "w", encoding="utf-8")
+
+
 def cmd_synth_data(args) -> int:
     path = data_mod.synth_dataset(
         args.out, seed=args.seed if args.seed is not None else 0,
@@ -88,50 +99,50 @@ def _model_from_checkpoint(args, dataset):
 
 
 def cmd_eval(args) -> int:
-    dataset = data_mod.load_manifest(args.data)
-    model = _model_from_checkpoint(args, dataset)
-    metrics = evaluate_recall(model, dataset)
-    row = dict(metrics, label="eval")
-    print(metrics_table([row]))
-    print(metrics_csv([row]))
-    print(f"R@Sum {metrics['r_sum']:g}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(metrics_csv([row]) + "\n")
+    with _open_out(args) as out:
+        dataset = data_mod.load_manifest(args.data)
+        model = _model_from_checkpoint(args, dataset)
+        metrics = evaluate_recall(model, dataset)
+        row = dict(metrics, label="eval")
+        print(metrics_table([row]))
+        print(metrics_csv([row]))
+        print(f"R@Sum {metrics['r_sum']:g}")
+        if out:
+            out.write(metrics_csv([row]) + "\n")
     return 0
 
 
 def cmd_energy(args) -> int:
     if args.batch < 1:
         raise UsageError(f"--batch must be >= 1, got {args.batch}")
-    dataset = data_mod.load_manifest(args.data)
-    model = _model_from_checkpoint(args, dataset)
-    n = min(args.batch, dataset.pairs)
-    regions = Tensor(dataset.regions[:n])
-    words = Tensor(dataset.words[:n])
-    report = energy_report(model, regions, words)
-    text = report.render()
-    # parameter count is informational; it depends on the feature widths
-    n_params = sum(int(np.prod(p.data.shape)) for p in model.params().values())
-    print(f"model parameters: {n_params}")
-    print(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    with _open_out(args) as out:
+        dataset = data_mod.load_manifest(args.data)
+        model = _model_from_checkpoint(args, dataset)
+        n = min(args.batch, dataset.pairs)
+        regions = Tensor(dataset.regions[:n])
+        words = Tensor(dataset.words[:n])
+        text = energy_report(model, regions, words).render()
+        # parameter count is informational; it depends on the feature widths
+        n_params = sum(int(np.prod(p.data.shape))
+                       for p in model.params().values())
+        print(f"model parameters: {n_params}")
+        print(text)
+        if out:
+            out.write(text + "\n")
     return 0
 
 
 def cmd_ablate(args) -> int:
     config = _load_run_config(args)
-    dataset = data_mod.load_manifest(args.data)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise UsageError(f"--values names no value to sweep: {args.values!r}")
-    rows = ablation_sweep(args.axis, values, config, dataset)
-    print(metrics_table(rows, label=args.axis))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(metrics_csv(rows, label=args.axis) + "\n")
+    with _open_out(args) as out:
+        dataset = data_mod.load_manifest(args.data)
+        rows = ablation_sweep(args.axis, values, config, dataset)
+        print(metrics_table(rows, label=args.axis))
+        if out:
+            out.write(metrics_csv(rows, label=args.axis) + "\n")
     return 0
 
 

@@ -467,6 +467,26 @@ def test_energy_rejects_batch_below_one(fixture_workspace, batch):
     assert "--batch" in err.getvalue()
 
 
+@pytest.mark.parametrize("command", ["eval", "energy", "ablate"])
+def test_out_path_that_is_a_directory_fails_before_any_work(
+        fixture_workspace, tmp_path, monkeypatch, command):
+    calls = []
+    monkeypatch.setattr(train_module, "train",
+                        lambda *args, **kwargs: calls.append(args))
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(CONFIG_TEXT)  # both values are valid sweeps
+    work = (["--config", str(config_path), "--axis", "time-steps",
+             "--values", "1,2"] if command == "ablate"
+            else ["--checkpoint", str(FIXTURE)])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main([command, "--data", str(fixture_workspace / "data"),
+                   "--out", str(fixture_workspace)] + work)
+    assert_one_line_error(rc, err.getvalue())
+    assert out.getvalue() == ""
+    assert calls == []
+
+
 @pytest.mark.parametrize("line", ["tau = nan", "temperature = inf",
                                   "comb_tau = 0.5", "v_th = 0.005",
                                   "v_th = 1e39", "d = 0"])

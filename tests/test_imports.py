@@ -1,7 +1,8 @@
 """Import hygiene, checked on the source with ``ast`` (no linter needed).
 
-Every name a ``spikefusion`` module imports is used in that module, and
-every name the package ``__init__`` imports is exported in ``__all__``.
+Every name a ``spikefusion`` module imports is used in that module, every
+private module-level name is read in its own module, and every name the
+package ``__init__`` imports is exported in ``__all__``.
 """
 
 import ast
@@ -42,7 +43,8 @@ def annotations(tree):
 
 def used_names(tree):
     """Names read anywhere, including inside quoted annotations."""
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     for ann in filter(None, annotations(tree)):
         for node in ast.walk(ann):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -59,6 +61,27 @@ def test_every_import_is_used(module):
               if name not in used_names(tree)
               and (module, name) not in REEXPORTED]
     assert unused == []
+
+
+def private_names(tree):
+    """``_``-prefixed functions, classes and assignments at module level."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [n.id for t in node.targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)]
+        elif isinstance(node, ast.AnnAssign):
+            names.append(node.target.id)
+    return [n for n in names if n.startswith("_") and not n.endswith("__")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_private_name_is_read(module):
+    tree = parse(module)
+    assert [n for n in private_names(tree) if n not in used_names(tree)] == []
 
 
 def test_package_exports_every_import():
