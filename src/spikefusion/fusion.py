@@ -6,7 +6,7 @@ streams:
   scca  comb cross attention: token groups of one modality are summed into
         binary "combs" that multiplicatively mask the other modality
   sca   cross attention over binary Q/K/V with no softmax
-  scsa  self attention over the token-concatenated stream, split back
+  scsa  cross attention of the concatenated stream with itself, split back
 
 Fused spikes are temporally pooled into soft-label embeddings for the
 training objective; the inference path never calls into this module.
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import record_mask, record_matmul
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError
 from .layers import BatchNorm, Linear, Module
 from .neurons import LIFParams
 from .attention import TemporalPool
@@ -42,13 +42,14 @@ class FusionConfig:
             raise ConfigError(f"heads must be >= 1, got {self.h}")
 
     def check_token_counts(self, n_regions: int, n_words: int):
-        if self.kind != "scca":
-            return
-        if n_words % self.h or n_regions % self.h:
-            raise ConfigError(
-                f"comb count {self.h} must divide both token counts "
-                f"({n_words} words, {n_regions} regions)"
-            )
+        if self.kind == "scca":
+            _check_comb_count(self.h, n_words, n_regions)
+
+
+def _check_comb_count(h: int, n_a: int, n_b: int):
+    if n_a % h or n_b % h:
+        raise ConfigError(
+            f"comb count {h} must divide both token counts ({n_a} and {n_b})")
 
 
 def comb_mask(q: Tensor, k: Tensor, h: int, lif: LIFParams) -> Tensor:
@@ -62,10 +63,7 @@ def comb_mask(q: Tensor, k: Tensor, h: int, lif: LIFParams) -> Tensor:
     q, k = as_tensor(q), as_tensor(k)
     t, b, nl, d = q.shape
     nn = k.shape[2]
-    if nl % h or nn % h:
-        raise ConfigError(
-            f"comb count {h} must divide token counts ({nl} and {nn})"
-        )
+    _check_comb_count(h, nl, nn)
     group = q.reshape((t, b, h, nl // h, d))
     head_sums = group.sum(axis=3)                     # (T, B, h, D)
     combs = lif(head_sums)                            # binary (T, B, h, D)
@@ -127,27 +125,6 @@ class SpikeCrossAttention(Module):
         return self.lif(self.bn_out(self.out(attn), True))
 
 
-class ConcatSelfAttention(SpikeCrossAttention):
-    """Single-stream fusion: both token sets share one attention pass.
-
-    Same parameter layout as the cross variant (shared Q/K/V/out stages);
-    only the data flow differs: tokens are concatenated, attended jointly,
-    and split back by modality.
-    """
-
-    def __call__(self, r: Tensor, e: Tensor):
-        r, e = as_tensor(r), as_tensor(e)
-        if r.shape[-1] != e.shape[-1] or r.shape[:2] != e.shape[:2]:
-            raise DimensionError(
-                f"concat fusion needs matching (T, B, ., D); got {r.shape} "
-                f"and {e.shape}"
-            )
-        n = r.shape[2]
-        x = concat([r, e], axis=2)
-        out = super().__call__(x, x)
-        return out[:, :, :n, :], out[:, :, n:, :]
-
-
 class SpikeFusion(Module):
     """Kind-dispatched fusion plus temporal pooling of both fused streams.
 
@@ -165,7 +142,7 @@ class SpikeFusion(Module):
             self.cross_r = SpikeCrossAttention(d, lif, rng)
             self.cross_e = SpikeCrossAttention(d, lif, rng)
         elif cfg.kind == "scsa":
-            self.concat = ConcatSelfAttention(d, lif, rng)
+            self.concat = SpikeCrossAttention(d, lif, rng)
 
     def fuse_and_pool(self, r_spikes: Tensor, e_spikes: Tensor):
         """Fuse the two pre-pool spike streams and pool each over time.
@@ -183,5 +160,8 @@ class SpikeFusion(Module):
             r_fused = self.cross_r(r_spikes, e_spikes)
             e_fused = self.cross_e(e_spikes, r_spikes)
         else:
-            r_fused, e_fused = self.concat(r_spikes, e_spikes)
+            x = concat([r_spikes, e_spikes], axis=2)
+            fused = self.concat(x, x)
+            n = r_spikes.shape[2]
+            r_fused, e_fused = fused[:, :, :n, :], fused[:, :, n:, :]
         return self.pool(r_fused), self.pool(e_fused)

@@ -6,7 +6,6 @@ import pytest
 from spikefusion.energy import recording
 from spikefusion.errors import ConfigError
 from spikefusion.fusion import (
-    ConcatSelfAttention,
     FusionConfig,
     SpikeCrossAttention,
     SpikeFusion,
@@ -173,13 +172,6 @@ class TestConcatSelfAttention:
                             Tensor(np.concatenate([r, e], axis=2))).data
         solo = qkv_attention(Tensor(r), Tensor(r), Tensor(r)).data
         np.testing.assert_array_equal(out[:, :, :nn], solo)
-
-    def test_module_output_shapes(self):
-        scsa = ConcatSelfAttention(8, LIF, np.random.default_rng(0))
-        r_bar, e_bar = scsa(Tensor(binary((2, 2, 4, 8))),
-                            Tensor(binary((2, 2, 6, 8))))
-        assert r_bar.shape == (2, 2, 4, 8)
-        assert e_bar.shape == (2, 2, 6, 8)
 
 
 class TestSpikeFusion:
