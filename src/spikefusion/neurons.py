@@ -54,6 +54,10 @@ class LIFParams:
     def __post_init__(self):
         if not self.tau >= 1.0:
             raise ParameterError(f"LIF tau must be >= 1, got {self.tau}")
+        # at 0 no gradient crosses a spike; below 0 every gradient flips sign
+        if not self.surrogate_alpha > 0:
+            raise ParameterError(
+                f"LIF surrogate_alpha must be > 0, got {self.surrogate_alpha}")
         if not self.v_th - self.v_reset - THRESHOLD_FLOOR > 0:
             raise ParameterError(
                 f"LIF threshold {self.v_th} must exceed reset {self.v_reset} "

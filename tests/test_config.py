@@ -1,6 +1,7 @@
 """Config parsing, defaults, and validation."""
 
 import math
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +51,16 @@ lambda = 0.75
         assert cfg.alignment == "vha"
         assert cfg.lam == 0.75
 
+    def test_readme_desk_config_parses(self):
+        # the fenced block after README's "A working desk-scale `run.cfg`:"
+        path = os.path.join(os.path.dirname(__file__), "..", "README.md")
+        with open(path, encoding="utf-8") as f:
+            readme = f.read()
+        after = readme.split("A working desk-scale `run.cfg`:", 1)[1]
+        block = after.split("```", 2)[1]
+        cfg = parse_config(block)
+        assert (cfg.d, cfg.heads, cfg.epochs, cfg.seed) == (64, 4, 30, 1)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_config("dropout = 0.5")
@@ -94,6 +105,8 @@ class TestValidate:
         dict(lr_decay_factor=0.0),
         dict(weight_decay=-0.5),
         dict(lr_decay_epochs=-3),
+        dict(surrogate_alpha=0.0),  # no gradient would cross any spike
+        dict(surrogate_alpha=-2.0),  # every spike's gradient would flip sign
     ])
     def test_constraint_violations(self, kwargs):
         with pytest.raises(ConfigError):
