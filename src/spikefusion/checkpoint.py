@@ -28,7 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import parse_config
 from .errors import UsageError
+from .model import RetrievalModel
 
 MAGIC = "spikefusion-checkpoint v1"
 
@@ -136,9 +138,6 @@ def _index_entry(line: str):
 
 def restore_model(checkpoint: Checkpoint, region_width: int, word_width: int):
     """Rebuild a model from a checkpoint's config snapshot and arrays."""
-    from .config import parse_config
-    from .model import RetrievalModel
-
     config = parse_config(checkpoint.config_text)
     model = RetrievalModel(config, region_width, word_width)
     model.load_state({name: a for name, a in checkpoint.arrays.items()

@@ -201,7 +201,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ValueError, FloatingPointError, OSError, ContractError,
+    except (ValueError, FloatingPointError, OSError, ContractError,
             StateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
