@@ -19,7 +19,7 @@ from spikefusion.energy import (
     recording,
     scope,
 )
-from spikefusion.errors import AccountingError, StateError
+from spikefusion.errors import AccountingError, StateError, UsageError
 from spikefusion.model import RetrievalModel
 from spikefusion.tensor import Tensor
 
@@ -32,6 +32,10 @@ class TestFiringRate:
     def test_occupancy_on_residual_values(self):
         x = np.array([0.0, 1.0, 2.0, 0.0], dtype=np.float32)
         assert occupancy(x) == 0.5
+
+    def test_occupancy_of_an_empty_array_rejected(self):
+        with pytest.raises(UsageError, match="empty"):
+            occupancy(np.zeros((2, 0, 3), dtype=np.float32))
 
 
 class TestSops:
@@ -78,6 +82,11 @@ class TestLayerEnergy:
     def test_unknown_layer_kind_named_in_error(self):
         with pytest.raises(AccountingError, match="mystery"):
             LayerLedger("mystery", "analog", 10, 0.5)
+
+    @pytest.mark.parametrize("rate", [-0.25, 1.5, float("nan")])
+    def test_rate_outside_unit_interval_named_in_error(self, rate):
+        with pytest.raises(AccountingError, match="outside"):
+            LayerLedger("leaky", "spiking", 10, rate)
 
 
 def test_headline_arithmetic_reproduction():

@@ -45,6 +45,10 @@ class TestInfonce:
         with pytest.raises(UsageError):
             infonce_pair(Tensor(np.ones((1, 1), dtype=np.float32)), 1.0)
 
+    def test_non_square_matrix_rejected(self):
+        with pytest.raises(UsageError, match=r"square, got \(2, 3\)"):
+            infonce_pair(Tensor(np.ones((2, 3), dtype=np.float32)), 1.0)
+
     def test_shift_invariance(self):
         s = RNG.standard_normal((5, 5)).astype(np.float32)
         a = float(infonce_pair(Tensor(s), 0.2).data)

@@ -139,6 +139,10 @@ class TestMatmul:
         with pytest.raises(DimensionError, match=r"\(3, 4\).*\(3, 2\)"):
             matmul(Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 2))))
 
+    def test_one_dimensional_operand_rejected(self):
+        with pytest.raises(DimensionError, match=r">=2-D.*\(4,\)"):
+            matmul(Tensor(np.zeros((3, 4))), Tensor(np.zeros(4)))
+
     def test_gradient_against_finite_differences(self):
         a = Tensor.param(RNG.standard_normal((3, 4)).astype(np.float32))
         b = Tensor.param(RNG.standard_normal((4, 2)).astype(np.float32))

@@ -190,6 +190,7 @@ class TestTrainLoop:
     @pytest.mark.parametrize("axis, values, heads, bad", [
         ("heads", ["2", "3"], 2, "3"),
         ("fusion", ["none", "scca"], 3, "scca"),
+        ("width", ["2"], 2, "width"),  # an axis the sweep does not know
     ])
     def test_ablation_checks_comb_counts_before_training(
             self, tmp_path, axis, values, heads, bad):
