@@ -52,7 +52,6 @@ lambda = 0.75
         assert cfg.lam == 0.75
 
     def test_readme_desk_config_parses(self):
-        # the fenced block after README's "A working desk-scale `run.cfg`:"
         path = os.path.join(os.path.dirname(__file__), "..", "README.md")
         with open(path, encoding="utf-8") as f:
             readme = f.read()

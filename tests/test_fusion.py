@@ -139,6 +139,8 @@ class TestSpikeCrossAttention:
 
 
 class TestConcatSelfAttention:
+    """scsa's attention product over the token-concatenated stream."""
+
     def test_block_decomposition_identity(self):
         """Concatenated attention equals the four-term block formula exactly."""
         for case in range(20):
