@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, ParameterError
+from .errors import ConfigError, UsageError
 from .neurons import FLOAT32_MAX
 from .tensor import Tensor, _joins_tape, _make, _unbroadcast, as_tensor
 
@@ -80,7 +80,7 @@ class PoolConfig:
         # compared, not cast: a NaN fails, and an alpha beyond float32 makes
         # every score NaN
         if not 0 < self.alpha <= FLOAT32_MAX:
-            raise ParameterError(
+            raise ConfigError(
                 f"pool alpha must be > 0, finite and fit float32, got {self.alpha}")
         if self.mode not in POOL_MODES:
             raise ConfigError(
@@ -122,11 +122,11 @@ def similarity(e_tokens: Tensor, r_tokens: Tensor, cfg: PoolConfig) -> Tensor:
     """Pooled (B, B) similarity between two token sets under the given mode."""
     e_tokens, r_tokens = as_tensor(e_tokens), as_tensor(r_tokens)
     if e_tokens.ndim != 3 or r_tokens.ndim != 3:
-        raise DimensionError(
+        raise UsageError(
             f"token sets must be (B, K, D); got {e_tokens.shape} and {r_tokens.shape}"
         )
     if e_tokens.shape[-1] != r_tokens.shape[-1]:
-        raise DimensionError(
+        raise UsageError(
             f"embedding widths differ: {e_tokens.shape[-1]} vs {r_tokens.shape[-1]}"
         )
     return _pooled(l2_normalize(e_tokens), l2_normalize(r_tokens), cfg)

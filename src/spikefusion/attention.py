@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import record_mask, record_matmul
-from .errors import DimensionError
+from .errors import UsageError
 from .layers import BatchNorm, Linear, Module
 from .neurons import LIFParams
 from .tensor import Tensor, as_tensor, matmul
@@ -101,7 +101,7 @@ class TemporalPool(Module):
     def __call__(self, x_s: Tensor) -> Tensor:
         x_s = as_tensor(x_s)
         if x_s.shape[0] != self.t:
-            raise DimensionError(
+            raise UsageError(
                 f"temporal pool got {x_s.shape[0]} steps, expected {self.t}"
             )
         w = self.weights().reshape((self.t,) + (1,) * (x_s.ndim - 1))

@@ -13,7 +13,7 @@ from . import data as data_mod
 from .checkpoint import load_checkpoint, restore_model
 from .config import RunConfig, load_config
 from .energy import energy_report
-from .errors import ContractError, StateError, UsageError
+from .errors import StateError, UsageError
 from .tensor import Tensor
 from .train import (ABLATION_AXES, RECALL_KS, ablation_sweep,
                     evaluate_recall, train)
@@ -201,8 +201,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FloatingPointError, OSError, ContractError,
-            StateError) as exc:
+    except (ValueError, FloatingPointError, OSError, StateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

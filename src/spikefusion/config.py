@@ -7,14 +7,13 @@ from dataclasses import dataclass, fields, replace
 
 from .alignment import PoolConfig
 from .encoding import GeneratorConfig
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError
 from .fusion import FusionConfig
 from .losses import LossWeights
 from .neurons import FLOAT32_MAX, LIFParams
 
 # dataclass attribute names that differ from their file key
 _FILE_KEYS = {"lam": "lambda"}
-_KEY_ALIASES = {v: k for k, v in _FILE_KEYS.items()}
 
 
 # the component configs of one run; fusion is None for fusion = none
@@ -54,20 +53,17 @@ class RunConfig:
 
     def components(self) -> Components:
         """The component configs this run builds; each checks its own ranges."""
-        try:
-            lif = LIFParams(tau=self.tau, v_th=self.v_th, v_reset=self.v_reset,
-                            surrogate_alpha=self.surrogate_alpha)
-            comb_lif = lif if self.comb_tau is None else replace(
-                lif, tau=self.comb_tau)
-            return Components(
-                lif, comb_lif,
-                GeneratorConfig(variant=self.generator, t=self.t, d=self.d),
-                PoolConfig(alpha=self.alpha, mode=self.alignment),
-                LossWeights(lam=self.lam, temperature=self.temperature),
-                None if self.fusion == "none"
-                else FusionConfig(kind=self.fusion, h=self.heads))
-        except ParameterError as exc:
-            raise ConfigError(str(exc)) from exc
+        lif = LIFParams(tau=self.tau, v_th=self.v_th, v_reset=self.v_reset,
+                        surrogate_alpha=self.surrogate_alpha)
+        comb_lif = lif if self.comb_tau is None else replace(
+            lif, tau=self.comb_tau)
+        return Components(
+            lif, comb_lif,
+            GeneratorConfig(variant=self.generator, t=self.t, d=self.d),
+            PoolConfig(alpha=self.alpha, mode=self.alignment),
+            LossWeights(lam=self.lam, temperature=self.temperature),
+            None if self.fusion == "none"
+            else FusionConfig(kind=self.fusion, h=self.heads))
 
     def validate(self) -> "RunConfig":
         for f in fields(self):
@@ -117,9 +113,10 @@ class RunConfig:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse flat key=value config text into a validated RunConfig."""
-    field_types = {f.name: f.type for f in fields(RunConfig)}
-    updates = {}
+    """Parse flat key=value config text into a validated RunConfig.  Each
+    field has one key, the one ``to_text`` writes, set at most once."""
+    by_key = {_FILE_KEYS.get(f.name, f.name): f for f in fields(RunConfig)}
+    updates, set_on = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -127,10 +124,14 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        key = _KEY_ALIASES.get(key, key)
-        if key not in field_types:
+        if key not in by_key:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        updates[key] = _coerce(key, value, field_types[key], lineno)
+        if key in set_on:
+            raise ConfigError(
+                f"line {lineno}: {key!r} is already set on line {set_on[key]}")
+        set_on[key] = lineno
+        f = by_key[key]
+        updates[f.name] = _coerce(key, value, f.type, lineno)
     return replace(RunConfig(), **updates).validate()
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccountingError, UsageError
+from .errors import UsageError
 from .tensor import Tensor, _context_set, as_tensor, no_grad
 
 LAYER_KINDS = ("spiking", "float", "mask")
@@ -55,9 +55,9 @@ class LayerLedger:
 
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
-            raise AccountingError(f"layer {self.name!r} has unknown kind {self.kind!r}")
+            raise UsageError(f"layer {self.name!r} has unknown kind {self.kind!r}")
         if not 0.0 <= self.rate <= 1.0:
-            raise AccountingError(
+            raise UsageError(
                 f"layer {self.name!r} rate {self.rate} outside [0, 1]"
             )
 
@@ -179,5 +179,5 @@ def energy_report(model, regions, words) -> EnergyReport:
     with no_grad(), recording() as layers:
         model.encode(regions, words, train=False)
     if not layers:
-        raise AccountingError("instrumented forward recorded no layers")
+        raise UsageError("instrumented forward recorded no layers")
     return EnergyReport(layers)

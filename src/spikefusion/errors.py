@@ -1,31 +1,13 @@
 """Exception types shared across the package."""
 
 
-class DimensionError(ValueError):
-    """Operand shapes are incompatible for the requested operation."""
-
-
-class ParameterError(ValueError):
-    """A numeric parameter is outside its valid range."""
-
-
 class ConfigError(ValueError):
-    """A configuration value or tag is not recognized or violates a constraint."""
-
-
-class StateError(RuntimeError):
-    """An operation was invoked on a module whose internal state is not ready."""
+    """A field or tag of a config object is out of range or unknown."""
 
 
 class UsageError(ValueError):
-    """An operation was called in a way its contract forbids."""
+    """A call, array or file breaks its contract."""
 
 
-class ContractError(KeyError):
-    """A required input (for example a named similarity matrix) is missing."""
-
-    __str__ = Exception.__str__  # the plain message, not KeyError's repr
-
-
-class AccountingError(RuntimeError):
-    """The energy ledger encountered a layer it cannot account for."""
+class StateError(RuntimeError):
+    """A module is used before it is ready."""

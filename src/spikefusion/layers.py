@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import UsageError
 from .tensor import RunningStats, Tensor, batch_norm, layer_norm, matmul
 
 
@@ -70,16 +70,16 @@ class Module:
                 value.stats.initialized = True
         stray = sorted(arrays.keys() - self.state().keys())
         if stray:
-            raise ValueError(f"checkpoint array {stray[0]!r} is neither a "
+            raise UsageError(f"checkpoint array {stray[0]!r} is neither a "
                              "parameter nor a running stat of this model")
 
 
 def _required(arrays: dict[str, np.ndarray], name: str, kind: str,
               shape: tuple) -> np.ndarray:
     if name not in arrays:
-        raise ContractError(f"checkpoint missing {kind} {name!r}")
+        raise UsageError(f"checkpoint missing {kind} {name!r}")
     if arrays[name].shape != shape:
-        raise ValueError(f"checkpoint {kind} {name!r} has shape "
+        raise UsageError(f"checkpoint {kind} {name!r} has shape "
                          f"{arrays[name].shape}, expected {shape}")
     return arrays[name].astype(np.float32).copy()
 

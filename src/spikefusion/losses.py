@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, ParameterError, UsageError
+from .errors import ConfigError, UsageError
 from .tensor import Tensor, _first_gradient, _make, _unbroadcast, as_tensor
 
 _ZERO = np.float32(0.0)
@@ -58,9 +58,9 @@ class LossWeights:
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
-            raise ParameterError(f"lambda must be in [0, 1], got {self.lam}")
+            raise ConfigError(f"lambda must be in [0, 1], got {self.lam}")
         if not self.temperature > 0:
-            raise ParameterError(
+            raise ConfigError(
                 f"temperature must be > 0, got {self.temperature}"
             )
 
@@ -74,7 +74,7 @@ def infonce_pair(s: Tensor, temperature: float) -> Tensor:
     if s.shape[0] < 2:
         raise UsageError("contrastive loss needs at least 2 pairs in the batch")
     if not temperature > 0:
-        raise ParameterError(f"temperature must be > 0, got {temperature}")
+        raise UsageError(f"temperature must be > 0, got {temperature}")
     inv_t = np.float32(1.0 / temperature)
     t2i_mat = s.data.swapaxes(0, 1)
     l_i2t, i2t_bw = _direction(s.data, inv_t)
@@ -134,7 +134,7 @@ def total_loss(sim_set: dict[str, Tensor], weights: LossWeights):
 
     A zero-weight matrix may be left out and counts as a 0 loss (``early``
     at lambda 0, ``basic`` at lambda 1); the fused matrices may be left out
-    only all together.  Any other missing matrix is a ``ContractError``.
+    only all together.  Any other missing matrix is a ``UsageError``.
 
     Returns (total, parts) where parts maps the component names
     early/basic/fusion/inter/intra/total to scalar Tensors.
@@ -145,7 +145,7 @@ def total_loss(sim_set: dict[str, Tensor], weights: LossWeights):
     optional.update(dict.fromkeys(FUSED_KEYS, sim_set.keys().isdisjoint(FUSED_KEYS)))
     for key in SIMILARITY_KEYS:
         if key not in sim_set and not optional[key]:
-            raise ContractError(f"similarity matrix {key!r} missing from sim_set")
+            raise UsageError(f"similarity matrix {key!r} missing from sim_set")
 
     def term(*keys):
         losses = [infonce_pair(sim_set[k], weights.temperature)

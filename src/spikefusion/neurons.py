@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, UsageError
+from .errors import ConfigError, UsageError
 from .layers import Module
 from .tensor import (
     Tensor,
@@ -53,19 +53,19 @@ class LIFParams:
 
     def __post_init__(self):
         if not self.tau >= 1.0:
-            raise ParameterError(f"LIF tau must be >= 1, got {self.tau}")
+            raise ConfigError(f"LIF tau must be >= 1, got {self.tau}")
         # at 0 no gradient crosses a spike; below 0 every gradient flips sign
         if not self.surrogate_alpha > 0:
-            raise ParameterError(
+            raise ConfigError(
                 f"LIF surrogate_alpha must be > 0, got {self.surrogate_alpha}")
         if not self.v_th - self.v_reset - THRESHOLD_FLOOR > 0:
-            raise ParameterError(
+            raise ConfigError(
                 f"LIF threshold {self.v_th} must exceed reset {self.v_reset} "
                 f"by more than {THRESHOLD_FLOOR}"
             )
         # the TLSN threshold is softplus of this gap, stored as float32
         if not self.v_th - self.v_reset <= FLOAT32_MAX:
-            raise ParameterError(
+            raise ConfigError(
                 f"LIF threshold {self.v_th} minus reset {self.v_reset} does not "
                 f"fit float32")
 

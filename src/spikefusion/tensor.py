@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, StateError, UsageError
+from .errors import StateError, UsageError
 
 _ZERO = np.float32(0.0)
 _grad_enabled: ContextVar[bool] = ContextVar("grad_enabled", default=True)
@@ -207,9 +207,6 @@ class Tensor:
     def __rtruediv__(self, other):
         return as_tensor(other) / self
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     # -- shape ops ------------------------------------------------------------
 
     def reshape(self, shape) -> "Tensor":
@@ -323,11 +320,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product, batched over broadcast leading axes."""
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
-        raise DimensionError(
+        raise UsageError(
             f"matmul requires >=2-D operands, got shapes {a.shape} and {b.shape}"
         )
     if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(
+        raise UsageError(
             f"matmul: inner axes differ for shapes {a.shape} and {b.shape}"
         )
 

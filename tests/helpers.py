@@ -5,7 +5,7 @@ the pooled similarity."""
 
 import numpy as np
 
-from spikefusion.errors import DimensionError, ParameterError, StateError, UsageError
+from spikefusion.errors import StateError, UsageError
 from spikefusion.neurons import surrogate_derivative, surrogate_primitive
 from spikefusion.tensor import (
     Tensor,
@@ -268,7 +268,7 @@ def reference_fold(x, tau, v_th, v_reset, alpha=2.0):
 def reference_layer_norm(x, gamma, beta, eps=1e-5):
     """``spikefusion.tensor.layer_norm`` as a graph of generic tape ops."""
     if not eps > 0:
-        raise ParameterError(f"layer_norm: eps must be > 0, got {eps}")
+        raise UsageError(f"layer_norm: eps must be > 0, got {eps}")
     x = as_tensor(x)
     mu = mean(x, axis=-1, keepdims=True)
     xc = x - mu
@@ -281,7 +281,7 @@ def reference_batch_norm(x, gamma, beta, stats, train, momentum=0.1,
                          eps=1e-5):
     """``spikefusion.tensor.batch_norm`` as a graph of generic tape ops."""
     if not eps > 0:
-        raise ParameterError(f"batch_norm: eps must be > 0, got {eps}")
+        raise UsageError(f"batch_norm: eps must be > 0, got {eps}")
     x = as_tensor(x)
     axes = tuple(range(x.ndim - 1))
     if train:
@@ -307,7 +307,7 @@ def reference_batch_norm(x, gamma, beta, stats, train, momentum=0.1,
 def reference_l2_normalize(x, eps=1e-2):
     """``spikefusion.alignment.l2_normalize`` as a graph of generic tape ops."""
     if not eps > 0:
-        raise ParameterError(f"l2_normalize: eps must be > 0, got {eps}")
+        raise UsageError(f"l2_normalize: eps must be > 0, got {eps}")
     x = as_tensor(x)
     ss = (x * x).sum(axis=-1, keepdims=True)
     return x / sqrt(clip_min(ss, eps))
@@ -322,7 +322,7 @@ def reference_infonce_pair(s, temperature):
     if b < 2:
         raise UsageError("contrastive loss needs at least 2 pairs in the batch")
     if not temperature > 0:
-        raise ParameterError(f"temperature must be > 0, got {temperature}")
+        raise UsageError(f"temperature must be > 0, got {temperature}")
     inv_t = np.float32(1.0 / temperature)
     off_diag = (1.0 - np.eye(b, dtype=np.float32))
 
@@ -343,11 +343,11 @@ def fine_similarity(e_tokens, r_tokens):
     """Cosine similarity of every (word, region) pair -> (B_r, B_e, L, N)."""
     e_tokens, r_tokens = as_tensor(e_tokens), as_tensor(r_tokens)
     if e_tokens.ndim != 3 or r_tokens.ndim != 3:
-        raise DimensionError(
+        raise UsageError(
             f"token sets must be (B, K, D); got {e_tokens.shape} and {r_tokens.shape}"
         )
     if e_tokens.shape[-1] != r_tokens.shape[-1]:
-        raise DimensionError(
+        raise UsageError(
             f"embedding widths differ: {e_tokens.shape[-1]} vs {r_tokens.shape[-1]}"
         )
     be, nl, d = e_tokens.shape
@@ -372,7 +372,7 @@ def biha_enhance(word_max, region_max):
     """Outer product of the two hard-alignment profiles -> (B, B, L, N)."""
     word_max, region_max = as_tensor(word_max), as_tensor(region_max)
     if word_max.shape[:2] != region_max.shape[:2]:
-        raise DimensionError(
+        raise UsageError(
             f"batch axes differ: {word_max.shape[:2]} vs {region_max.shape[:2]}"
         )
     b0, b1, nl = word_max.shape
@@ -383,7 +383,7 @@ def biha_enhance(word_max, region_max):
 def lse_pool(s_bar, alpha):
     """2-D log-sum-exp over the trailing token axes: (1/a) log sum exp(a*s)."""
     if alpha <= 0:
-        raise ParameterError(f"lse alpha must be > 0, got {alpha}")
+        raise UsageError(f"lse alpha must be > 0, got {alpha}")
     scaled = as_tensor(s_bar) * np.float32(alpha)
     return logsumexp(scaled, axis=(-2, -1)) * np.float32(1.0 / alpha)
 

@@ -14,7 +14,7 @@ import pytest
 
 from spikefusion import alignment
 from spikefusion.alignment import POOL_MODES, PoolConfig, l2_normalize, similarity
-from spikefusion.errors import ConfigError, DimensionError, ParameterError
+from spikefusion.errors import ConfigError, UsageError
 from spikefusion.tensor import Tensor, no_grad
 
 from helpers import (
@@ -90,7 +90,7 @@ class TestFineSimilarity:
     def test_width_mismatch(self):
         cfg = PoolConfig(alpha=0.1, mode="biha")
         for fn in (similarity, reference_similarity):
-            with pytest.raises(DimensionError):
+            with pytest.raises(UsageError):
                 fn(Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((1, 2, 4))),
                    cfg)
 
@@ -99,7 +99,7 @@ class TestFineSimilarity:
     def test_token_sets_must_be_3d(self, e_shape, r_shape):
         cfg = PoolConfig(alpha=0.1, mode="biha")
         for fn in (similarity, reference_similarity):
-            with pytest.raises(DimensionError):
+            with pytest.raises(UsageError):
                 fn(Tensor(np.zeros(e_shape)), Tensor(np.zeros(r_shape)), cfg)
 
 
@@ -186,7 +186,7 @@ class TestLsePool:
         assert abs(out - expected) < 1e-6
 
     def test_alpha_must_be_positive(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(UsageError):
             lse_pool(Tensor(np.zeros((1, 1, 2, 2))), 0.0)
 
     @pytest.mark.parametrize(
@@ -194,7 +194,7 @@ class TestLsePool:
     def test_pool_config_rejects_alpha(self, alpha):
         # similarity reads its alpha from a PoolConfig only; past float32
         # every score would be NaN
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             PoolConfig(alpha=alpha)
 
 

@@ -10,7 +10,7 @@ from spikefusion.attention import (
     UnimodalEncoder,
 )
 from spikefusion.encoding import GeneratorConfig
-from spikefusion.errors import DimensionError
+from spikefusion.errors import UsageError
 from spikefusion.neurons import LIFParams
 from spikefusion.tensor import Tensor, matmul
 
@@ -93,7 +93,7 @@ class TestTemporalPool:
 
     def test_length_mismatch(self):
         pool = TemporalPool(2)
-        with pytest.raises(DimensionError):
+        with pytest.raises(UsageError):
             pool(Tensor(np.zeros((3, 1, 1, 1))))
 
     def test_weights_sum_to_one(self):

@@ -165,7 +165,7 @@ def test_energy_report_command(workspace, capsys):
 def test_ablate_emits_one_row_per_value(workspace, capsys):
     tmp_path, data_dir, config_path = workspace
     fast_cfg = tmp_path / "fast.cfg"
-    fast_cfg.write_text(CONFIG_TEXT + "\nepochs = 2\n")
+    fast_cfg.write_text(CONFIG_TEXT.replace("epochs = 12", "epochs = 2"))
     rc = main(["ablate", "--data", str(data_dir), "--config", str(fast_cfg),
                "--axis", "time-steps", "--values", "1,2",
                "--out", str(tmp_path / "ablate.csv")])

@@ -72,6 +72,16 @@ lambda = 0.75
         with pytest.raises(ConfigError, match="key = value"):
             parse_config("alignment biha")
 
+    @pytest.mark.parametrize("text,message", [
+        ("lam = 0.3", "line 1: unknown config key 'lam'"),
+        ("d = 8\nd = 16", "line 2: 'd' is already set on line 1"),
+        ("lambda = 0.3\n# again\nlambda = 0.3",
+         "line 3: 'lambda' is already set on line 1"),
+    ], ids=["field-name-of-lambda", "repeat", "same-value-repeat"])
+    def test_one_spelling_per_key_set_once(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+
 
 class TestValidate:
     @pytest.mark.parametrize("kwargs", [

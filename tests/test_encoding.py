@@ -8,7 +8,7 @@ from spikefusion.encoding import (
     GeneratorConfig,
     SpikeGenerator,
 )
-from spikefusion.errors import ConfigError, DimensionError
+from spikefusion.errors import ConfigError, UsageError
 from spikefusion.layers import Linear
 from spikefusion.neurons import LIFParams
 from spikefusion.tensor import Tensor
@@ -46,7 +46,7 @@ class TestProjection:
 
     def test_width_mismatch(self):
         proj = Linear(8, 4, np.random.default_rng(0))
-        with pytest.raises(DimensionError):
+        with pytest.raises(UsageError):
             proj(Tensor(np.zeros((3, 7))))
 
 

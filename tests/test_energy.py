@@ -19,7 +19,7 @@ from spikefusion.energy import (
     recording,
     scope,
 )
-from spikefusion.errors import AccountingError, StateError, UsageError
+from spikefusion.errors import StateError, UsageError
 from spikefusion.model import RetrievalModel
 from spikefusion.tensor import Tensor
 
@@ -80,12 +80,12 @@ class TestLayerEnergy:
         assert ledger.picojoules == 0.0
 
     def test_unknown_layer_kind_named_in_error(self):
-        with pytest.raises(AccountingError, match="mystery"):
+        with pytest.raises(UsageError, match="mystery"):
             LayerLedger("mystery", "analog", 10, 0.5)
 
     @pytest.mark.parametrize("rate", [-0.25, 1.5, float("nan")])
     def test_rate_outside_unit_interval_named_in_error(self, rate):
-        with pytest.raises(AccountingError, match="outside"):
+        with pytest.raises(UsageError, match="outside"):
             LayerLedger("leaky", "spiking", 10, rate)
 
 
@@ -307,6 +307,6 @@ class TestEnergyReport:
             def encode(self, r, w, train):
                 return None, None
 
-        with pytest.raises(AccountingError):
+        with pytest.raises(UsageError):
             energy_report(NoOpModel(), Tensor(np.zeros((2, 2, 2))),
                           Tensor(np.zeros((2, 2, 2))))

@@ -2,13 +2,16 @@
 
 Every name a ``spikefusion`` module imports is used in that module, every
 private module-level name is read in its own module, and every name the
-package ``__init__`` imports is exported in ``__all__``.
+package ``__init__`` imports is exported in ``__all__``.  Every error type
+is raised somewhere and is one that the CLI reports as one line.
 """
 
 import ast
 import os
 
 import pytest
+
+from spikefusion import errors
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "spikefusion")
 MODULES = sorted(f[:-3] for f in os.listdir(SRC)
@@ -91,3 +94,17 @@ def test_package_exports_every_import():
                     and node.targets[0].id == "__all__")
     assert [n for n in imported_names(tree) if n not in exported] == []
     assert sorted(exported) == exported
+
+
+def test_every_error_type_is_raised_and_reported():
+    classes = [node.name for node in parse("errors").body
+               if isinstance(node, ast.ClassDef)]
+    raised = {node.exc.func.id for module in MODULES
+              for node in ast.walk(parse(module))
+              if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+              and isinstance(node.exc.func, ast.Name)}
+    assert [name for name in classes if name not in raised] == []
+    # cli.main catches ValueError and StateError, not every Exception
+    assert [name for name in classes
+            if not issubclass(getattr(errors, name), ValueError)
+            and getattr(errors, name) is not errors.StateError] == []

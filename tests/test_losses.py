@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spikefusion.errors import ContractError, ParameterError, UsageError
+from spikefusion.errors import ConfigError, UsageError
 from spikefusion.losses import SIMILARITY_KEYS, LossWeights, infonce_pair, total_loss
 from spikefusion.tensor import Tensor
 
@@ -115,7 +115,7 @@ class TestInfonceNode:
 
     @pytest.mark.parametrize("temperature", [0.0, -0.5, float("nan")])
     def test_temperature_must_be_positive(self, temperature):
-        with pytest.raises(ParameterError, match="temperature must be > 0"):
+        with pytest.raises(UsageError, match="temperature must be > 0"):
             infonce_pair(Tensor(np.eye(3, dtype=np.float32)), temperature)
 
 
@@ -150,7 +150,7 @@ class TestTotalLoss:
     def test_missing_matrix_named(self):
         sims = _sim_set()
         del sims["intra_r"]
-        with pytest.raises(ContractError, match="intra_r"):
+        with pytest.raises(UsageError, match="intra_r"):
             total_loss(sims, LossWeights())
 
     def test_zero_weight_terms_may_be_left_out(self):
@@ -183,7 +183,7 @@ class TestTotalLoss:
     def test_weighted_or_partial_matrices_still_required(self, lam, missing):
         sims = _sim_set()
         del sims[missing]
-        with pytest.raises(ContractError, match=missing):
+        with pytest.raises(UsageError, match=missing):
             total_loss(sims, LossWeights(lam=lam, temperature=0.5))
 
     def test_inter_and_intra_are_two_term_sums(self):
@@ -197,7 +197,7 @@ class TestTotalLoss:
         np.testing.assert_allclose(float(parts["intra"].data), intra, rtol=1e-6)
 
     def test_invalid_weights(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             LossWeights(lam=1.5)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             LossWeights(temperature=0.0)

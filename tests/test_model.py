@@ -12,6 +12,7 @@ from spikefusion import model as model_module
 from spikefusion.alignment import POOL_MODES, similarity
 from spikefusion.config import RunConfig
 from spikefusion.data import Dataset
+from spikefusion.errors import UsageError
 from spikefusion.losses import infonce_pair
 from spikefusion.model import EVAL_BLOCK, RetrievalModel
 from spikefusion.tensor import Tensor, no_grad, smooth_spike_mode
@@ -65,7 +66,7 @@ class TestRegistry:
         model = toy_model()
         arrays = {n: p.data for n, p in model.params().items()}
         arrays.pop(next(iter(arrays)))
-        with pytest.raises(KeyError):
+        with pytest.raises(UsageError, match="missing parameter"):
             model.load_state(arrays)
 
     def test_load_rejects_shape_mismatch(self):
@@ -73,7 +74,7 @@ class TestRegistry:
         arrays = {n: p.data.copy() for n, p in model.params().items()}
         first = next(iter(arrays))
         arrays[first] = np.zeros((1, 1), dtype=np.float32)
-        with pytest.raises(ValueError, match="shape"):
+        with pytest.raises(UsageError, match="shape"):
             model.load_state(arrays)
 
     @pytest.mark.parametrize("extra", ["image/attn/w_qq/w",
@@ -83,7 +84,7 @@ class TestRegistry:
         model.calibrate(*toy_batch())
         arrays = model.state()
         arrays[extra] = np.zeros(8, dtype=np.float32)
-        with pytest.raises(ValueError, match=f"'{extra}' is neither"):
+        with pytest.raises(UsageError, match=f"'{extra}' is neither"):
             model.load_state(arrays)
 
     def test_load_rejects_half_a_running_stats_pair(self):
@@ -91,7 +92,7 @@ class TestRegistry:
         model.calibrate(*toy_batch())
         arrays = model.state()
         arrays.pop("buffer/image/attn/bn_q/running_var")
-        with pytest.raises(KeyError, match="bn_q/running_var"):
+        with pytest.raises(UsageError, match="bn_q/running_var"):
             toy_model().load_state(arrays)
 
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spikefusion.errors import ParameterError, UsageError
+from spikefusion.errors import ConfigError, UsageError
 from spikefusion.neurons import LIFParams, TLSNParams, lif_sequence, tlsn_forward
 from spikefusion.tensor import Tensor, smooth_spike_mode
 
@@ -126,11 +126,11 @@ class TestLifSequence:
 
 class TestParams:
     def test_tau_floor(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             LIFParams(tau=0.5)
 
     def test_threshold_above_reset(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             LIFParams(v_th=0.0, v_reset=0.0)
 
 

@@ -14,7 +14,7 @@ import pytest
 from spikefusion import energy
 from spikefusion import tensor as tensor_module
 from spikefusion.alignment import PoolConfig, l2_normalize, similarity
-from spikefusion.errors import DimensionError, StateError, UsageError
+from spikefusion.errors import StateError, UsageError
 from spikefusion.losses import infonce_pair
 from spikefusion.neurons import (
     LIFParams,
@@ -136,11 +136,11 @@ class TestMatmul:
         np.testing.assert_array_equal(out.data, [[0.0]])
 
     def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(DimensionError, match=r"\(3, 4\).*\(3, 2\)"):
+        with pytest.raises(UsageError, match=r"\(3, 4\).*\(3, 2\)"):
             matmul(Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 2))))
 
     def test_one_dimensional_operand_rejected(self):
-        with pytest.raises(DimensionError, match=r">=2-D.*\(4,\)"):
+        with pytest.raises(UsageError, match=r">=2-D.*\(4,\)"):
             matmul(Tensor(np.zeros((3, 4))), Tensor(np.zeros(4)))
 
     def test_gradient_against_finite_differences(self):
