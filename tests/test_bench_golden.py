@@ -5,9 +5,9 @@ The shapes come from ``WORKLOADS`` in ``perfbench/workloads.py``, so each
 workload is defined once.  Each pinned value is one that the benchmark
 checks, computed the way ``perfbench/workloads.py`` computes it:
 
-* train-wide: ``train()`` with a fresh model; the digest of its log lines,
-  the saved ``best.ckpt``, R@Sum on the training split, and the energy
-  totals on the first ``report_batch`` training pairs;
+* train-desk and train-wide: ``train()`` with a fresh model; the digest of
+  its log lines, the saved ``best.ckpt``, R@Sum on the training split, and
+  the energy totals on the first ``report_batch`` training pairs;
 * eval-gallery: a model calibrated on three report batches, saved and
   restored; its score matrix, R@Sum and energy totals.
 
@@ -62,8 +62,8 @@ def energy_totals(model, dataset, batch):
     return f"{report.ac_ops} {report.mac_ops} {report.total_picojoules!r}"
 
 
-def train_wide(root):
-    w = workload("train-wide")
+def train_run(name, root):
+    w = workload(name)
     dataset = load_manifest(synth_dataset(os.path.join(root, "data"),
                                           seed=SEED, **w.shape))
     cfg, model = build(w, dataset)
@@ -102,7 +102,11 @@ def eval_gallery(root):
     }
 
 
-RUNS = {"train-wide": train_wide, "eval-gallery": eval_gallery}
+RUNS = {
+    "train-desk": lambda root: train_run("train-desk", root),
+    "train-wide": lambda root: train_run("train-wide", root),
+    "eval-gallery": eval_gallery,
+}
 
 
 def lines_of(name, outputs):
