@@ -41,7 +41,8 @@ def occupancy(x: Tensor | np.ndarray) -> float:
     data = x.data if isinstance(x, Tensor) else np.asarray(x)
     if data.size == 0:
         raise UsageError("occupancy: empty tensor")
-    return float(np.count_nonzero(data) / data.size)
+    # a boolean count is vectorised; numpy counts float nonzeros one by one
+    return float(np.count_nonzero(data != 0) / data.size)
 
 
 @dataclass

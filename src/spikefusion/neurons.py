@@ -6,6 +6,9 @@ Membrane update per step, from ``v = v_reset``:
     s[t] = 1 if h[t] >= v_th else 0
     v[t] = h[t] * (1 - s[t]) + v_reset * s[t]        (hard reset)
 
+The fold writes each step's membrane into one buffer in place, and does
+not compute the last step's reset, which feeds nothing.
+
 The T-step fold is one tape node over the input and the threshold.  Its
 backward walks time in reverse, the arctangent surrogate slope standing in
 for the step's derivative and the reset detached:
@@ -100,16 +103,28 @@ def _fold(x: Tensor, tau: float, v_th, v_reset: float, alpha: float) -> Tensor:
     one = np.float32(1.0)
     spikes = np.empty(x.shape, dtype=np.float32)
     us, hs = [], []  # what the backward reads besides the spikes
-    v = np.full(x.shape[1:], v_reset, dtype=np.float32)
+    # from v = v_reset, v - v_reset is +0.0 and x - 0.0 is x, bit for bit
+    h = x.data[0] / tau
+    h += v_reset
+    tmp = np.empty_like(h)
     for t in range(x.shape[0]):
-        h = v + (x.data[t] - (v - v_reset)) / tau
+        if t:  # h holds v[t-1]: step it in place to h[t]
+            np.subtract(h, v_reset, out=tmp)
+            np.subtract(x.data[t], tmp, out=tmp)
+            tmp /= tau
+            h += tmp
         u = h - th.data
-        spikes[t] = surrogate_primitive(u, alpha) if smooth else u >= 0
-        s = spikes[t]
-        v = h * (one - s) + v_reset * s
         us.append(u)
         if smooth:
-            hs.append(h)
+            spikes[t] = surrogate_primitive(u, alpha)
+            hs.append(h.copy())
+        else:
+            np.copyto(spikes[t], u >= 0)
+        if t + 1 < x.shape[0]:  # the last reset feeds nothing
+            s = spikes[t]
+            np.subtract(one, s, out=tmp)
+            h *= tmp
+            h += np.multiply(v_reset, s, out=tmp)
 
     def bw(g):
         g_x = np.empty_like(spikes)

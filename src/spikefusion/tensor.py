@@ -328,14 +328,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul: inner axes differ for shapes {a.shape} and {b.shape}"
         )
 
+    def forward(x, w):
+        if w.ndim == 2 and x.ndim > 2:
+            # weight-matrix case: one gemm over the stacked rows (numpy
+            # would call gemm once per leading index), the same bits
+            rows = x.reshape(-1, x.shape[-1]) @ w
+            return rows.reshape(x.shape[:-1] + w.shape[-1:])
+        return x @ w
+
     def grad_b(g, x, w):
         if w.ndim == 2 and g.ndim > 2:
             # weight-matrix case: contract the batch in one gemm
             return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
         return x.swapaxes(-1, -2) @ g
 
-    return _binary(a, b, operator.matmul,
-                   lambda g, x, w: g @ w.swapaxes(-1, -2), grad_b)
+    # the input gradient stays batched: one gemm would change its bits
+    return _binary(a, b, forward, lambda g, x, w: g @ w.swapaxes(-1, -2),
+                   grad_b)
 
 
 def stack(tensors, axis: int = 0) -> Tensor:
@@ -423,7 +432,7 @@ def _moments(xd: np.ndarray, axis):
     inv_n = np.float32(1.0 / (xd.size // total.size))
     mu = total * inv_n
     xc = xd - mu
-    var = (xc * xc).sum(axis=axis, keepdims=True) * inv_n
+    var = np.multiply(xc, xc, out=xc).sum(axis=axis, keepdims=True) * inv_n
     return mu, var, np.sqrt(var + np.float32(_NORM_EPS)), inv_n
 
 
@@ -436,7 +445,10 @@ def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, mu: np.ndarray,
     constants (eval-mode batch norm).
     """
     gamma, beta = as_tensor(gamma), as_tensor(beta)
-    out = (x.data - mu) / sd * gamma.data + beta.data
+    out = x.data - mu
+    out /= sd
+    out *= gamma.data
+    out += beta.data
 
     def bw(g):
         if beta.requires_grad:

@@ -33,6 +33,14 @@ class TestFiringRate:
         x = np.array([0.0, 1.0, 2.0, 0.0], dtype=np.float32)
         assert occupancy(x) == 0.5
 
+    def test_occupancy_counts_what_count_nonzero_counts(self):
+        # -0.0 is zero; NaN and spike counts are not
+        x = np.array([-0.0, 0.0, np.nan, 2.0, 4.0, 1.0, 0.0, -0.0],
+                     dtype=np.float32)
+        assert occupancy(x) == 0.5
+        spikes = (RNG.random((2, 32, 36, 256)) < 0.07).astype(np.float32)
+        assert occupancy(spikes) == np.count_nonzero(spikes) / spikes.size
+
     def test_occupancy_of_an_empty_array_rejected(self):
         with pytest.raises(UsageError, match="empty"):
             occupancy(np.zeros((2, 0, 3), dtype=np.float32))

@@ -5,6 +5,7 @@
 use them.
 """
 
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -163,6 +164,64 @@ class TestMatmul:
         (matmul(x, w) * c).sum().backward()
         expected = np.einsum("abik,abij->kj", x_data, c)
         np.testing.assert_allclose(w.grad, expected, rtol=1e-4, atol=1e-4)
+
+
+# (lead..., M, K, N) of every weight matmul the repo runs: the bench golden,
+# train-desk, train-wide and eval-gallery
+WEIGHT_MATMULS = [
+    (2, 8, 4, 16, 16),
+    (16, 8, 48, 64), (2, 16, 8, 64, 64),
+    (32, 36, 2048, 128), (2, 32, 36, 128, 128),
+    (32, 36, 2048, 256), (2, 32, 36, 256, 256),
+]
+
+
+@pytest.mark.parametrize("shape", WEIGHT_MATMULS,
+                         ids=lambda s: "x".join(map(str, s)))
+def test_weight_matmul_bits_match_batched_numpy(shape):
+    """The forward stacks the leading axes into one gemm, and the input
+    gradient stays batched; both give the bits of numpy's batched ``@``."""
+    *lead, m, k, n = shape
+    rng = np.random.default_rng(sum(shape))
+    x = Tensor.param(rng.standard_normal((*lead, m, k)).astype(np.float32))
+    w = Tensor(rng.standard_normal((k, n)).astype(np.float32))
+    g = rng.standard_normal((*lead, m, n)).astype(np.float32)
+    out = matmul(x, w)
+    assert out.data.tobytes() == (x.data @ w.data).tobytes()
+    (out * Tensor(g)).sum().backward()
+    # a leaf's first gradient is ``g + 0.0``
+    expected = g @ w.data.swapaxes(-1, -2) + np.float32(0.0)
+    assert x.grad.tobytes() == expected.tobytes()
+
+
+class TestForwardMemory:
+    """The fold and norm forwards write in place: peaks measured in units of
+    one (2, 16, 12, 32) float32 input; tracemalloc sees numpy's buffers."""
+
+    @staticmethod
+    def peak_units(fn):
+        x = Tensor(np.random.default_rng(3).standard_normal(
+            (2, 16, 12, 32)).astype(np.float32) * 2.0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return (peak - base) / x.data.nbytes
+
+    def test_untracked_fold(self):
+        # spikes, the saved u of each step, the membrane and one scratch
+        assert self.peak_units(lambda x: lif_sequence(x, LIFParams())) < 4
+
+    def test_eval_batch_norm(self):
+        stats = _primed_stats(32)
+        assert self.peak_units(
+            lambda x: batch_norm(x, *_affine(32), stats, train=False)) < 2
+
+    def test_layer_norm(self):
+        assert self.peak_units(lambda x: layer_norm(x, *_affine(32))) < 2.5
 
 
 class TestElementwise:
