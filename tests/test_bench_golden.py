@@ -81,8 +81,8 @@ def train_run(name, root):
     }
 
 
-def eval_gallery(root):
-    w = workload("eval-gallery")
+def eval_run(name, root):
+    w = workload(name)
     dataset = load_manifest(synth_dataset(os.path.join(root, "data"),
                                           seed=SEED, **w.shape))
     _, model = build(w, dataset)
@@ -102,11 +102,8 @@ def eval_gallery(root):
     }
 
 
-RUNS = {
-    "train-desk": lambda root: train_run("train-desk", root),
-    "train-wide": lambda root: train_run("train-wide", root),
-    "eval-gallery": eval_gallery,
-}
+RUNS = {"train-desk": train_run, "train-wide": train_run,
+        "eval-gallery": eval_run}
 
 
 def lines_of(name, outputs):
@@ -120,10 +117,10 @@ def read_golden(name):
 
 @pytest.mark.parametrize("name", RUNS)
 def test_bench_outputs_match_golden(tmp_path, name):
-    assert lines_of(name, RUNS[name](str(tmp_path))) == read_golden(name)
+    assert lines_of(name, RUNS[name](name, str(tmp_path))) == read_golden(name)
 
 
 if __name__ == "__main__":
     for name, run in RUNS.items():
         with tempfile.TemporaryDirectory() as root:
-            print(*lines_of(name, run(root)), sep="\n")
+            print(*lines_of(name, run(name, root)), sep="\n")
