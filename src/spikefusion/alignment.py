@@ -182,6 +182,8 @@ def _pooled(e_hat: Tensor, r_hat: Tensor, cfg: PoolConfig) -> Tensor:
     axes = (-2, -1) if mode in ("lse", "biha") else -1
     tracked = _joins_tape((r_hat, e_hat))
     out = np.empty((br, be), dtype=np.float32)
+    desc_keys = np.arange(nn, 0, -1,
+                          dtype=np.min_scalar_type(nn))[:, None, None]
 
     def pool(i: slice, j: slice):
         """Fill ``out[i, j]`` with alpha times the pooled scores; return
@@ -202,9 +204,12 @@ def _pooled(e_hat: Tensor, r_hat: Tensor, cfg: PoolConfig) -> Tensor:
         if not tracked:
             return None
         # each maximum routes its gradient to its first maximal entry, as
-        # np.argmax picks
+        # np.argmax picks.  Words: the first maximal region has the largest
+        # of the descending keys nn..1 (argmax over axis 1 would copy the
+        # comparison to move that axis last)
         if word_max is not None:
-            word_arg = np.argmax(f4 == word_max[:, None], axis=1)  # (rows, cols, L)
+            key = np.multiply(f4 == word_max[:, None], desc_keys)
+            word_arg = nn - key.max(axis=1)  # (rows, cols, L)
         if region_max is not None:
             region_nb = region_max.transpose(0, 2, 1)[..., None]
             region_arg = np.argmax(f4 == region_nb, axis=3)  # (rows, N, cols)

@@ -145,13 +145,17 @@ def load_manifest(path) -> Dataset:
     for entry in manifest["entries"]:
         for key, shape in shapes.items():
             _check_record(base, entry[key], shape)
-    arrays = {key: np.empty((manifest["pairs"],) + shape, dtype=np.float32)
+    arrays = {key: np.empty((manifest["pairs"],) + shape, dtype="<f4")
               for key, shape in shapes.items()}
     for p, entry in enumerate(manifest["entries"]):
-        for key, shape in shapes.items():
+        for key in shapes:
+            row = arrays[key][p]  # each record is read straight into its row
             with open(os.path.join(base, entry[key]), "rb") as fh:
-                arrays[key][p] = np.frombuffer(fh.read(), dtype="<f4") \
-                    .reshape(shape)
+                got = fh.readinto(row)
+            if got != row.nbytes:
+                raise UsageError(
+                    f"record {entry[key]!r} gave {got} of its {row.nbytes} "
+                    f"bytes")
     return Dataset(arrays["regions"], arrays["words"])
 
 
@@ -168,9 +172,16 @@ def _check_record(base: str, rel_path: str, shape):
         )
 
 
+def split_indices(pairs: int, val_fraction: float, seed: int):
+    """The seed-stable split of ``pairs`` pair indices: a shuffle whose first
+    ``round(pairs * val_fraction)`` entries are held out.  Returns the sorted
+    (train, val) index arrays; this is the one split rule."""
+    perm = np.random.default_rng(seed).permutation(pairs)
+    n_val = int(round(pairs * val_fraction))
+    return np.sort(perm[n_val:]), np.sort(perm[:n_val])
+
+
 def train_val_split(dataset: Dataset, val_fraction: float, seed: int):
-    """Seed-stable shuffle split; returns (train, val)."""
-    perm = np.random.default_rng(seed).permutation(dataset.pairs)
-    n_val = int(round(dataset.pairs * val_fraction))
+    """Copies of the ``split_indices`` rows; returns (train, val)."""
     return tuple(Dataset(dataset.regions[idx], dataset.words[idx])
-                 for idx in (np.sort(perm[n_val:]), np.sort(perm[:n_val])))
+                 for idx in split_indices(dataset.pairs, val_fraction, seed))

@@ -7,7 +7,9 @@ Membrane update per step, from ``v = v_reset``:
     v[t] = h[t] * (1 - s[t]) + v_reset * s[t]        (hard reset)
 
 The fold writes each step's membrane into one buffer in place, and does
-not compute the last step's reset, which feeds nothing.
+not compute the last step's reset, which feeds nothing.  The node keeps
+only its spikes: its backward replays the membrane from the input, the
+threshold and those spikes, so a tracked fold holds one input-sized array.
 
 The T-step fold is one tape node over the input and the threshold.  Its
 backward walks time in reverse, the arctangent surrogate slope standing in
@@ -45,6 +47,7 @@ from .tensor import (
 # margin keeping a learnable threshold strictly above the reset potential
 THRESHOLD_FLOOR = 0.01
 FLOAT32_MAX = float(np.finfo(np.float32).max)
+_ONE = np.float32(1.0)
 
 
 @dataclass(frozen=True)
@@ -88,45 +91,58 @@ def surrogate_primitive(x: np.ndarray, alpha: float) -> np.ndarray:
     return np.arctan((np.pi / 2.0) * alpha * x) / np.pi + 0.5
 
 
+def _membrane(x: np.ndarray, th: np.ndarray, tau, v_reset, spikes):
+    """Yield ``(h, u)`` of each step, ``u = h - th``, from ``v = v_reset``.
+
+    ``h`` is one buffer stepped in place.  Each step's reset reads
+    ``spikes[t]``, which the caller writes before asking for the next step.
+    """
+    # from v = v_reset, v - v_reset is +0.0 and x - 0.0 is x, bit for bit
+    h = x[0] / tau
+    h += v_reset
+    tmp = np.empty_like(h)
+    for t in range(x.shape[0]):
+        if t:  # h holds v[t-1]: step it in place to h[t]
+            np.subtract(h, v_reset, out=tmp)
+            np.subtract(x[t], tmp, out=tmp)
+            tmp /= tau
+            h += tmp
+        yield h, h - th
+        if t + 1 < x.shape[0]:  # the last reset feeds nothing
+            s = spikes[t]
+            np.subtract(_ONE, s, out=tmp)
+            h *= tmp
+            h += np.multiply(v_reset, s, out=tmp)
+
+
 def _fold(x: Tensor, tau: float, v_th, v_reset: float, alpha: float) -> Tensor:
     """Spikes of the membrane update folded over the leading time axis of ``x``.
 
     One tape node with parents ``(x, threshold)``.  ``v_th`` is a float or a
     (learnable) scalar tensor.  State starts at the reset potential and is
-    private to this call.
+    private to this call.  The node keeps only its spikes: the backward
+    replays ``_membrane`` from ``x``, the threshold and those spikes, which
+    gives each step's ``u`` (and ``h``) with the forward's own bits.
     """
     x, th = as_tensor(x), as_tensor(v_th)
     if x.ndim < 1 or x.shape[0] == 0:
         raise UsageError("neuron fold: empty time axis")
     smooth = smooth_spikes_active()
     tau, v_reset = np.float32(tau), np.float32(v_reset)
-    one = np.float32(1.0)
     spikes = np.empty(x.shape, dtype=np.float32)
-    us, hs = [], []  # what the backward reads besides the spikes
-    # from v = v_reset, v - v_reset is +0.0 and x - 0.0 is x, bit for bit
-    h = x.data[0] / tau
-    h += v_reset
-    tmp = np.empty_like(h)
-    for t in range(x.shape[0]):
-        if t:  # h holds v[t-1]: step it in place to h[t]
-            np.subtract(h, v_reset, out=tmp)
-            np.subtract(x.data[t], tmp, out=tmp)
-            tmp /= tau
-            h += tmp
-        u = h - th.data
-        us.append(u)
+    for t, (_, u) in enumerate(_membrane(x.data, th.data, tau, v_reset,
+                                         spikes)):
         if smooth:
             spikes[t] = surrogate_primitive(u, alpha)
-            hs.append(h.copy())
         else:
             np.copyto(spikes[t], u >= 0)
-        if t + 1 < x.shape[0]:  # the last reset feeds nothing
-            s = spikes[t]
-            np.subtract(one, s, out=tmp)
-            h *= tmp
-            h += np.multiply(v_reset, s, out=tmp)
 
     def bw(g):
+        us, hs = [], []
+        for h, u in _membrane(x.data, th.data, tau, v_reset, spikes):
+            us.append(u)
+            if smooth:
+                hs.append(h.copy())
         g_x = np.empty_like(spikes)
         g_th = []
         g_v = None  # the last membrane potential feeds nothing
@@ -135,7 +151,7 @@ def _fold(x: Tensor, tau: float, v_th, v_reset: float, alpha: float) -> Tensor:
             if smooth and g_v is not None:
                 g_s = g_s + g_v * (v_reset - hs[t])
             g_u = g_s * surrogate_derivative(us[t], alpha)
-            g_h = g_u if g_v is None else g_u + g_v * (one - spikes[t])
+            g_h = g_u if g_v is None else g_u + g_v * (_ONE - spikes[t])
             g_x[t] = g_h / tau
             g_v = g_h - g_x[t]
             if th.requires_grad:

@@ -15,12 +15,13 @@ result on the tape: it sets ``_parents``, ``requires_grad`` and ``_backward``
 only when ``_joins_tape(parents)``, that is when grad mode is on and some
 parent requires grad (a node with parents always does).  Arrays needed only
 by a backward are computed inside its closure, so untracked and ``no_grad``
-passes never build them.  The one exception is the pooled similarity
-(:mod:`spikefusion.alignment`): its forward saves routing indices from each
-block of the fine tensor while that block is alive, and asks
-``_joins_tape`` first, so an untracked call saves none.  The
-broadcast binary ops (``+ - * /`` and ``matmul``) are each ``_binary`` given
-a numpy op and one gradient rule per operand.
+passes never build them; the neuron fold, for one, replays its membrane
+there from its input, threshold and spikes.  The one exception is the
+pooled similarity (:mod:`spikefusion.alignment`): its forward saves
+routing indices from each block of the fine tensor while that block is
+alive, and asks ``_joins_tape`` first, so an untracked call saves none.
+The broadcast binary ops (``+ - * /`` and ``matmul``) are each
+``_binary`` given a numpy op and one gradient rule per operand.
 
 Layer and batch normalisation are one node each, like the fused ops of the
 other modules (the neuron fold, l2 normalisation, the pooled similarity, the

@@ -11,7 +11,7 @@ import numpy as np
 
 from .checkpoint import save_checkpoint
 from .config import RunConfig
-from .data import Dataset, train_val_split
+from .data import Dataset, split_indices, train_val_split
 from .errors import UsageError
 from .losses import LOSS_NAMES
 from .model import RetrievalModel
@@ -97,21 +97,24 @@ def train(config: RunConfig, dataset: Dataset, out_dir: str | None = None,
     validation split of under 2 pairs cannot be ranked; recall is then
     ranked on the training split, the result and every history record say
     ``val_source`` ``"train"``, and each epoch log line ends in
-    ``val_source=train``.  The checkpoint holds the parameters and
-    batch-norm running stats, not the optimizer state: a run cannot be
-    resumed.  ``model`` trains a caller-built model in place of a fresh one.
+    ``val_source=train``.  Batches are gathered from ``dataset``'s own
+    arrays; only the split that is ranked is copied.  The checkpoint holds
+    the parameters and batch-norm running stats, not the optimizer state: a
+    run cannot be resumed.  ``model`` trains a caller-built model in place
+    of a fresh one.
     """
     config.validate()
-    train_set, val_set = train_val_split(dataset, config.val_fraction,
-                                         config.seed)
-    if train_set.pairs < 2:  # a contrastive step needs a negative
+    train_idx, val_idx = split_indices(dataset.pairs, config.val_fraction,
+                                       config.seed)
+    if train_idx.size < 2:  # a contrastive step needs a negative
         raise UsageError(
-            f"training split has {train_set.pairs} pair(s) of "
+            f"training split has {train_idx.size} pair(s) of "
             f"{dataset.pairs} at val_fraction = {config.val_fraction}; "
             f"a training step needs at least 2")
     val_source = "held-out"
-    if val_set.pairs < 2:
-        val_set, val_source = train_set, "train"
+    if val_idx.size < 2:
+        val_idx, val_source = train_idx, "train"
+    val_set = Dataset(dataset.regions[val_idx], dataset.words[val_idx])
     if model is None:
         model = RetrievalModel(config, dataset.regions.shape[-1],
                                dataset.words.shape[-1],
@@ -132,10 +135,11 @@ def train(config: RunConfig, dataset: Dataset, out_dir: str | None = None,
         scale = _lr_scale(config, epoch)
         epoch_losses: dict[str, float] = {}
         n_steps = 0
-        for idx in _batch_indices(train_set.pairs, config.batch, config.seed,
+        for idx in _batch_indices(train_idx.size, config.batch, config.seed,
                                   epoch):
-            regions = Tensor(train_set.regions[idx])
-            words = Tensor(train_set.words[idx])
+            rows = train_idx[idx]  # the training split's rows idx, in order
+            regions = Tensor(dataset.regions[rows])
+            words = Tensor(dataset.words[rows])
             total, parts = model.training_losses(regions, words)
             if not np.isfinite(total.data):
                 breakdown = ", ".join(

@@ -1,7 +1,9 @@
-"""Shared test utilities: finite-difference oracles, the generic ops only
-the oracles use, and the composed graphs of generic ops that the one-node
-kernels replace: the LIF fold, the normalisations, the contrastive loss and
-the pooled similarity."""
+"""Shared test utilities: finite-difference oracles, a memory probe, the
+generic ops only the oracles use, and the composed graphs of generic ops
+that the one-node kernels replace: the LIF fold, the normalisations, the
+contrastive loss and the pooled similarity."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -149,6 +151,20 @@ def interior_nodes(out):
         seen.add(id(node))
         todo.extend(node._parents)
     return len(seen)
+
+
+def traced(fn):
+    """``fn()`` under tracemalloc, which sees numpy's buffers: returns its
+    result, the bytes it allocated and still holds once it has returned,
+    and the peak of what it allocated."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held - base, peak - base
 
 
 def smooth_central_difference(loss_fn, param, eps=1e-3, indices=None):

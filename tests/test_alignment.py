@@ -7,7 +7,6 @@ oracles here, and the node against the chain bit for bit.
 """
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +27,7 @@ from helpers import (
     lse_pool,
     reference_l2_normalize,
     reference_similarity,
+    traced,
 )
 
 RNG = np.random.default_rng(314)
@@ -325,6 +325,30 @@ class TestPooledNode:
         self.assert_bit_identical(PoolConfig(alpha=alpha, mode=mode),
                                   e0, r0, g)
 
+    @pytest.mark.parametrize("mode", POOL_MODES)
+    def test_bit_identical_with_a_first_maximum_tie(self, mode):
+        # two identical regions in one image, and a word equal to them, tie
+        # that word's maximum at 1, not 0: the first maximal region gets
+        # the gradient, as argmax picks
+        e0, r0, g = self.inputs()
+        r0[1, 4] = r0[1, 1]
+        e0[0, 0] = r0[1, 1]
+        fine = fine_similarity(e0, r0).data  # (B_r, B_e, L, N)
+        word = fine[1, 0, 0]
+        assert word[1] == word[4] == word.max() > 0.99
+        self.assert_bit_identical(PoolConfig(mode=mode), e0, r0, g)
+
+    @pytest.mark.parametrize("mode", ["tha", "biha"])
+    def test_bit_identical_beyond_255_regions(self, mode):
+        # the word routing's keys count down from N, past one byte here;
+        # the first region is one word's maximum
+        e0, _, g = self.inputs()
+        r0 = np.random.default_rng(78).standard_normal(
+            (2, 256, 5)).astype(np.float32)
+        e0[1, 0] = r0[0, 0]
+        assert fine_similarity(e0, r0).data[0, 1, 0].argmax() == 0
+        self.assert_bit_identical(PoolConfig(mode=mode), e0, r0, g)
+
     @pytest.mark.parametrize("nl, nn", [(36, 36), (4, 6)])
     def test_block_rule(self, nl, nn):
         # each (image, caption) score lies in exactly one block; the column
@@ -364,18 +388,6 @@ class TestPooledMemory:
     fine tensor; tracemalloc sees numpy's buffers."""
 
     @staticmethod
-    def traced(fn):
-        """``fn()``, with the bytes still held after it and its peak."""
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            result = fn()
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        return result, held - base, peak - base
-
-    @staticmethod
     def tokens(b, k, requires_grad):
         rng = np.random.default_rng(5)
         return [Tensor(rng.standard_normal((b, k, 8)).astype(np.float32),
@@ -386,7 +398,7 @@ class TestPooledMemory:
         b, k = 24, 16
         fine = b * b * k * k * 4
         e, r = self.tokens(b, k, requires_grad=True)
-        out, held, _ = self.traced(
+        out, held, _ = traced(
             lambda: similarity(e, r, PoolConfig(mode=mode)))
         assert out.requires_grad
         # lse keeps its fine blocks for its dense gradient, but not the
@@ -403,7 +415,7 @@ class TestPooledMemory:
             with no_grad():
                 return similarity(e, r, PoolConfig(mode=mode))
 
-        _, _, peak = self.traced(call)
+        _, _, peak = traced(call)
         assert peak < b * b * k * k * 4
 
 

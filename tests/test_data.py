@@ -4,14 +4,17 @@ import hashlib
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
+from spikefusion import data as data_module
 from spikefusion.config import RunConfig
 from spikefusion.data import (
     LATENT_DIM,
     load_manifest,
+    split_indices,
     synth_dataset,
     train_val_split,
 )
@@ -141,6 +144,27 @@ class TestLoad:
         with pytest.raises(UsageError):
             load_manifest(path)
 
+    def test_records_land_in_their_rows(self, tmp_path):
+        path = make(tmp_path)
+        data = load_manifest(path)
+        for p, entry in enumerate(read_json(path)["entries"]):
+            for key in ("regions", "words"):
+                with open(os.path.join(tmp_path / "data", entry[key]),
+                          "rb") as fh:
+                    assert getattr(data, key)[p].tobytes() == fh.read()
+
+    def test_short_read_rejected(self, tmp_path, monkeypatch):
+        # a record that is shorter than its size check promised (it shrank
+        # in between): the read comes up short and the error names it
+        path = make(tmp_path)
+        victim = read_json(path)["entries"][2]["words"]
+        with open(os.path.join(tmp_path / "data", victim), "r+b") as fh:
+            fh.truncate(8)
+        monkeypatch.setattr(data_module, "_check_record", lambda *args: None)
+        with pytest.raises(UsageError, match=re.escape(
+                f"record {victim!r} gave 8 of its 128 bytes")):
+            load_manifest(path)
+
     def test_directory_path_accepted(self, tmp_path):
         make(tmp_path)
         data = load_manifest(tmp_path / "data")
@@ -155,6 +179,17 @@ class TestSplit:
         assert np.array_equal(t1.regions, t2.regions)
         assert np.array_equal(v1.words, v2.words)
         assert t1.pairs == 18 and v1.pairs == 2
+
+    def test_split_indices_select_the_split_rows(self, tmp_path):
+        data = load_manifest(make(tmp_path, pairs=20))
+        train_idx, val_idx = split_indices(data.pairs, 0.25, seed=3)
+        # the first 5 of default_rng(3).permutation(20), sorted
+        assert val_idx.tolist() == [3, 8, 12, 16, 18]
+        assert train_idx.tolist() == sorted(set(range(20)) - set(val_idx))
+        for idx, part in zip((train_idx, val_idx),
+                             train_val_split(data, 0.25, seed=3)):
+            assert data.regions[idx].tobytes() == part.regions.tobytes()
+            assert data.words[idx].tobytes() == part.words.tobytes()
 
 
 def test_fresh_model_scores_at_chance(tmp_path):

@@ -1,7 +1,5 @@
 """Full-model wiring: registries, gradient flow, toy finite differences."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -26,6 +24,7 @@ from helpers import (
     reference_layer_norm,
     reference_similarity,
     smooth_fd_audit,
+    traced,
 )
 
 
@@ -314,10 +313,5 @@ class TestTiledScoring:
         model = toy_model(fusion="none")
         model.calibrate(Tensor(data.regions[:8]), Tensor(data.words[:8]))
         full_fine_bytes = pairs * pairs * tokens * tokens * 4
-        tracemalloc.start()
-        try:
-            evaluate_recall(model, data)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced(lambda: evaluate_recall(model, data))
         assert peak < full_fine_bytes

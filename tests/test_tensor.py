@@ -5,7 +5,6 @@
 use them.
 """
 
-import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -49,6 +48,7 @@ from helpers import (
     reference_batch_norm,
     reference_layer_norm,
     sqrt,
+    traced,
     transpose,
 )
 
@@ -195,33 +195,37 @@ def test_weight_matmul_bits_match_batched_numpy(shape):
 
 
 class TestForwardMemory:
-    """The fold and norm forwards write in place: peaks measured in units of
-    one (2, 16, 12, 32) float32 input; tracemalloc sees numpy's buffers."""
+    """The fold and norm forwards write in place, and a fold keeps only its
+    spikes: bytes measured in units of one (2, 16, 12, 32) float32 input."""
 
     @staticmethod
-    def peak_units(fn):
+    def units(fn, requires_grad=False):
+        """(held, peak) of ``fn(x)`` in units of ``x``'s bytes."""
         x = Tensor(np.random.default_rng(3).standard_normal(
-            (2, 16, 12, 32)).astype(np.float32) * 2.0)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            fn(x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        return (peak - base) / x.data.nbytes
+            (2, 16, 12, 32)).astype(np.float32) * 2.0,
+            requires_grad=requires_grad)
+        _, held, peak = traced(lambda: fn(x))
+        return held / x.data.nbytes, peak / x.data.nbytes
 
     def test_untracked_fold(self):
-        # spikes, the saved u of each step, the membrane and one scratch
-        assert self.peak_units(lambda x: lif_sequence(x, LIFParams())) < 4
+        # spikes, the membrane, one scratch and at most two steps' u
+        assert self.units(lambda x: lif_sequence(x, LIFParams()))[1] < 4
+
+    @pytest.mark.parametrize("neuron", ["lif", "tlsn"])
+    def test_tracked_fold_keeps_only_its_spikes(self, neuron):
+        # the backward replays each step's u; keeping them was a second unit
+        fold = (LIFParams() if neuron == "lif"
+                else TLSNParams.create(LIFParams()))
+        held, _ = self.units(fold, requires_grad=True)
+        assert held < 1.5
 
     def test_eval_batch_norm(self):
         stats = _primed_stats(32)
-        assert self.peak_units(
-            lambda x: batch_norm(x, *_affine(32), stats, train=False)) < 2
+        assert self.units(
+            lambda x: batch_norm(x, *_affine(32), stats, train=False))[1] < 2
 
     def test_layer_norm(self):
-        assert self.peak_units(lambda x: layer_norm(x, *_affine(32))) < 2.5
+        assert self.units(lambda x: layer_norm(x, *_affine(32)))[1] < 2.5
 
 
 class TestElementwise:
