@@ -182,6 +182,9 @@ def split_indices(pairs: int, val_fraction: float, seed: int):
 
 
 def train_val_split(dataset: Dataset, val_fraction: float, seed: int):
-    """Copies of the ``split_indices`` rows; returns (train, val)."""
+    """Copies of the ``split_indices`` rows; returns (train, val).
+
+    The package itself gathers only the rows it needs from ``split_indices``;
+    this pair of copies serves the benchmark and the tests."""
     return tuple(Dataset(dataset.regions[idx], dataset.words[idx])
                  for idx in split_indices(dataset.pairs, val_fraction, seed))

@@ -7,9 +7,11 @@ Membrane update per step, from ``v = v_reset``:
     v[t] = h[t] * (1 - s[t]) + v_reset * s[t]        (hard reset)
 
 The fold writes each step's membrane into one buffer in place, and does
-not compute the last step's reset, which feeds nothing.  The node keeps
-only its spikes: its backward replays the membrane from the input, the
-threshold and those spikes, so a tracked fold holds one input-sized array.
+not compute the last step's reset, which feeds nothing.  The hard spike is
+the comparison ``h[t] >= v_th`` itself; the surrogate's ``h[t] - v_th`` is
+formed only where a smooth spike or a gradient needs it.  The node keeps
+only its spikes: its backward replays the membrane from the input and those
+spikes, so a tracked fold holds one input-sized array.
 
 The T-step fold is one tape node over the input and the threshold.  Its
 backward walks time in reverse, the arctangent surrogate slope standing in
@@ -91,8 +93,8 @@ def surrogate_primitive(x: np.ndarray, alpha: float) -> np.ndarray:
     return np.arctan((np.pi / 2.0) * alpha * x) / np.pi + 0.5
 
 
-def _membrane(x: np.ndarray, th: np.ndarray, tau, v_reset, spikes):
-    """Yield ``(h, u)`` of each step, ``u = h - th``, from ``v = v_reset``.
+def _membrane(x: np.ndarray, tau, v_reset, spikes):
+    """Yield each step's membrane ``h``, from ``v = v_reset``.
 
     ``h`` is one buffer stepped in place.  Each step's reset reads
     ``spikes[t]``, which the caller writes before asking for the next step.
@@ -107,7 +109,7 @@ def _membrane(x: np.ndarray, th: np.ndarray, tau, v_reset, spikes):
             np.subtract(x[t], tmp, out=tmp)
             tmp /= tau
             h += tmp
-        yield h, h - th
+        yield h
         if t + 1 < x.shape[0]:  # the last reset feeds nothing
             s = spikes[t]
             np.subtract(_ONE, s, out=tmp)
@@ -115,42 +117,42 @@ def _membrane(x: np.ndarray, th: np.ndarray, tau, v_reset, spikes):
             h += np.multiply(v_reset, s, out=tmp)
 
 
-def _fold(x: Tensor, tau: float, v_th, v_reset: float, alpha: float) -> Tensor:
-    """Spikes of the membrane update folded over the leading time axis of ``x``.
+def _fold(x: Tensor, lif: LIFParams, v_th) -> Tensor:
+    """Spikes of ``lif``'s membrane update folded over the leading time axis
+    of ``x``, firing at ``v_th``.
 
     One tape node with parents ``(x, threshold)``.  ``v_th`` is a float or a
-    (learnable) scalar tensor.  State starts at the reset potential and is
-    private to this call.  The node keeps only its spikes: the backward
-    replays ``_membrane`` from ``x``, the threshold and those spikes, which
-    gives each step's ``u`` (and ``h``) with the forward's own bits.
+    (learnable) scalar tensor, finite: then ``h >= v_th`` fires exactly where
+    ``h - v_th >= 0`` (with gradual underflow two distinct float32 values
+    never differ by zero, and an overflow keeps its sign), so the hard spike
+    needs no ``u``.  State starts at the reset potential and is private to
+    this call.  The node keeps only its spikes: the backward replays
+    ``_membrane`` from ``x`` and those spikes, which gives each step's ``h``
+    with the forward's own bits.
     """
     x, th = as_tensor(x), as_tensor(v_th)
     if x.ndim < 1 or x.shape[0] == 0:
         raise UsageError("neuron fold: empty time axis")
     smooth = smooth_spikes_active()
-    tau, v_reset = np.float32(tau), np.float32(v_reset)
+    tau, v_reset = np.float32(lif.tau), np.float32(lif.v_reset)
     spikes = np.empty(x.shape, dtype=np.float32)
-    for t, (_, u) in enumerate(_membrane(x.data, th.data, tau, v_reset,
-                                         spikes)):
+    for t, h in enumerate(_membrane(x.data, tau, v_reset, spikes)):
         if smooth:
-            spikes[t] = surrogate_primitive(u, alpha)
+            spikes[t] = surrogate_primitive(h - th.data, lif.surrogate_alpha)
         else:
-            np.copyto(spikes[t], u >= 0)
+            np.greater_equal(h, th.data, out=spikes[t])
 
     def bw(g):
-        us, hs = [], []
-        for h, u in _membrane(x.data, th.data, tau, v_reset, spikes):
-            us.append(u)
-            if smooth:
-                hs.append(h.copy())
+        hs = [h.copy() for h in _membrane(x.data, tau, v_reset, spikes)]
         g_x = np.empty_like(spikes)
         g_th = []
         g_v = None  # the last membrane potential feeds nothing
-        for t in reversed(range(len(us))):
+        for t in reversed(range(len(hs))):
             g_s = g[t]
             if smooth and g_v is not None:
                 g_s = g_s + g_v * (v_reset - hs[t])
-            g_u = g_s * surrogate_derivative(us[t], alpha)
+            g_u = g_s * surrogate_derivative(hs[t] - th.data,
+                                             lif.surrogate_alpha)
             g_h = g_u if g_v is None else g_u + g_v * (_ONE - spikes[t])
             g_x[t] = g_h / tau
             g_v = g_h - g_x[t]
@@ -166,8 +168,7 @@ def _fold(x: Tensor, tau: float, v_th, v_reset: float, alpha: float) -> Tensor:
 
 def lif_sequence(x: Tensor, params: LIFParams) -> Tensor:
     """Fold the LIF membrane update over the leading time axis of ``x``."""
-    return _fold(x, params.tau, params.v_th, params.v_reset,
-                 params.surrogate_alpha)
+    return _fold(x, params, params.v_th)
 
 
 @dataclass
@@ -198,7 +199,5 @@ class TLSNParams(Module):
 
 def tlsn_forward(x: Tensor, params: TLSNParams) -> Tensor:
     """LIF fold with a learnable threshold; gradient reaches the threshold."""
-    lif = params.lif
-    return _fold(x, lif.tau, params.effective_threshold(), lif.v_reset,
-                 lif.surrogate_alpha)
+    return _fold(x, params.lif, params.effective_threshold())
 

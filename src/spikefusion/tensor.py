@@ -16,7 +16,7 @@ only when ``_joins_tape(parents)``, that is when grad mode is on and some
 parent requires grad (a node with parents always does).  Arrays needed only
 by a backward are computed inside its closure, so untracked and ``no_grad``
 passes never build them; the neuron fold, for one, replays its membrane
-there from its input, threshold and spikes.  The one exception is the
+there from its input and spikes.  The one exception is the
 pooled similarity (:mod:`spikefusion.alignment`): its forward saves
 routing indices from each block of the fine tensor while that block is
 alive, and asks ``_joins_tape`` first, so an untracked call saves none.

@@ -11,7 +11,7 @@ import numpy as np
 
 from .checkpoint import save_checkpoint
 from .config import RunConfig
-from .data import Dataset, split_indices, train_val_split
+from .data import Dataset, split_indices
 from .errors import UsageError
 from .losses import LOSS_NAMES
 from .model import RetrievalModel
@@ -219,8 +219,9 @@ def ablation_sweep(axis: str, values, config: RunConfig, dataset: Dataset,
     rows = []
     for value, cfg in runs:
         result = train(cfg, dataset, log_fn=log_fn)
-        train_set, _ = train_val_split(dataset, cfg.val_fraction, cfg.seed)
-        metrics = evaluate_recall(result.model, train_set)
+        idx, _ = split_indices(dataset.pairs, cfg.val_fraction, cfg.seed)
+        metrics = evaluate_recall(
+            result.model, Dataset(dataset.regions[idx], dataset.words[idx]))
         row = {"axis": axis, "value": value}
         row.update(metrics)
         rows.append(row)

@@ -295,13 +295,20 @@ def _desk_dataset(tmp_path):
     return load_manifest(path)
 
 
-def test_criterion_08_desk_scale_learnability(tmp_path):
-    """200 synthetic pairs (N=L=8, D=64, T=2): full training reaches
-    R@1 > 90% on its training split within 30 epochs and 10 minutes."""
-    data = _desk_dataset(tmp_path)
+@pytest.fixture(scope="module")
+def desk_seed1(tmp_path_factory):
+    """The desk dataset, ``train(DESK_CONFIG, ...)`` on it and that call's
+    wall time: criterion 8's model is criterion 9's first desk ``full``."""
+    data = _desk_dataset(tmp_path_factory.mktemp("desk"))
     t0 = time.monotonic()
     result = train(DESK_CONFIG, data)
-    elapsed = time.monotonic() - t0
+    return data, result, time.monotonic() - t0
+
+
+def test_criterion_08_desk_scale_learnability(desk_seed1):
+    """200 synthetic pairs (N=L=8, D=64, T=2): full training reaches
+    R@1 > 90% on its training split within 30 epochs and 10 minutes."""
+    data, result, elapsed = desk_seed1
     train_set, _ = train_val_split(data, DESK_CONFIG.val_fraction,
                                    DESK_CONFIG.seed)
     metrics = evaluate_recall(result.model, train_set)
@@ -313,7 +320,7 @@ def test_criterion_08_desk_scale_learnability(tmp_path):
 
 
 @pytest.mark.slow
-def test_criterion_09_ablation_directionality(tmp_path):
+def test_criterion_09_ablation_directionality(tmp_path, desk_seed1):
     """Soft criterion, reported not gated: directional orderings over 5 seeds."""
     # alignment modes and time-step variance at a small converged scale
     mini_path = synth_dataset(tmp_path / "mini", seed=5, pairs=120,
@@ -336,10 +343,12 @@ def test_criterion_09_ablation_directionality(tmp_path):
     stds = {k: float(np.std(v)) for k, v in scores.items()}
 
     # early alignment + fusion against the dual-stream-only baseline
-    desk = _desk_dataset(tmp_path)
+    desk, seed1_full, _ = desk_seed1
     full_scores, dual_scores = [], []
     for seed in range(1, 6):
-        full = train(replace(DESK_CONFIG, seed=seed), desk)
+        full_cfg = replace(DESK_CONFIG, seed=seed)
+        full = (seed1_full if full_cfg == DESK_CONFIG
+                else train(full_cfg, desk))
         dual = train(replace(DESK_CONFIG, seed=seed, lam=0.0, fusion="none"),
                      desk)
         train_set, _ = train_val_split(desk, DESK_CONFIG.val_fraction, seed)

@@ -5,6 +5,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spikefusion.errors import ConfigError, UsageError
 from spikefusion.neurons import LIFParams, TLSNParams, lif_sequence, tlsn_forward
@@ -14,6 +17,7 @@ from helpers import reference_fold, scalar_lif_simulate, smooth_central_differen
 
 RNG = np.random.default_rng(77)
 DEFAULT = LIFParams(tau=2.0, v_th=1.0, v_reset=0.0)
+TINY = np.float32(np.finfo(np.float32).smallest_subnormal)
 
 
 def _steps(values):
@@ -72,6 +76,41 @@ class TestLifStep:
         s_small = lif_sequence(_steps([first, x]), DEFAULT).data[1]
         s_big = lif_sequence(_steps([first, bigger]), DEFAULT).data[1]
         assert (s_big >= s_small).all()
+
+
+class TestSpikeRule:
+    """The hard spike fires on ``h >= v_th``; the surrogate is a function of
+    ``u = h - v_th``.  For a finite threshold the two rules agree on every
+    float32 membrane, so the forward needs no ``u``."""
+
+    @staticmethod
+    def assert_rules_agree(h, th):
+        h, th = np.asarray(h, np.float32), np.asarray(th, np.float32)
+        with np.errstate(over="ignore"):  # an overflow keeps its sign
+            u = h - th
+        np.testing.assert_array_equal(np.greater_equal(h, th), u >= 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(h=arrays(np.float32, st.integers(1, 32),
+                    elements=st.floats(width=32)),
+           th=st.floats(width=32, allow_nan=False, allow_infinity=False))
+    def test_any_membrane_against_a_finite_threshold(self, h, th):
+        self.assert_rules_agree(h, th)
+
+    @pytest.mark.parametrize("th", [1.0, -1.0, 0.0, -0.0, 1e-38, TINY, -TINY,
+                                    3e38, -3e38])
+    def test_adjacent_floats(self, th):
+        th = np.float32(th)
+        self.assert_rules_agree(
+            [np.nextafter(th, np.float32(-np.inf)), th,
+             np.nextafter(th, np.float32(np.inf))], th)
+
+    @pytest.mark.parametrize("h, th", [
+        (TINY, 0.0), (0.0, TINY), (-0.0, TINY), (-TINY, -0.0),
+        (2 * TINY, TINY), (TINY, 2 * TINY),
+    ])
+    def test_a_gap_of_one_subnormal(self, h, th):
+        self.assert_rules_agree([h], th)
 
 
 class TestLifSequence:

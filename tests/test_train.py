@@ -231,20 +231,33 @@ class TestTrainLoop:
         one, three = peak_of_steps(1), peak_of_steps(3)
         assert three <= 1.15 * one, (one, three)
 
-    def test_train_holds_no_copy_of_its_training_split(self):
-        # wide features and a tiny model: the dataset dwarfs the tape, so a
-        # copy of the 90-pair training split would show in the peak; the
-        # 10-pair validation split is ranked without clamping recall@10
+    @staticmethod
+    def wide_split():
+        """Wide features and a tiny model: the dataset dwarfs the tape, so a
+        copy of the 90-pair training split would show in the peak; the
+        10-pair validation split is ranked without clamping recall@10.
+        Returns the data, the config and the training split's bytes."""
         rng = np.random.default_rng(9)
         data = Dataset(
             rng.standard_normal((100, 4, 1024)).astype(np.float32),
             rng.standard_normal((100, 4, 512)).astype(np.float32))
         cfg = tiny_config(d=8, batch=16, epochs=1, val_fraction=0.1)
         train_idx, _ = split_indices(data.pairs, cfg.val_fraction, cfg.seed)
-        split_bytes = (data.regions[train_idx].nbytes
-                       + data.words[train_idx].nbytes)
+        return data, cfg, (data.regions[train_idx].nbytes
+                           + data.words[train_idx].nbytes)
+
+    def test_train_holds_no_copy_of_its_training_split(self):
+        data, cfg, split_bytes = self.wide_split()
         _, _, peak = traced(lambda: train(cfg, data))
         assert peak < split_bytes, peak / split_bytes
+
+    def test_ablation_copies_only_the_training_split(self):
+        # ranking needs one gathered copy of the training split (1.0) on top
+        # of train()'s peak; a validation copy beside it would add 0.11
+        data, cfg, split_bytes = self.wide_split()
+        _, _, peak = traced(lambda: ablation_sweep("time-steps", ["2"], cfg,
+                                                   data))
+        assert peak < 1.42 * split_bytes, peak / split_bytes
 
 
 class TestCheckpoint:
