@@ -40,14 +40,12 @@ view of the gradient of ``f4``, then runs two full matmuls:
 
 Its parents are ``(r_hat, e_hat)``, the order of the composed matmul it
 replaces, so the tape walk accumulates every gradient in the same order.
-As that graph's ``_accumulate`` did, the backward turns a -0.0 into +0.0
-(by adding +0.0) after the log-sum-exp gradient and after each biha
-profile gradient.  A maximum is the same whatever the order it is taken
-in, so the maxima read whichever axis of ``f4`` is cheapest, the per-region
-one as a fold of its L slices; a sum is not, so every summed array keeps
-the layout the composed chain of generic ops gave it.  Scores and gradients
-are bit-identical to that chain, which the tests keep as the oracle,
-whatever the block shape.
+A maximum is the same whatever the order it is taken in, so the maxima
+read whichever axis of ``f4`` is cheapest, the per-region one as a fold of
+its L slices; a sum is not, so every summed array keeps the layout the
+composed chain of generic ops gave it.  Scores and gradients are
+bit-identical to that chain, which the tests keep as the oracle, whatever
+the block shape.
 """
 
 from __future__ import annotations
@@ -61,7 +59,6 @@ from .neurons import FLOAT32_MAX
 from .tensor import Tensor, _joins_tape, _make, _unbroadcast, as_tensor
 
 POOL_MODES = ("lse", "vha", "tha", "biha")
-_ZERO = np.float32(0.0)
 _L2_EPS = np.float32(1e-2)
 # bytes of one (rows, cols, L, N) float32 block of the fine tensor: half the
 # 2 MiB per-core L2 of the Xeon host perfbench runs on, so a block and its
@@ -109,8 +106,8 @@ def l2_normalize(x: Tensor) -> Tensor:
 
     def bw(g):
         x._accumulate(g / n)
-        g_n = _unbroadcast(-g * x.data / (n * n), n.shape) + _ZERO
-        g_ss = g_n * (0.5 / n) * (ss >= _L2_EPS).astype(np.float32) + _ZERO
+        g_n = _unbroadcast(-g * x.data / (n * n), n.shape)
+        g_ss = g_n * (0.5 / n) * (ss >= _L2_EPS).astype(np.float32)
         g_sq = g_ss * x.data
         x._accumulate(g_sq)
         x._accumulate(g_sq)
@@ -230,12 +227,10 @@ def _pooled(e_hat: Tensor, r_hat: Tensor, cfg: PoolConfig) -> Tensor:
             ex = _exp_shifted(_alpha_x(f4, word_max, region_max, mode, alpha),
                               shift)
             g_m = g[i, j].reshape(ex.shape[:2] + (1,) * (ex.ndim - 2))
-            # g * softmax * alpha, in place over ``ex``; a +0.0 before the
-            # positive ``* alpha`` is implied by the one after it
+            # g * softmax * alpha, in place over ``ex``
             g_x = np.divide(ex, s, out=ex)
             np.multiply(g_m, g_x, out=g_x)
             np.multiply(g_x, np.float32(alpha), out=g_x)
-            np.add(g_x, _ZERO, out=g_x)
             g_block = g4[i, :, j]
             if mode == "lse":
                 g_block[...] = g_x.transpose(0, 3, 1, 2)
@@ -246,9 +241,9 @@ def _pooled(e_hat: Tensor, r_hat: Tensor, cfg: PoolConfig) -> Tensor:
                 g_word, g_region = None, g_x
             else:
                 prod = g_x * region_max[:, :, None, :]
-                g_word = prod.sum(3) + _ZERO
+                g_word = prod.sum(3)
                 np.multiply(g_x, word_max[:, :, :, None], out=prod)
-                g_region = prod.sum(2) + _ZERO
+                g_region = prod.sum(2)
             if g_word is not None:
                 np.put_along_axis(g_block, word_arg[:, None], g_word[:, None], 1)
             if g_region is not None:  # added to what the word routing wrote

@@ -148,5 +148,10 @@ def _coerce(key: str, value: str, ftype: str, lineno: int):
 
 
 def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_config(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text") from exc
+    except ConfigError as exc:  # name the file, as data and checkpoint do
+        raise ConfigError(f"{path}: {exc}") from exc

@@ -81,7 +81,7 @@ def _required(arrays: dict[str, np.ndarray], name: str, kind: str,
     if arrays[name].shape != shape:
         raise UsageError(f"checkpoint {kind} {name!r} has shape "
                          f"{arrays[name].shape}, expected {shape}")
-    return arrays[name].astype(np.float32).copy()
+    return arrays[name].astype(np.float32)
 
 
 def xavier_uniform(rng: np.random.Generator, d_in: int, d_out: int,

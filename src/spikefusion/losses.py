@@ -34,7 +34,6 @@ import numpy as np
 from .errors import ConfigError, UsageError
 from .tensor import Tensor, _first_gradient, _make, _unbroadcast, as_tensor
 
-_ZERO = np.float32(0.0)
 _HALF = np.float32(0.5)
 
 SIMILARITY_KEYS = (
@@ -123,7 +122,7 @@ def _direction(mat: np.ndarray, inv_t: np.float32):
     def bw(g):
         g_m = _first_gradient(g * inv_b * (e / sums), margins)
         g_d = _first_gradient(g_m * inv_t, d)
-        g_diag = _unbroadcast(-g_d, diag.shape) + _ZERO
+        g_diag = _unbroadcast(-g_d, diag.shape)
         return g_d, g_diag * eye
 
     return lse.sum() * inv_b, bw

@@ -240,7 +240,7 @@ class Tensor:
         def bw(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, shape).astype(np.float32))
+            self._accumulate(np.broadcast_to(g, shape))
 
         return _make(self.data.sum(axis=axis, keepdims=keepdims), (self,), bw)
 
@@ -253,9 +253,12 @@ class Tensor:
 
 
 def _first_gradient(g: np.ndarray, like: np.ndarray) -> np.ndarray:
-    """What a node stores as its first incoming gradient: ``g + 0.0`` (a
-    -0.0 becomes +0.0) in a fresh buffer in the memory order of ``like``,
-    its value.  Fused nodes use it where they replay an interior node."""
+    """What a node stores as its first incoming gradient: ``g + 0.0`` in a
+    fresh buffer in the memory order of ``like``, its value.  The one place
+    that knows the signed-zero rule: a -0.0 becomes +0.0 here, and a later
+    ``grad += g`` makes none (+0 + -0 = +0; x + ±0 = x for x != 0).  No
+    backward divides by a gradient or takes its sign, so a zero's sign
+    changes no nonzero result, and fused backwards need not replay it."""
     return np.add(g, _ZERO, out=np.empty_like(like))
 
 
@@ -389,8 +392,7 @@ def repeat_steps(x: Tensor, t: int) -> Tensor:
 def softplus(x: Tensor) -> Tensor:
     x = as_tensor(x)
     return _make(np.logaddexp(np.float32(0.0), x.data), (x,),
-                 lambda g: x._accumulate(
-                     (g * (1.0 / (1.0 + np.exp(-x.data)))).astype(np.float32)))
+                 lambda g: x._accumulate(g * (1.0 / (1.0 + np.exp(-x.data)))))
 
 
 # -- normalization -----------------------------------------------------------------
@@ -412,8 +414,7 @@ def softplus(x: Tensor) -> Tensor:
 #   graph's subtraction and mean each handed ``x`` one
 #
 # In eval mode ``mu`` and ``sd`` are constants and ``x`` gets g_xhat / sd
-# alone.  Where that graph turned a -0.0 into +0.0 (``_first_gradient``) and
-# it can matter, the backward adds +0.0 too.
+# alone.
 
 _NORM_EPS = 1e-5
 _BN_MOMENTUM = 0.1  # weight of a train-mode batch in the running stats
@@ -460,10 +461,9 @@ def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, mu: np.ndarray,
         if not x.requires_grad:
             return
         g_xhat = g * gamma.data
-        np.add(g_xhat, _ZERO, out=g_xhat)
         g_xc = g_xhat / sd
         if inv_n is not None:
-            g_sd = _unbroadcast(-g_xhat * xc / (sd * sd), sd.shape) + _ZERO
+            g_sd = _unbroadcast(-g_xhat * xc / (sd * sd), sd.shape)
             g_ss = g_sd * (0.5 / sd) * inv_n
             del g_xhat
             g_sq = np.multiply(g_ss, xc, out=xc)
@@ -471,7 +471,7 @@ def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, mu: np.ndarray,
             g_xc += g_sq
         x._accumulate(g_xc)
         if inv_n is not None:
-            g_mu = _unbroadcast(-g_xc, mu.shape) + _ZERO
+            g_mu = _unbroadcast(-g_xc, mu.shape)
             x._accumulate(np.broadcast_to(g_mu * inv_n, x.data.shape))
 
     return _make(out, (x, gamma, beta), bw)

@@ -135,10 +135,35 @@ def central_difference(loss_fn, param, eps=1e-3, indices=None):
 def bytes_after_backward(out, upstream, *tensors):
     """Backpropagate ``sum(out * upstream)`` and return the bytes of ``out``
     and of each tensor's gradient (None where it got none), for bit-for-bit
-    comparisons of a one-node op with its composed oracle."""
+    comparisons of a one-node op with its composed oracle.  ``out`` stores
+    its gradient before its node's backward runs, and that store turns a
+    -0.0 of ``upstream`` into +0.0 (see ``assert_zero_sign_inert``)."""
     (out * Tensor(upstream)).sum().backward()
     return [out.data.tobytes()] + [
         None if t.grad is None else t.grad.tobytes() for t in tensors]
+
+
+def negative_zeros(a):
+    """Where ``a`` holds -0.0."""
+    return np.signbit(a) & (a == 0)
+
+
+def assert_zero_sign_inert(build, leaves, upstream):
+    """Build one node with ``build`` over fresh leaves holding the arrays
+    ``leaves`` and call its backward directly, so no stored gradient turns
+    a -0.0 into +0.0 first: once with ``upstream``'s zeros as -0.0, once as
+    +0.0.  Every leaf gradient must have the same bytes in both runs and
+    hold no -0.0."""
+    upstream = np.asarray(upstream, dtype=np.float32)
+    assert (upstream == 0).any(), "upstream has no zero to sign"
+    runs = []
+    for zero in (np.float32(-0.0), np.float32(0.0)):
+        tensors = [Tensor.param(a.copy()) for a in leaves]
+        build(*tensors)._backward(np.where(upstream == 0, zero, upstream))
+        for t in tensors:
+            assert t.grad is not None and not negative_zeros(t.grad).any()
+        runs.append([t.grad.tobytes() for t in tensors])
+    assert runs[0] == runs[1]
 
 
 def interior_nodes(out):

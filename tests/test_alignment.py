@@ -17,6 +17,7 @@ from spikefusion.errors import ConfigError, UsageError
 from spikefusion.tensor import Tensor, no_grad
 
 from helpers import (
+    assert_zero_sign_inert,
     biha_enhance,
     bytes_after_backward,
     central_difference,
@@ -371,6 +372,16 @@ class TestPooledNode:
             assert max(widths) - min(widths) <= 1
 
     @pytest.mark.parametrize("mode", POOL_MODES)
+    def test_backward_ignores_the_sign_of_zero(self, mode):
+        # a zero image row and caption column give both exact zeros
+        e0, r0, g = self.inputs()
+        g[1] = g[:, 0] = 0.0
+        leaves = [l2_normalize(Tensor(a)).data for a in (r0, e0)]
+        assert_zero_sign_inert(
+            lambda r, e: alignment._pooled(e, r, PoolConfig(mode=mode)),
+            leaves, g)
+
+    @pytest.mark.parametrize("mode", POOL_MODES)
     def test_one_node_after_the_normalisations(self, mode):
         e0, r0, _ = self.inputs()
         e, r = Tensor.param(e0), Tensor.param(r0)
@@ -453,6 +464,11 @@ class TestL2Node:
                    + fn(x))
             runs.append(bytes_after_backward(out, g, x))
         assert runs[0] == runs[1]
+
+    def test_backward_ignores_the_sign_of_zero(self):
+        x, g = self.inputs()
+        g[0, 1] = 0.0  # a zero token row gives x exact zeros
+        assert_zero_sign_inert(l2_normalize, [x], g)
 
     def test_one_node_over_its_input(self):
         x = Tensor.param(self.inputs()[0])

@@ -127,6 +127,16 @@ def test_checkpoint_with_adam_moments_restores_bit_identical():
     np.testing.assert_array_equal(sim, np.load(FIXTURE_SIM_PATH))
 
 
+def test_restored_arrays_are_private_and_writable():
+    checkpoint = load_checkpoint(FIXTURE_PATH)
+    restored = restore_model(checkpoint, 6, 5).state()
+    assert restored.keys() == checkpoint.arrays.keys()
+    for name, array in restored.items():
+        assert array.flags.writeable, name
+        assert not any(np.shares_memory(array, stored)
+                       for stored in checkpoint.arrays.values()), name
+
+
 def test_trained_checkpoint_holds_no_optimizer_state(tmp_path):
     """``train`` saves what restoring reads: parameters and running stats."""
     dataset = load_manifest(synth_dataset(

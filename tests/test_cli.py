@@ -499,6 +499,20 @@ def test_train_rejects_out_of_range_config(workspace, line):
         rc = main(["train", "--data", str(data_dir), "--config",
                    str(config_path), "--out", str(tmp_path / "run")])
     assert_one_line_error(rc, err.getvalue())
+    assert str(config_path) in err.getvalue()
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_rejects_non_utf8_config(workspace):
+    tmp_path, data_dir, config_path = workspace
+    config_path.write_bytes(b"\xff" + CONFIG_TEXT.encode())
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = main(["train", "--data", str(data_dir), "--config",
+                   str(config_path), "--out", str(tmp_path / "run")])
+    assert_one_line_error(rc, err.getvalue())
+    assert f"{config_path}: not UTF-8 text" in err.getvalue()
     assert not (tmp_path / "run").exists()
 
 

@@ -9,7 +9,11 @@ from spikefusion.errors import ConfigError, UsageError
 from spikefusion.losses import SIMILARITY_KEYS, LossWeights, infonce_pair, total_loss
 from spikefusion.tensor import Tensor
 
-from helpers import bytes_after_backward, reference_infonce_pair
+from helpers import (
+    assert_zero_sign_inert,
+    bytes_after_backward,
+    reference_infonce_pair,
+)
 
 RNG = np.random.default_rng(606)
 
@@ -108,6 +112,13 @@ class TestInfonceNode:
             loss = (fn(s, 0.1) + (s * Tensor(g)).sum() + fn(s * 2.0, 0.3))
             runs.append(bytes_after_backward(loss, np.float32(1.0), s))
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("b", [2, 9])
+    def test_backward_ignores_the_sign_of_zero(self, b):
+        # a scalar loss: the only zero upstream is the whole upstream
+        s0 = np.random.default_rng(b).standard_normal((b, b)).astype(np.float32)
+        assert_zero_sign_inert(lambda s: infonce_pair(s, 0.05), [s0],
+                               np.float32(0.0))
 
     def test_one_node_over_the_matrix(self):
         s = Tensor.param(np.eye(3, dtype=np.float32))

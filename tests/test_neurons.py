@@ -1,6 +1,7 @@
 """LIF dynamics against hand evaluations, the composed reference fold and
 the scalar step simulator."""
 
+import contextlib
 from dataclasses import replace
 
 import numpy as np
@@ -10,10 +11,21 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spikefusion.errors import ConfigError, UsageError
-from spikefusion.neurons import LIFParams, TLSNParams, lif_sequence, tlsn_forward
+from spikefusion.neurons import (
+    LIFParams,
+    TLSNParams,
+    _fold,
+    lif_sequence,
+    tlsn_forward,
+)
 from spikefusion.tensor import Tensor, smooth_spike_mode
 
-from helpers import reference_fold, scalar_lif_simulate, smooth_central_difference
+from helpers import (
+    assert_zero_sign_inert,
+    reference_fold,
+    scalar_lif_simulate,
+    smooth_central_difference,
+)
 
 RNG = np.random.default_rng(77)
 DEFAULT = LIFParams(tau=2.0, v_th=1.0, v_reset=0.0)
@@ -277,31 +289,51 @@ def _kernel_and_reference(kind, x_data, lif, w):
     return results
 
 
+def _fold_case(kind, t, case):
+    """LIF parameters, a (t, 3, 8) fold input and an upstream gradient with
+    a -0.0 planted in about a quarter of its entries."""
+    rng = np.random.default_rng(7000 + 100 * t + case)
+    if case == 0:
+        # planted boundary hit: with v_reset 0 and tau 2 the first
+        # membrane is x / 2 exactly, so x = 2 * v_th lands on the threshold
+        lif = LIFParams(tau=2.0, v_th=float(rng.uniform(0.2, 1.5)))
+    else:
+        v_reset = float(rng.uniform(-0.5, 0.5))
+        lif = LIFParams(tau=float(rng.uniform(1.0, 4.0)),
+                        v_th=v_reset + float(rng.uniform(0.1, 1.5)),
+                        v_reset=v_reset)
+    x_data = (rng.standard_normal((t, 3, 8)) * 2.0).astype(np.float32)
+    if case == 0:
+        v_th = (TLSNParams.create(lif).effective_threshold().data
+                if kind == "tlsn" else np.float32(lif.v_th))
+        x_data[0, 0, 0] = np.float32(2.0) * v_th
+    w = rng.standard_normal(x_data.shape).astype(np.float32)
+    w[rng.random(w.shape) < 0.25] = -0.0
+    return lif, x_data, w
+
+
 @pytest.mark.parametrize("kind", ["lif", "tlsn"])
 @pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
 def test_fold_kernel_matches_composed_reference_bitwise(kind, t):
     # the threshold gradient adds its per-step terms in forward time order,
     # as the composed graph does; summing them in reverse breaks this at T >= 3
     for case in range(12):
-        rng = np.random.default_rng(7000 + 100 * t + case)
-        if case == 0:
-            # planted boundary hit: with v_reset 0 and tau 2 the first
-            # membrane is x / 2 exactly, so x = 2 * v_th lands on the threshold
-            lif = LIFParams(tau=2.0, v_th=float(rng.uniform(0.2, 1.5)))
-        else:
-            v_reset = float(rng.uniform(-0.5, 0.5))
-            lif = LIFParams(tau=float(rng.uniform(1.0, 4.0)),
-                            v_th=v_reset + float(rng.uniform(0.1, 1.5)),
-                            v_reset=v_reset)
-        x_data = (rng.standard_normal((t, 3, 8)) * 2.0).astype(np.float32)
-        if case == 0:
-            v_th = (TLSNParams.create(lif).effective_threshold().data
-                    if kind == "tlsn" else np.float32(lif.v_th))
-            x_data[0, 0, 0] = np.float32(2.0) * v_th
-        w = rng.standard_normal(x_data.shape).astype(np.float32)
-        w[rng.random(w.shape) < 0.25] = -0.0
+        lif, x_data, w = _fold_case(kind, t, case)
         kernel, reference = _kernel_and_reference(kind, x_data, lif, w)
         if case == 0:
             assert kernel[0][0, 0, 0] == 1.0
         for got, want in zip(kernel, reference):
             assert got.tobytes() == want.tobytes(), (kind, t, case)
+
+
+@pytest.mark.parametrize("smooth", [False, True], ids=["hard", "smooth"])
+@pytest.mark.parametrize("t", [1, 3])
+def test_fold_backward_ignores_the_sign_of_zero(t, smooth):
+    # the node over an input leaf and a learnable threshold leaf
+    lif, x_data, w = _fold_case("lif", t, case=1)
+
+    def build(x, th):
+        with smooth_spike_mode() if smooth else contextlib.nullcontext():
+            return _fold(x, lif, th)
+
+    assert_zero_sign_inert(build, [x_data, np.float32(lif.v_th)], w)

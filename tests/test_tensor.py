@@ -39,11 +39,13 @@ from spikefusion.tensor import (
 )
 
 from helpers import (
+    assert_zero_sign_inert,
     bytes_after_backward,
     central_difference,
     clip_min,
     logsumexp,
     mean,
+    negative_zeros,
     reduce_max,
     reference_batch_norm,
     reference_layer_norm,
@@ -436,6 +438,35 @@ class TestTapeRelease:
         np.testing.assert_array_equal(x.grad, 2.0 * X_DATA)
 
 
+class TestSignedZero:
+    """The gradient store is the one place a -0.0 becomes +0.0; fused
+    backwards rely on it instead of replaying it."""
+
+    def test_accumulate_never_stores_a_negative_zero(self):
+        tiny = np.finfo(np.float32).smallest_subnormal
+        values = np.array([-0.0, 0.0, 1.0, -1.0, tiny, -tiny],
+                          dtype=np.float32)
+        first = np.repeat(values, values.size)
+        t = Tensor.param(np.ones_like(first))
+        t._accumulate(first)  # every pair of a first and a second entry
+        assert not negative_zeros(t.grad).any()
+        t._accumulate(np.tile(values, values.size))
+        assert not negative_zeros(t.grad).any()
+        t._accumulate(np.full_like(first, -0.0))
+        assert not negative_zeros(t.grad).any()
+        np.testing.assert_array_equal(t.grad,
+                                      first + np.tile(values, values.size))
+
+    @pytest.mark.parametrize("build", [softplus, lambda t: t.sum(axis=0)],
+                             ids=["softplus", "sum"])
+    def test_backward_ignores_the_sign_of_zero(self, build):
+        x = X_DATA - np.float32(1.0)
+        g = np.random.default_rng(12).standard_normal(
+            build(Tensor(x)).shape).astype(np.float32)
+        g[::2] = 0.0
+        assert_zero_sign_inert(build, [x], g)
+
+
 class TestLogSumExp:
     def test_matches_float64_oracle(self):
         x = Tensor.param(RNG.standard_normal((3, 5)).astype(np.float32) * 4.0)
@@ -620,6 +651,13 @@ class TestNormNode:
             x0 = x0 * np.float32(1.5) - np.float32(0.25)
         assert stats[0].mean.tobytes() == stats[1].mean.tobytes()
         assert stats[0].var.tobytes() == stats[1].var.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(NORMS))
+    def test_backward_ignores_the_sign_of_zero(self, name):
+        # a zero row and a zero channel give x, gamma and beta exact zeros
+        x, gamma, beta, g = self.inputs()
+        g[0, 0, 0] = g[..., 3] = 0.0
+        assert_zero_sign_inert(NORMS[name][0], [x, gamma, beta], g)
 
     @pytest.mark.parametrize("name", sorted(NORMS))
     def test_one_node_over_input_and_affine(self, name):
