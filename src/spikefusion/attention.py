@@ -43,17 +43,17 @@ class SpikeSelfAttention(Module):
         record_matmul("q_proj", x_s, self.w_q.w, t, "spiking")
         record_matmul("k_proj", x_s, self.w_k.w, t, "spiking")
         record_matmul("v_proj", x_s, self.w_v.w, t, "spiking")
-        q = self.lif(self.bn_q(self.w_q(x_s), train))
-        k = self.lif(self.bn_k(self.w_k(x_s), train))
-        v = self.lif(self.bn_v(self.w_v(x_s), train))
+        q = self.lif(self.w_q(x_s), norm=self.bn_q, train=train)
+        k = self.lif(self.w_k(x_s), norm=self.bn_k, train=train)
+        v = self.lif(self.w_v(x_s), norm=self.bn_v, train=train)
         k_t = k.swapaxes(-1, -2)
         record_matmul("attn_scores", q, k_t, t, "spiking")
         scores = matmul(q, k_t)
         record_matmul("attn_apply", scores, v, t, "spiking")
         mixed = matmul(scores, v) * np.float32(self.scale)
-        attn = self.lif(self.bn_attn(mixed, train))
+        attn = self.lif(mixed, norm=self.bn_attn, train=train)
         record_matmul("attn_out", attn, self.w_a.w, t, "spiking")
-        return self.lif(self.bn_out(self.w_a(attn), train))
+        return self.lif(self.w_a(attn), norm=self.bn_out, train=train)
 
 
 class SpikeGatedMLP(Module):

@@ -86,9 +86,5 @@ class SpikeGenerator(Module):
             x_f = x_f - _shift_tokens(x_f, 1)
         return repeat_steps(x_f, self.cfg.t)
 
-    def pre_neuron(self, x_f: Tensor, train: bool) -> Tensor:
-        """Normalized drive handed to the spiking neuron."""
-        return self.norm(self.expand(x_f), train)
-
     def __call__(self, x_f: Tensor, train: bool = False) -> Tensor:
-        return self.tlsn(self.pre_neuron(x_f, train))
+        return self.tlsn(self.expand(x_f), norm=self.norm, train=train)

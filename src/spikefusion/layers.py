@@ -9,10 +9,12 @@ so renaming an attribute of any block is a checkpoint format change.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .errors import UsageError
-from .tensor import RunningStats, Tensor, batch_norm, layer_norm, matmul
+from .errors import StateError, UsageError
+from .tensor import Tensor, _unbroadcast, matmul
 
 
 class Module:
@@ -103,24 +105,125 @@ class Linear(Module):
         return y
 
 
-class LayerNorm(Module):
+# -- normalisation: the input stage of a spiking fold -------------------------
+#
+# A norm is the input stage of the fold it feeds (``neurons._fold``), in
+# one node.  Its output, the fold's drive, is ``(x - mu) / sd * gamma +
+# beta`` with ``mu = sum(x) / n`` and ``sd = sqrt(sum(xc * xc) / n + eps)``
+# over the normalised axes (``xc = x - mu``).  The node keeps ``mu`` and
+# ``sd``; its backward recomputes the drive and ``xc`` with the forward's
+# own expressions, and ``_Norm.backward`` replays the graph of generic ops
+# (``tests/helpers.py``) in its order and rounding, not the closed form:
+#
+#   g_beta  = sum(g),   g_gamma = sum(g * xhat)     (over the leading axes)
+#   g_xhat  = g * gamma
+#   g_x     = g_xhat / sd + g_ss * xc + g_ss * xc,  added one at a time,
+#             g_ss = sum(-g_xhat * xc / (sd * sd)) * (0.5 / sd) * (1 / n)
+#   x gets g_x, then sum(-g_x) * (1 / n) broadcast: two accumulations, as the
+#   graph's subtraction and mean each handed ``x`` one
+#
+# In eval mode ``mu`` and ``sd`` are constants and ``x`` gets g_xhat / sd
+# alone.
+
+_NORM_EPS = 1e-5
+_BN_MOMENTUM = 0.1  # weight of a train-mode batch in the running stats
+
+
+def _moments(xd: np.ndarray, axis):
+    """Mean, ``sqrt(var + eps)``, the ``1 / count`` both means were scaled
+    by, and the variance, over ``axis`` (kept as size-1 axes)."""
+    total = xd.sum(axis=axis, keepdims=True)
+    inv_n = np.float32(1.0 / (xd.size // total.size))
+    mu = total * inv_n
+    xc = xd - mu
+    var = np.multiply(xc, xc, out=xc).sum(axis=axis, keepdims=True) * inv_n
+    return mu, np.sqrt(var + np.float32(_NORM_EPS)), inv_n, var
+
+
+@dataclass
+class RunningStats:
+    """Per-channel running mean/variance shared by all time steps."""
+
+    mean: np.ndarray | None = None
+    var: np.ndarray | None = None
+    initialized: bool = False
+
+    def update(self, mean: np.ndarray, var: np.ndarray):
+        if self.initialized:
+            mean = (1.0 - _BN_MOMENTUM) * self.mean + _BN_MOMENTUM * mean
+            var = (1.0 - _BN_MOMENTUM) * self.var + _BN_MOMENTUM * var
+        else:
+            mean, var = mean.copy(), var.copy()
+        self.mean, self.var, self.initialized = mean, var, True
+
+
+class _Norm(Module):
+    """Affine norm over the last axis, only ever the input stage of a spiking
+    fold (``neuron(x, norm=..., train=...)``).  ``moments(x, train)`` gives
+    ``(mu, sd, inv_n)``; an ``inv_n`` of None makes them constants."""
+
     def __init__(self, d: int):
         self.gamma = Tensor.param(np.ones(d, dtype=np.float32))
         self.beta = Tensor.param(np.zeros(d, dtype=np.float32))
 
-    def __call__(self, x: Tensor, train: bool) -> Tensor:
-        """``train`` is ignored: layer norm keeps no running stats, and it
-        takes ``BatchNorm``'s call signature so the two interchange."""
-        return layer_norm(x, self.gamma, self.beta)
+    def drive(self, x: np.ndarray, mu: np.ndarray,
+              sd: np.ndarray) -> np.ndarray:
+        """The norm's output ``(x - mu) / sd * gamma + beta``, one buffer."""
+        out = x - mu
+        out /= sd
+        out *= self.gamma.data
+        out += self.beta.data
+        return out
+
+    def backward(self, g: np.ndarray, x: Tensor, mu: np.ndarray,
+                 sd: np.ndarray, inv_n: np.float32 | None):
+        """Hand ``x``, ``gamma`` and ``beta`` their gradients, given ``g``,
+        that of :meth:`drive`'s output, which becomes ``g_x`` in place."""
+        gamma, beta = self.gamma, self.beta
+        if beta.requires_grad:
+            beta._accumulate(_unbroadcast(g, beta.data.shape))
+        xc = x.data - mu
+        if gamma.requires_grad:
+            gamma._accumulate(_unbroadcast(g * (xc / sd), gamma.data.shape))
+        if not x.requires_grad:
+            return
+        g_xhat = np.multiply(g, gamma.data, out=g)
+        if inv_n is not None:
+            g_sd = _unbroadcast(-g_xhat * xc / (sd * sd), sd.shape)
+            g_sq = np.multiply(g_sd * (0.5 / sd) * inv_n, xc, out=xc)
+        g_xc = np.divide(g_xhat, sd, out=g_xhat)
+        if inv_n is not None:
+            g_xc += g_sq
+            g_xc += g_sq
+        x._accumulate(g_xc)
+        if inv_n is not None:
+            g_mu = _unbroadcast(-g_xc, mu.shape)
+            x._accumulate(np.broadcast_to(g_mu * inv_n, x.data.shape))
 
 
-class BatchNorm(Module):
+class LayerNorm(_Norm):
+    def moments(self, x: np.ndarray, train: bool):
+        """Moments of each row; ``train`` is ignored (no running stats)."""
+        return _moments(x, -1)[:3]
+
+
+class BatchNorm(_Norm):
     """Channel batch norm with stats pooled over time, batch and token axes."""
 
     def __init__(self, d: int):
-        self.gamma = Tensor.param(np.ones(d, dtype=np.float32))
-        self.beta = Tensor.param(np.zeros(d, dtype=np.float32))
+        super().__init__(d)
         self.stats = RunningStats()
 
-    def __call__(self, x: Tensor, train: bool) -> Tensor:
-        return batch_norm(x, self.gamma, self.beta, self.stats, train)
+    def moments(self, x: np.ndarray, train: bool):
+        """Moments per channel over all leading axes, time too; train mode
+        folds the batch's into the running stats that eval mode uses."""
+        if train:
+            mu, sd, inv_n, var = _moments(x, tuple(range(x.ndim - 1)))
+            self.stats.update(mu.reshape(-1), var.reshape(-1))
+            return mu, sd, inv_n
+        if not self.stats.initialized:
+            raise StateError(
+                "batch_norm: eval mode requires initialized running stats")
+        mu = self.stats.mean.astype(np.float32)
+        sd = np.sqrt(self.stats.var.astype(np.float32) + np.float32(_NORM_EPS))
+        return mu, sd, None

@@ -20,12 +20,14 @@ from .tensor import Tensor, no_grad
 EVAL_BLOCK = 32
 
 
-def _pooled_in_chunks(encoder, x: Tensor) -> Tensor:
-    """Eval-mode pooled embeddings, ``EVAL_BLOCK`` samples per encoder call
-    (batch norm uses running statistics, so samples are independent)."""
+def _pooled_in_chunks(encoder, x: Tensor, rows: np.ndarray | None) -> Tensor:
+    """Eval-mode pooled embeddings of ``x`` (or ``x[rows]``), ``EVAL_BLOCK``
+    samples per encoder call (eval batch norm keeps samples independent)."""
+    n = x.shape[0] if rows is None else rows.size
     return Tensor(np.concatenate([
-        encoder(x[lo:lo + EVAL_BLOCK], train=False).pooled.data
-        for lo in range(0, x.shape[0], EVAL_BLOCK)]))
+        encoder(x[lo:lo + EVAL_BLOCK] if rows is None
+                else x[rows[lo:lo + EVAL_BLOCK]], train=False).pooled.data
+        for lo in range(0, n, EVAL_BLOCK)]))
 
 
 class RetrievalModel(Module):
@@ -57,8 +59,10 @@ class RetrievalModel(Module):
             e_out = self.text(words, train=train)
         return r_out, e_out
 
-    def eval_similarity(self, regions: Tensor, words: Tensor) -> Tensor:
+    def eval_similarity(self, regions: Tensor, words: Tensor,
+                        rows: np.ndarray | None = None) -> Tensor:
         """Inference path: the pooled score matrix, fusion never touched.
+        ``rows`` picks the pairs to score, in order (all by default).
 
         One ``similarity`` call over the whole gallery; its node walks the
         fine tensor in blocks of at most ``_BLOCK_BYTES`` (see
@@ -66,8 +70,8 @@ class RetrievalModel(Module):
         O(P^2 * L * N).
         """
         with no_grad():
-            r_pooled = _pooled_in_chunks(self.image, regions)
-            e_pooled = _pooled_in_chunks(self.text, words)
+            r_pooled = _pooled_in_chunks(self.image, regions, rows)
+            e_pooled = _pooled_in_chunks(self.text, words, rows)
             return similarity(e_pooled, r_pooled, self.pool_cfg)
 
     def training_losses(self, regions: Tensor, words: Tensor):

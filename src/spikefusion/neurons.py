@@ -9,13 +9,17 @@ Membrane update per step, from ``v = v_reset``:
 The fold writes each step's membrane into one buffer in place, and does
 not compute the last step's reset, which feeds nothing.  The hard spike is
 the comparison ``h[t] >= v_th`` itself; the surrogate's ``h[t] - v_th`` is
-formed only where a smooth spike or a gradient needs it.  The node keeps
-only its spikes: its backward replays the membrane from the input and those
-spikes, so a tracked fold holds one input-sized array.
+formed only where a smooth spike or a gradient needs it.  Every norm is
+the input stage of a fold (``norm=``), so no norm output is on the tape.
+The node keeps only its spikes and the norm's ``mu`` and ``sd``: its
+backward recomputes the norm's output from the input and replays the
+membrane from that and the spikes, so a tracked fold holds one input-sized
+array.
 
-The T-step fold is one tape node over the input and the threshold.  Its
-backward walks time in reverse, the arctangent surrogate slope standing in
-for the step's derivative and the reset detached:
+The T-step fold is one tape node over the input, the threshold and a norm's
+``gamma`` and ``beta``.  Its backward walks time in reverse, the arctangent
+surrogate slope standing in for the step's derivative and the reset
+detached:
 
     g_u = g_s[t] * slope(h[t] - v_th),   g_h = g_u + g_v * (1 - s[t]),
     g_x[t] = g_h / tau,                  g_v = g_h - g_h / tau.
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, UsageError
-from .layers import Module
+from .layers import Module, _Norm
 from .tensor import (
     Tensor,
     _make,
@@ -77,9 +81,9 @@ class LIFParams:
                 f"LIF threshold {self.v_th} minus reset {self.v_reset} does not "
                 f"fit float32")
 
-    def __call__(self, x: Tensor) -> Tensor:
-        """The neuron itself: spikes of the LIF fold over ``x``'s time axis."""
-        return lif_sequence(x, self)
+    def __call__(self, x: Tensor, norm=None, train=False) -> Tensor:
+        """The neuron: spikes of the LIF fold over ``x`` (see :func:`_fold`)."""
+        return lif_sequence(x, self, norm, train)
 
 
 def surrogate_derivative(x: np.ndarray, alpha: float) -> np.ndarray:
@@ -117,33 +121,42 @@ def _membrane(x: np.ndarray, tau, v_reset, spikes):
             h += np.multiply(v_reset, s, out=tmp)
 
 
-def _fold(x: Tensor, lif: LIFParams, v_th) -> Tensor:
+def _fold(x: Tensor, lif: LIFParams, v_th, norm: _Norm | None = None,
+          train: bool = False) -> Tensor:
     """Spikes of ``lif``'s membrane update folded over the leading time axis
-    of ``x``, firing at ``v_th``.
+    of ``x``, or of ``norm``'s output over ``x`` (in ``train`` mode), firing
+    at ``v_th``.
 
-    One tape node with parents ``(x, threshold)``.  ``v_th`` is a float or a
-    (learnable) scalar tensor, finite: then ``h >= v_th`` fires exactly where
-    ``h - v_th >= 0`` (with gradual underflow two distinct float32 values
-    never differ by zero, and an overflow keeps its sign), so the hard spike
-    needs no ``u``.  State starts at the reset potential and is private to
-    this call.  The node keeps only its spikes: the backward replays
-    ``_membrane`` from ``x`` and those spikes, which gives each step's ``h``
-    with the forward's own bits.
+    One tape node over ``(x, threshold)`` and the norm's ``(gamma, beta)``.
+    ``v_th`` is a float or a (learnable) scalar tensor, finite: then
+    ``h >= v_th`` fires exactly where ``h - v_th >= 0`` (with gradual
+    underflow two distinct float32 values never differ by zero, and an
+    overflow keeps its sign), so the hard spike needs no ``u``.  State starts
+    at the reset potential and is private to this call.  The backward
+    recomputes the drive and replays ``_membrane`` from it and the spikes,
+    which gives each step's ``h`` with the forward's own bits.
     """
     x, th = as_tensor(x), as_tensor(v_th)
     if x.ndim < 1 or x.shape[0] == 0:
         raise UsageError("neuron fold: empty time axis")
     smooth = smooth_spikes_active()
     tau, v_reset = np.float32(lif.tau), np.float32(lif.v_reset)
+    parents, drive = (x, th), x.data
+    if norm is not None:
+        parents += (norm.gamma, norm.beta)
+        mu, sd, inv_n = norm.moments(x.data, train)
+        drive = norm.drive(x.data, mu, sd)
     spikes = np.empty(x.shape, dtype=np.float32)
-    for t, h in enumerate(_membrane(x.data, tau, v_reset, spikes)):
+    for t, h in enumerate(_membrane(drive, tau, v_reset, spikes)):
         if smooth:
             spikes[t] = surrogate_primitive(h - th.data, lif.surrogate_alpha)
         else:
             np.greater_equal(h, th.data, out=spikes[t])
 
     def bw(g):
-        hs = [h.copy() for h in _membrane(x.data, tau, v_reset, spikes)]
+        drive = x.data if norm is None else norm.drive(x.data, mu, sd)
+        hs = [h.copy() for h in _membrane(drive, tau, v_reset, spikes)]
+        del drive
         g_x = np.empty_like(spikes)
         g_th = []
         g_v = None  # the last membrane potential feeds nothing
@@ -158,17 +171,21 @@ def _fold(x: Tensor, lif: LIFParams, v_th) -> Tensor:
             g_v = g_h - g_x[t]
             if th.requires_grad:
                 g_th.append(_unbroadcast(-g_u, th.shape))
-        if x.requires_grad:
+        del hs
+        if norm is not None:
+            norm.backward(g_x, x, mu, sd, inv_n)
+        elif x.requires_grad:
             x._accumulate(g_x)
         for g_t in reversed(g_th):  # forward time order
             th._accumulate(g_t)
 
-    return _make(spikes, (x, th), bw)
+    return _make(spikes, parents, bw)
 
 
-def lif_sequence(x: Tensor, params: LIFParams) -> Tensor:
+def lif_sequence(x: Tensor, params: LIFParams, norm: _Norm | None = None,
+                 train: bool = False) -> Tensor:
     """Fold the LIF membrane update over the leading time axis of ``x``."""
-    return _fold(x, params, params.v_th)
+    return _fold(x, params, params.v_th, norm, train)
 
 
 @dataclass
@@ -193,11 +210,12 @@ class TLSNParams(Module):
     def effective_threshold(self) -> Tensor:
         return softplus(self.v_th_raw) + np.float32(self.lif.v_reset + THRESHOLD_FLOOR)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return tlsn_forward(x, self)
+    def __call__(self, x: Tensor, norm=None, train=False) -> Tensor:
+        return tlsn_forward(x, self, norm, train)
 
 
-def tlsn_forward(x: Tensor, params: TLSNParams) -> Tensor:
+def tlsn_forward(x: Tensor, params: TLSNParams, norm: _Norm | None = None,
+                 train: bool = False) -> Tensor:
     """LIF fold with a learnable threshold; gradient reaches the threshold."""
-    return _fold(x, params.lif, params.effective_threshold())
+    return _fold(x, params.lif, params.effective_threshold(), norm, train)
 

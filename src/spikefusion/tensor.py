@@ -23,17 +23,16 @@ alive, and asks ``_joins_tape`` first, so an untracked call saves none.
 The broadcast binary ops (``+ - * /`` and ``matmul``) are each
 ``_binary`` given a numpy op and one gradient rule per operand.
 
-Layer and batch normalisation are one node each, like the fused ops of the
-other modules (the neuron fold, l2 normalisation, the pooled similarity, the
-contrastive loss).  Each has a hand-written backward that replays the
-arithmetic of the graph of generic ops it replaced, in that graph's order,
-so its gradients are the same bits; those graphs are the test oracles.
-Such a backward recomputes cheap full-size intermediates rather than keep
-them on the tape, and ``_first_gradient`` gives it the buffer an interior
-node of that graph would have held.
+The other modules build fused ops the same way (the neuron fold with its
+norm stage, l2 normalisation, the pooled similarity, the contrastive loss).
+Each is one node whose hand-written backward replays the arithmetic of the
+graph of generic ops it replaced, in that graph's order, so its gradients
+are the same bits; those graphs are the test oracles.  Such a backward
+recomputes cheap full-size intermediates rather than keep them on the
+tape, and ``_first_gradient`` gives it the buffer an interior node of that
+graph would have held.
 
-The spiking neuron is an op too, built the same way in
-:mod:`spikefusion.neurons` with its surrogate gradient.  It reads the switch
+The spiking neuron, in :mod:`spikefusion.neurons`, reads the switch
 :func:`smooth_spike_mode`: inside it the spike forward is smooth, so the
 whole graph is differentiable and finite-difference oracles can check the
 tape.
@@ -44,11 +43,10 @@ from __future__ import annotations
 import contextlib
 import operator
 from contextvars import ContextVar
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import StateError, UsageError
+from .errors import UsageError
 
 _ZERO = np.float32(0.0)
 _grad_enabled: ContextVar[bool] = ContextVar("grad_enabled", default=True)
@@ -393,123 +391,3 @@ def softplus(x: Tensor) -> Tensor:
     x = as_tensor(x)
     return _make(np.logaddexp(np.float32(0.0), x.data), (x,),
                  lambda g: x._accumulate(g * (1.0 / (1.0 + np.exp(-x.data)))))
-
-
-# -- normalization -----------------------------------------------------------------
-#
-# ``layer_norm`` and ``batch_norm`` (train and eval) are each one tape node
-# over ``(x, gamma, beta)``: ``out = (x - mu) / sd * gamma + beta`` with
-# ``mu = sum(x) / n`` and ``sd = sqrt(sum(xc * xc) / n + eps)`` over the
-# normalised axes (``xc = x - mu``).  The closure keeps only ``mu`` and
-# ``sd``; its backward recomputes ``xc`` and ``xhat = xc / sd`` with the
-# forward's own expressions, so they are the same bits.  It replays the
-# graph of generic ops it replaced (``tests/helpers.py``), in that graph's
-# order and rounding, not the closed form:
-#
-#   g_beta  = sum(g),   g_gamma = sum(g * xhat)     (over the leading axes)
-#   g_xhat  = g * gamma
-#   g_x     = g_xhat / sd + g_ss * xc + g_ss * xc,  added one at a time,
-#             g_ss = sum(-g_xhat * xc / (sd * sd)) * (0.5 / sd) * (1 / n)
-#   x gets g_x, then sum(-g_x) * (1 / n) broadcast: two accumulations, as the
-#   graph's subtraction and mean each handed ``x`` one
-#
-# In eval mode ``mu`` and ``sd`` are constants and ``x`` gets g_xhat / sd
-# alone.
-
-_NORM_EPS = 1e-5
-_BN_MOMENTUM = 0.1  # weight of a train-mode batch in the running stats
-
-
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Normalize over the last axis to zero mean / unit variance, then affine."""
-    x = as_tensor(x)
-    mu, _, sd, inv_n = _moments(x.data, -1)
-    return _normalize(x, gamma, beta, mu, sd, inv_n)
-
-
-def _moments(xd: np.ndarray, axis):
-    """Mean, variance and ``sqrt(var + eps)`` over ``axis`` (kept as size-1
-    axes), and the ``1 / count`` both means were scaled by."""
-    total = xd.sum(axis=axis, keepdims=True)
-    inv_n = np.float32(1.0 / (xd.size // total.size))
-    mu = total * inv_n
-    xc = xd - mu
-    var = np.multiply(xc, xc, out=xc).sum(axis=axis, keepdims=True) * inv_n
-    return mu, var, np.sqrt(var + np.float32(_NORM_EPS)), inv_n
-
-
-def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, mu: np.ndarray,
-               sd: np.ndarray, inv_n: np.float32 | None = None) -> Tensor:
-    """One tape node: ``(x - mu) / sd * gamma + beta``.
-
-    With ``inv_n`` (1 / n) the moments are ``x``'s own, from ``_moments``,
-    and the backward runs through them as well; without it they are
-    constants (eval-mode batch norm).
-    """
-    gamma, beta = as_tensor(gamma), as_tensor(beta)
-    out = x.data - mu
-    out /= sd
-    out *= gamma.data
-    out += beta.data
-
-    def bw(g):
-        if beta.requires_grad:
-            beta._accumulate(_unbroadcast(g, beta.data.shape))
-        xc = x.data - mu
-        if gamma.requires_grad:
-            gamma._accumulate(_unbroadcast(g * (xc / sd), gamma.data.shape))
-        if not x.requires_grad:
-            return
-        g_xhat = g * gamma.data
-        g_xc = g_xhat / sd
-        if inv_n is not None:
-            g_sd = _unbroadcast(-g_xhat * xc / (sd * sd), sd.shape)
-            g_ss = g_sd * (0.5 / sd) * inv_n
-            del g_xhat
-            g_sq = np.multiply(g_ss, xc, out=xc)
-            g_xc += g_sq
-            g_xc += g_sq
-        x._accumulate(g_xc)
-        if inv_n is not None:
-            g_mu = _unbroadcast(-g_xc, mu.shape)
-            x._accumulate(np.broadcast_to(g_mu * inv_n, x.data.shape))
-
-    return _make(out, (x, gamma, beta), bw)
-
-
-@dataclass
-class RunningStats:
-    """Per-channel running mean/variance shared by all time steps."""
-
-    mean: np.ndarray | None = None
-    var: np.ndarray | None = None
-    initialized: bool = field(default=False)
-
-    def update(self, mean: np.ndarray, var: np.ndarray):
-        if not self.initialized:
-            self.mean = mean.copy()
-            self.var = var.copy()
-            self.initialized = True
-        else:
-            self.mean = (1.0 - _BN_MOMENTUM) * self.mean + _BN_MOMENTUM * mean
-            self.var = (1.0 - _BN_MOMENTUM) * self.var + _BN_MOMENTUM * var
-
-
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
-               train: bool) -> Tensor:
-    """Normalize per embedding channel (last axis) over all leading axes.
-
-    Statistics pool the time, batch and token axes together, so a single set
-    is shared by every time step.  Train mode normalizes with batch moments
-    and folds them into the running stats; eval mode uses the stored stats.
-    """
-    x = as_tensor(x)
-    if train:
-        mu, var, sd, inv_n = _moments(x.data, tuple(range(x.ndim - 1)))
-        stats.update(mu.reshape(-1), var.reshape(-1))
-        return _normalize(x, gamma, beta, mu, sd, inv_n)
-    if not stats.initialized:
-        raise StateError("batch_norm: eval mode requires initialized running stats")
-    mu = stats.mean.astype(np.float32)
-    sd = np.sqrt(stats.var.astype(np.float32) + np.float32(_NORM_EPS))
-    return _normalize(x, gamma, beta, mu, sd)

@@ -56,9 +56,12 @@ def recall_from_similarity(s: np.ndarray) -> dict[str, float]:
     return metrics
 
 
-def evaluate_recall(model: RetrievalModel, dataset: Dataset) -> dict[str, float]:
-    """Rank the full evaluation set via the pooled similarity matrix."""
-    s = model.eval_similarity(Tensor(dataset.regions), Tensor(dataset.words))
+def evaluate_recall(model: RetrievalModel, dataset: Dataset,
+                    rows: np.ndarray | None = None) -> dict[str, float]:
+    """Rank ``dataset``'s pairs (those at ``rows``, in order) via the pooled
+    similarity matrix, gathering one ``EVAL_BLOCK`` of rows at a time."""
+    s = model.eval_similarity(Tensor(dataset.regions), Tensor(dataset.words),
+                              rows)
     return recall_from_similarity(s.data)
 
 
@@ -97,8 +100,8 @@ def train(config: RunConfig, dataset: Dataset, out_dir: str | None = None,
     validation split of under 2 pairs cannot be ranked; recall is then
     ranked on the training split, the result and every history record say
     ``val_source`` ``"train"``, and each epoch log line ends in
-    ``val_source=train``.  Batches are gathered from ``dataset``'s own
-    arrays; only the split that is ranked is copied.  The checkpoint holds
+    ``val_source=train``.  Batches and ranked blocks are gathered from
+    ``dataset``'s own arrays; no split is copied whole.  The checkpoint holds
     the parameters and batch-norm running stats, not the optimizer state: a
     run cannot be resumed.  ``model`` trains a caller-built model in place
     of a fresh one.
@@ -114,7 +117,6 @@ def train(config: RunConfig, dataset: Dataset, out_dir: str | None = None,
     val_source = "held-out"
     if val_idx.size < 2:
         val_idx, val_source = train_idx, "train"
-    val_set = Dataset(dataset.regions[val_idx], dataset.words[val_idx])
     if model is None:
         model = RetrievalModel(config, dataset.regions.shape[-1],
                                dataset.words.shape[-1],
@@ -159,7 +161,7 @@ def train(config: RunConfig, dataset: Dataset, out_dir: str | None = None,
                        f"lr={config.lr_encoder * scale:.2e} {line}")
             for k, v in parts.items():
                 epoch_losses[k] = epoch_losses.get(k, 0.0) + float(v.data)
-        val_metrics = evaluate_recall(model, val_set)
+        val_metrics = evaluate_recall(model, dataset, val_idx)
         record = {
             "epoch": epoch,
             "lr_scale": scale,
@@ -220,8 +222,7 @@ def ablation_sweep(axis: str, values, config: RunConfig, dataset: Dataset,
     for value, cfg in runs:
         result = train(cfg, dataset, log_fn=log_fn)
         idx, _ = split_indices(dataset.pairs, cfg.val_fraction, cfg.seed)
-        metrics = evaluate_recall(
-            result.model, Dataset(dataset.regions[idx], dataset.words[idx]))
+        metrics = evaluate_recall(result.model, dataset, idx)
         row = {"axis": axis, "value": value}
         row.update(metrics)
         rows.append(row)

@@ -1,6 +1,6 @@
 """Shared test utilities: finite-difference oracles, a memory probe, the
 generic ops only the oracles use, and the composed graphs of generic ops
-that the one-node kernels replace: the LIF fold, the normalisations, the
+that the one-node kernels replace: the LIF fold and its norm stages, the
 contrastive loss and the pooled similarity."""
 
 import tracemalloc
@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 
 from spikefusion.errors import StateError, UsageError
+from spikefusion.layers import BatchNorm
 from spikefusion.neurons import surrogate_derivative, surrogate_primitive
 from spikefusion.tensor import (
     Tensor,
@@ -307,7 +308,8 @@ def reference_fold(x, tau, v_th, v_reset, alpha=2.0):
 
 
 def reference_layer_norm(x, gamma, beta, eps=1e-5):
-    """``spikefusion.tensor.layer_norm`` as a graph of generic tape ops."""
+    """A ``LayerNorm`` stage of ``spikefusion.neurons._fold`` as a graph of
+    generic tape ops."""
     if not eps > 0:
         raise UsageError(f"layer_norm: eps must be > 0, got {eps}")
     x = as_tensor(x)
@@ -320,7 +322,8 @@ def reference_layer_norm(x, gamma, beta, eps=1e-5):
 
 def reference_batch_norm(x, gamma, beta, stats, train, momentum=0.1,
                          eps=1e-5):
-    """``spikefusion.tensor.batch_norm`` as a graph of generic tape ops."""
+    """A ``BatchNorm`` stage of ``spikefusion.neurons._fold`` as a graph of
+    generic tape ops; train mode updates ``stats`` as the stage does."""
     if not eps > 0:
         raise UsageError(f"batch_norm: eps must be > 0, got {eps}")
     x = as_tensor(x)
@@ -343,6 +346,25 @@ def reference_batch_norm(x, gamma, beta, stats, train, momentum=0.1,
         sd = np.sqrt(stats.var.astype(np.float32) + np.float32(eps))
         xhat = (x - Tensor(mu)) / Tensor(sd)
     return xhat * gamma + beta
+
+
+def reference_norm(x, norm, train):
+    """The composed graph of ``norm`` (a ``LayerNorm`` or ``BatchNorm``
+    block) over ``x``: the drive its fused fold feeds the neuron."""
+    if isinstance(norm, BatchNorm):
+        return reference_batch_norm(x, norm.gamma, norm.beta, norm.stats,
+                                    train)
+    return reference_layer_norm(x, norm.gamma, norm.beta)
+
+
+def composed_fold(fold):
+    """A stand-in for ``neurons._fold`` (given as ``fold``) that runs a norm
+    stage as its own composed graph, then the fold node on its output."""
+    def run(x, lif, v_th, norm=None, train=False):
+        if norm is not None:
+            x = reference_norm(x, norm, train)
+        return fold(x, lif, v_th)
+    return run
 
 
 def reference_l2_normalize(x, eps=1e-2):

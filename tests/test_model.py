@@ -4,24 +4,25 @@ import numpy as np
 import pytest
 
 from spikefusion import alignment as alignment_module
-from spikefusion import layers as layers_module
 from spikefusion import losses as losses_module
 from spikefusion import model as model_module
+from spikefusion import neurons as neurons_module
 from spikefusion.alignment import POOL_MODES, similarity
 from spikefusion.config import RunConfig
 from spikefusion.data import Dataset
+from spikefusion.encoding import GENERATOR_VARIANTS
 from spikefusion.errors import UsageError
+from spikefusion.fusion import FUSION_KINDS
 from spikefusion.losses import infonce_pair
 from spikefusion.model import EVAL_BLOCK, RetrievalModel
 from spikefusion.tensor import Tensor, no_grad, smooth_spike_mode
 from spikefusion.train import evaluate_recall
 
 from helpers import (
+    composed_fold,
     interior_nodes,
-    reference_batch_norm,
     reference_infonce_pair,
     reference_l2_normalize,
-    reference_layer_norm,
     reference_similarity,
     smooth_fd_audit,
     traced,
@@ -203,8 +204,10 @@ class TestPooledSimilarityNode:
 
 
 class TestOneNodeGlue:
-    """A training step with one-node normalisations and contrastive losses
-    against the same step through their composed graphs (``helpers``)."""
+    """A training step with norm→fold nodes, one-node normalisations and
+    contrastive losses against the same step through their composed graphs
+    (``helpers``): each norm there is its own graph, followed by a fold
+    node."""
 
     @staticmethod
     def step(fusion, generator, lam):
@@ -224,8 +227,8 @@ class TestOneNodeGlue:
     def test_step_is_bit_identical_to_composed_graphs(
             self, fusion, generator, lam, monkeypatch):
         node = self.step(fusion, generator, lam)
-        monkeypatch.setattr(layers_module, "layer_norm", reference_layer_norm)
-        monkeypatch.setattr(layers_module, "batch_norm", reference_batch_norm)
+        monkeypatch.setattr(neurons_module, "_fold",
+                            composed_fold(neurons_module._fold))
         monkeypatch.setattr(alignment_module, "l2_normalize",
                             reference_l2_normalize)
         monkeypatch.setattr(losses_module, "infonce_pair",
@@ -236,13 +239,41 @@ class TestOneNodeGlue:
         moved = [n for n in node[1] if node[1][n] != composed[1][n]]
         assert moved == []
 
+    @pytest.mark.parametrize("generator", GENERATOR_VARIANTS)
+    @pytest.mark.parametrize("fusion", FUSION_KINDS + ("none",))
+    def test_no_norm_output_is_an_interior_node(self, fusion, generator):
+        # every norm's gamma and beta are parents of one fold node alone, so
+        # no norm output is on the tape: a norm applied by itself again
+        # (``self.lif(self.bn(x))``) fails here
+        regions, words = toy_batch()
+        model = toy_model(fusion=fusion, generator=generator, lam=0.5)
+        total, _ = model.training_losses(regions, words)
+        norm_params = {id(p): name for name, p in model.params().items()
+                       if name.endswith(("/gamma", "/beta"))}
+        consumers = {name: [] for name in norm_params.values()}
+        seen, todo = set(), [total]
+        while todo:
+            node = todo.pop()
+            if id(node) in seen or not node._parents:
+                continue
+            seen.add(id(node))
+            for p in node._parents:
+                if id(p) in norm_params:
+                    consumers[norm_params[id(p)]].append(
+                        node._backward.__qualname__)
+            todo.extend(node._parents)
+        assert consumers and all(
+            kinds == ["_fold.<locals>.bw"] for kinds in consumers.values()), \
+            consumers
+
     def test_interior_node_count_is_pinned(self):
-        # one node per normalisation, similarity and contrastive loss: 140
-        # interior nodes, 428 with their composed graphs.  A change that
-        # composes one of them again changes this count.
+        # one node per norm→fold site, l2 normalisation, similarity and
+        # contrastive loss: 128 interior nodes (the 12 norms of this model
+        # have no node of their own), 428 with their composed graphs.  A
+        # change that composes one of them again changes this count.
         regions, words = toy_batch()
         total, _ = toy_model().training_losses(regions, words)
-        assert interior_nodes(total) == 140
+        assert interior_nodes(total) == 128
 
 
 class TestEvalPath:
@@ -288,6 +319,18 @@ class TestTiledScoring:
         scores = model.eval_similarity(regions, words)
         assert scores.shape == (pairs, pairs)
         assert scores.data.tobytes() == full.data.tobytes()
+
+    def test_rows_score_as_their_gathered_copy(self):
+        # unsorted rows over three encoder blocks, the last one partial
+        model = toy_model(fusion="none")
+        regions, words = toy_batch(seed=7, b=3 * EVAL_BLOCK)
+        model.calibrate(regions, words)
+        rows = np.random.default_rng(1).permutation(3 * EVAL_BLOCK)
+        rows = rows[:2 * EVAL_BLOCK + 3]
+        scores = model.eval_similarity(regions, words, rows)
+        gathered = model.eval_similarity(Tensor(regions.data[rows]),
+                                         Tensor(words.data[rows]))
+        assert scores.data.tobytes() == gathered.data.tobytes()
 
     def test_one_similarity_call_per_ranking(self, monkeypatch):
         sides = []

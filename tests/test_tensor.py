@@ -5,6 +5,7 @@
 use them.
 """
 
+import contextlib
 import weakref
 from dataclasses import replace
 
@@ -14,22 +15,23 @@ import pytest
 from spikefusion import energy
 from spikefusion import tensor as tensor_module
 from spikefusion.alignment import PoolConfig, l2_normalize, similarity
+from spikefusion.encoding import GeneratorConfig, SpikeGenerator
 from spikefusion.errors import StateError, UsageError
+from spikefusion.fusion import _ProjectSpike
+from spikefusion.layers import BatchNorm, LayerNorm, RunningStats
 from spikefusion.losses import infonce_pair
 from spikefusion.neurons import (
     LIFParams,
     TLSNParams,
+    _fold,
     lif_sequence,
     surrogate_derivative,
     surrogate_primitive,
     tlsn_forward,
 )
 from spikefusion.tensor import (
-    RunningStats,
     Tensor,
-    batch_norm,
     concat,
-    layer_norm,
     matmul,
     no_grad,
     repeat_steps,
@@ -43,12 +45,12 @@ from helpers import (
     bytes_after_backward,
     central_difference,
     clip_min,
+    composed_fold,
     logsumexp,
     mean,
     negative_zeros,
     reduce_max,
-    reference_batch_norm,
-    reference_layer_norm,
+    smooth_central_difference,
     sqrt,
     traced,
     transpose,
@@ -82,6 +84,32 @@ def _primed_stats(d):
     stats.update(np.linspace(-0.5, 0.5, d).astype(np.float32),
                  np.linspace(0.5, 2.0, d).astype(np.float32))
     return stats
+
+
+# the norm stages a fold takes: name -> (block, train), for a width d
+NORMS = {
+    "layer_norm": (LayerNorm, True),
+    "batch_norm_train": (BatchNorm, True),
+    "batch_norm_eval": (BatchNorm, False),
+}
+
+
+def _norm(name, gamma, beta):
+    """The ``NORMS`` block ``name`` holding the tensors ``gamma`` and
+    ``beta`` (eval batch norm with primed stats), and its train flag."""
+    block, train = NORMS[name]
+    norm = block(gamma.shape[0])
+    norm.gamma, norm.beta = gamma, beta
+    if not train:
+        norm.stats = _primed_stats(gamma.shape[0])
+    return norm, train
+
+
+def normalized(norm, x, train=True):
+    """The drive a fold with ``norm`` as its input stage feeds its neuron
+    over the array ``x``, by the fold's own forward arithmetic."""
+    mu, sd, _ = norm.moments(x, train)
+    return norm.drive(x, mu, sd)
 
 
 # the ops without a gradient test of their own, each applied to X_DATA
@@ -118,11 +146,12 @@ TAPE_OPS = {
     "lif_fold": lambda x: lif_sequence(x, SPIKE),
     "pooled_similarity": lambda x: similarity(
         x.reshape((3, 1, 4)), x.reshape((1, 3, 4)), PoolConfig()),
-    "layer_norm": lambda x: layer_norm(x, *_affine(4)),
-    "batch_norm_train": lambda x: batch_norm(x, *_affine(4), RunningStats(),
-                                             train=True),
-    "batch_norm_eval": lambda x: batch_norm(x, *_affine(4), _primed_stats(4),
-                                            train=False),
+    "layer_norm_fold": lambda x: lif_sequence(
+        x, SPIKE, *_norm("layer_norm", *_affine(4))),
+    "batch_norm_train_fold": lambda x: lif_sequence(
+        x, SPIKE, *_norm("batch_norm_train", *_affine(4))),
+    "batch_norm_eval_fold": lambda x: lif_sequence(
+        x, SPIKE, *_norm("batch_norm_eval", *_affine(4))),
     "l2_normalize": l2_normalize,
     "infonce_pair": lambda x: infonce_pair(x[:, :3], 0.5),
 }
@@ -223,13 +252,35 @@ class TestForwardMemory:
         assert held < 1.5
         assert peak < 2.5
 
+    def norm_stage_units(self, name):
+        """Units a norm stage adds to the peak of an untracked fold."""
+        fused = self.units(lambda x: lif_sequence(
+            x, LIFParams(), *_norm(name, *_affine(32))))[1]
+        return fused - self.units(lambda x: lif_sequence(x, LIFParams()))[1]
+
     def test_eval_batch_norm(self):
-        stats = _primed_stats(32)
-        assert self.units(
-            lambda x: batch_norm(x, *_affine(32), stats, train=False))[1] < 2
+        # the drive, normalised in place: one unit over the fold's own peak
+        assert self.norm_stage_units("batch_norm_eval") < 1.25
 
     def test_layer_norm(self):
-        assert self.units(lambda x: layer_norm(x, *_affine(32)))[1] < 2.5
+        # the moments' centred scratch is gone before the drive is made
+        assert self.norm_stage_units("layer_norm") < 1.25
+
+    @pytest.mark.parametrize("site", ["project-bn", "repeat-ln", "repeat-bn"])
+    def test_tracked_norm_site_keeps_one_array_per_node(self, site):
+        # the site's linear or repeat output, and the spikes of its norm→fold
+        # node: two units, where a norm node of its own kept a third
+        rng = np.random.default_rng(0)
+        if site == "project-bn":
+            fn = _ProjectSpike(32, LIFParams(), rng)
+        else:
+            gen = SpikeGenerator(GeneratorConfig(variant=site, t=2, d=32),
+                                 LIFParams(), rng)
+
+            def fn(x):
+                return gen(x[0], train=True)
+        held, _ = self.units(fn, requires_grad=True)
+        assert held < 2.5
 
 
 class TestElementwise:
@@ -501,124 +552,116 @@ class TestLogSumExp:
 
 
 class TestLayerNorm:
-    def _gb(self, d):
-        return Tensor(np.ones(d, dtype=np.float32)), Tensor(np.zeros(d, dtype=np.float32))
+    """The layer-norm stage of a fold: its drive, and the fused node's
+    gradients."""
+
+    def _ln(self, d):
+        return _norm("layer_norm", Tensor(np.ones(d, dtype=np.float32)),
+                     Tensor(np.zeros(d, dtype=np.float32)))[0]
 
     def test_constant_row_maps_to_zero(self):
-        gamma, beta = self._gb(6)
+        ln = self._ln(6)
         # dyadic constant: the row mean is exact, output exactly zero
-        exact = layer_norm(Tensor(np.full((2, 6), 2.0, dtype=np.float32)),
-                           gamma, beta)
-        np.testing.assert_array_equal(exact.data, 0.0)
+        exact = normalized(ln, np.full((2, 6), 2.0, dtype=np.float32))
+        np.testing.assert_array_equal(exact, 0.0)
         # arbitrary constant: zero up to eps-scale rounding
-        out = layer_norm(Tensor(np.full((2, 6), 3.7, dtype=np.float32)),
-                         gamma, beta)
-        np.testing.assert_allclose(out.data, 0.0, atol=1e-4)
+        out = normalized(ln, np.full((2, 6), 3.7, dtype=np.float32))
+        np.testing.assert_allclose(out, 0.0, atol=1e-4)
 
     def test_affine_collapse(self):
-        gamma = Tensor(np.zeros(4, dtype=np.float32))
-        beta = Tensor(np.full(4, 2.5, dtype=np.float32))
-        out = layer_norm(Tensor(RNG.standard_normal((3, 4)).astype(np.float32)),
-                         gamma, beta)
-        np.testing.assert_allclose(out.data, 2.5, atol=1e-6)
+        ln, _ = _norm("layer_norm", Tensor(np.zeros(4, dtype=np.float32)),
+                      Tensor(np.full(4, 2.5, dtype=np.float32)))
+        out = normalized(ln, RNG.standard_normal((3, 4)).astype(np.float32))
+        np.testing.assert_allclose(out, 2.5, atol=1e-6)
 
     def test_row_statistics(self):
-        gamma, beta = self._gb(8)
-        x = Tensor(RNG.standard_normal((4, 8)).astype(np.float32) * 3.0 + 1.0)
-        out = layer_norm(x, gamma, beta).data
+        x = RNG.standard_normal((4, 8)).astype(np.float32) * 3.0 + 1.0
+        out = normalized(self._ln(8), x)
         assert np.abs(out.mean(axis=-1)).max() < 1e-6
         assert np.abs(out.var(axis=-1) - 1.0).max() < 1e-3
 
     def test_idempotent_up_to_eps(self):
-        gamma, beta = self._gb(16)
-        x = Tensor(RNG.standard_normal((3, 16)).astype(np.float32))
-        once = layer_norm(x, gamma, beta)
-        twice = layer_norm(once, gamma, beta)
-        np.testing.assert_allclose(twice.data, once.data, atol=1e-4)
+        ln = self._ln(16)
+        once = normalized(ln, RNG.standard_normal((3, 16)).astype(np.float32))
+        twice = normalized(ln, once)
+        np.testing.assert_allclose(twice, once, atol=1e-4)
 
     def test_gradient_against_finite_differences(self):
-        gamma = Tensor.param(RNG.uniform(0.5, 1.5, 6).astype(np.float32))
-        beta = Tensor.param(RNG.standard_normal(6).astype(np.float32))
+        # the fused node in smooth mode, where its backward is exact
+        gamma = RNG.uniform(0.5, 1.5, 6).astype(np.float32)
+        beta = RNG.standard_normal(6).astype(np.float32)
+        ln, _ = _norm("layer_norm", Tensor.param(gamma), Tensor.param(beta))
         x = Tensor.param(RNG.standard_normal((2, 6)).astype(np.float32))
         weights = RNG.standard_normal((2, 6)).astype(np.float32)
+        lif = LIFParams(tau=1.5, v_th=0.5)
+
+        def forward():
+            return (lif_sequence(x, lif, ln, train=True) * weights).sum()
 
         def loss():
-            return float((layer_norm(x, gamma, beta) * weights).sum().data)
+            return float(forward().data)
 
-        (layer_norm(x, gamma, beta) * weights).sum().backward()
-        for p in (x, gamma, beta):
-            fd = central_difference(loss, p, eps=1e-2)
+        with smooth_spike_mode():
+            forward().backward()
+        for p in (x, ln.gamma, ln.beta):
+            fd = smooth_central_difference(loss, p, eps=1e-2)
             np.testing.assert_allclose(p.grad.reshape(-1), fd, atol=2e-3)
 
 
 class TestBatchNorm:
-    def _gb(self, d, beta_val=0.0):
-        return (Tensor(np.ones(d, dtype=np.float32)),
-                Tensor(np.full(d, beta_val, dtype=np.float32)))
+    def _bn(self, d, beta_val=0.0):
+        return _norm("batch_norm_train", Tensor(np.ones(d, dtype=np.float32)),
+                     Tensor(np.full(d, beta_val, dtype=np.float32)))[0]
 
     def test_zero_input_zero_bias_gives_zero(self):
-        gamma, beta = self._gb(4)
-        stats = RunningStats()
-        out = batch_norm(Tensor(np.zeros((2, 3, 4))), gamma, beta, stats,
-                         train=True)
-        np.testing.assert_allclose(out.data, 0.0, atol=1e-6)
+        out = normalized(self._bn(4), np.zeros((2, 3, 4), dtype=np.float32))
+        np.testing.assert_allclose(out, 0.0, atol=1e-6)
 
     def test_single_channel_hand_statistics(self):
         # batch values [1, 3]: mean 2, biased var 1 -> normalized [-1, 1]
-        gamma, beta = self._gb(1)
-        stats = RunningStats()
-        x = Tensor(np.array([[1.0], [3.0]], dtype=np.float32))
-        out = batch_norm(x, gamma, beta, stats, train=True)
-        np.testing.assert_allclose(out.data, [[-1.0], [1.0]], atol=1e-4)
+        x = np.array([[1.0], [3.0]], dtype=np.float32)
+        out = normalized(self._bn(1), x)
+        np.testing.assert_allclose(out, [[-1.0], [1.0]], atol=1e-4)
 
     def test_eval_mode_is_deterministic(self):
-        gamma, beta = self._gb(5)
-        stats = RunningStats()
-        batch_norm(Tensor(RNG.standard_normal((6, 5)).astype(np.float32)),
-                   gamma, beta, stats, train=True)
+        bn = self._bn(5)
+        normalized(bn, RNG.standard_normal((6, 5)).astype(np.float32))
         x = Tensor(RNG.standard_normal((4, 5)).astype(np.float32))
-        a = batch_norm(x, gamma, beta, stats, train=False)
-        b = batch_norm(x, gamma, beta, stats, train=False)
+        a = lif_sequence(x, SPIKE, bn, train=False)
+        b = lif_sequence(x, SPIKE, bn, train=False)
         assert np.array_equal(a.data, b.data)
+        assert np.array_equal(normalized(bn, x.data, train=False),
+                              normalized(bn, x.data, train=False))
 
     def test_eval_without_stats_raises(self):
-        gamma, beta = self._gb(3)
         with pytest.raises(StateError):
-            batch_norm(Tensor(np.zeros((2, 3))), gamma, beta, RunningStats(),
-                       train=False)
+            lif_sequence(Tensor(np.zeros((2, 3))), SPIKE, self._bn(3),
+                         train=False)
 
     def test_statistics_pool_leading_axes(self):
-        gamma, beta = self._gb(2)
-        stats = RunningStats()
         x = RNG.standard_normal((3, 4, 5, 2)).astype(np.float32)
-        out = batch_norm(Tensor(x), gamma, beta, stats, train=True).data
-        flat = out.reshape(-1, 2)
+        flat = normalized(self._bn(2), x).reshape(-1, 2)
         assert np.abs(flat.mean(axis=0)).max() < 1e-5
         assert np.abs(flat.var(axis=0) - 1.0).max() < 1e-3
 
 
-# name -> (one-node op, composed oracle), both called as f(x, gamma, beta)
-NORMS = {
-    "layer_norm": (layer_norm, reference_layer_norm),
-    "batch_norm_train": (
-        lambda x, g, b: batch_norm(x, g, b, RunningStats(), train=True),
-        lambda x, g, b: reference_batch_norm(x, g, b, RunningStats(),
-                                             train=True)),
-    "batch_norm_eval": (
-        lambda x, g, b: batch_norm(x, g, b, _primed_stats(6), train=False),
-        lambda x, g, b: reference_batch_norm(x, g, b, _primed_stats(6),
-                                             train=False)),
-}
+# the fused node's cases beside each norm: neuron, time steps, smooth mode
+FOLD_CASES = [(neuron, t, smooth) for neuron in ("lif", "tlsn")
+              for t in (1, 2, 3) for smooth in (False, True)]
+CASE_LIF = LIFParams(tau=2.0, v_th=0.4, v_reset=-0.1)
 
 
 class TestNormNode:
-    """``layer_norm`` and ``batch_norm`` (train and eval) are one tape node
-    over ``(x, gamma, beta)``, bit for bit equal to the composed graphs."""
+    """A norm and the fold it feeds are one tape node over
+    ``(x, threshold, gamma, beta)``, bit for bit equal to the norm's
+    composed graph followed by a fold node: spikes, the gradients of every
+    parent, and the running stats, for a LIF and a TLSN neuron, T = 1, 2
+    and 3, hard and smooth spikes."""
 
     @staticmethod
-    def inputs():
-        rng = np.random.default_rng(41)
-        x = rng.standard_normal((2, 3, 5, 6)).astype(np.float32) * 2.0 + 0.5
+    def inputs(t=2):
+        rng = np.random.default_rng(41 + t)
+        x = rng.standard_normal((t, 3, 5, 6)).astype(np.float32) * 2.0 + 0.5
         gamma = rng.uniform(-1.5, 1.5, 6).astype(np.float32)
         gamma[2] = 0.0
         beta = rng.standard_normal(6).astype(np.float32)
@@ -626,44 +669,76 @@ class TestNormNode:
         g.reshape(-1)[::7] = -0.0
         return x, gamma, beta, g
 
+    @staticmethod
+    def run(fold, name, neuron, x, gamma, beta, smooth):
+        """``fold`` (the node, or its composed stand-in) over ``x`` with the
+        norm ``name`` and ``neuron``'s threshold: (spikes, threshold leaf,
+        norm block)."""
+        norm, train = _norm(name, Tensor.param(gamma), Tensor.param(beta))
+        tlsn = TLSNParams.create(CASE_LIF)
+        th = tlsn.effective_threshold() if neuron == "tlsn" else CASE_LIF.v_th
+        with smooth_spike_mode() if smooth else contextlib.nullcontext():
+            spikes = fold(x, CASE_LIF, th, norm, train)
+        return spikes, tlsn.v_th_raw, norm
+
     @pytest.mark.parametrize("x_grad", [True, False], ids=["x", "no_x"])
     @pytest.mark.parametrize("name", sorted(NORMS))
     def test_bit_identical_to_composed_graph(self, name, x_grad):
-        x0, gamma0, beta0, g = self.inputs()
-        runs = []
-        for fn in NORMS[name]:
-            x = Tensor(x0.copy(), requires_grad=x_grad)
-            gamma, beta = Tensor.param(gamma0), Tensor.param(beta0)
-            out = fn(x, gamma, beta)
-            runs.append(bytes_after_backward(out, g, x, gamma, beta))
-        node, oracle = runs
-        for what, a, b in zip(("out", "x", "gamma", "beta"), node, oracle):
-            assert a == b, what
+        for neuron, t, smooth in FOLD_CASES:
+            x0, gamma0, beta0, g = self.inputs(t)
+            runs = []
+            for fold in (_fold, composed_fold(_fold)):
+                x = Tensor(x0.copy(), requires_grad=x_grad)
+                spikes, raw, norm = self.run(fold, name, neuron, x, gamma0,
+                                             beta0, smooth)
+                runs.append(bytes_after_backward(
+                    spikes, g, x, norm.gamma, norm.beta, raw))
+            node, oracle = runs
+            rate = np.frombuffer(node[0], dtype=np.float32).mean()
+            assert 0 < rate < 1, (neuron, t, smooth)
+            for what, a, b in zip(("spikes", "x", "gamma", "beta", "th"),
+                                  node, oracle):
+                assert a == b, (what, neuron, t, smooth)
 
     def test_running_stats_match_composed_graph(self):
-        x0, gamma0, beta0, _ = self.inputs()
-        stats = [RunningStats(), RunningStats()]
-        for _ in range(2):
-            batch_norm(Tensor(x0), Tensor(gamma0), Tensor(beta0), stats[0],
-                       train=True)
-            reference_batch_norm(Tensor(x0), Tensor(gamma0), Tensor(beta0),
-                                 stats[1], train=True)
-            x0 = x0 * np.float32(1.5) - np.float32(0.25)
-        assert stats[0].mean.tobytes() == stats[1].mean.tobytes()
-        assert stats[0].var.tobytes() == stats[1].var.tobytes()
+        for t in (1, 2, 3):
+            x0, gamma0, beta0, _ = self.inputs(t)
+            stats = []
+            for fold in (_fold, composed_fold(_fold)):
+                norm, _ = _norm("batch_norm_train", Tensor(gamma0),
+                                Tensor(beta0))
+                x = x0
+                for _ in range(2):
+                    fold(Tensor(x), CASE_LIF, CASE_LIF.v_th, norm, True)
+                    x = x * np.float32(1.5) - np.float32(0.25)
+                stats.append((norm.stats.mean.tobytes(),
+                              norm.stats.var.tobytes()))
+            assert stats[0] == stats[1], t
 
     @pytest.mark.parametrize("name", sorted(NORMS))
     def test_backward_ignores_the_sign_of_zero(self, name):
-        # a zero row and a zero channel give x, gamma and beta exact zeros
-        x, gamma, beta, g = self.inputs()
-        g[0, 0, 0] = g[..., 3] = 0.0
-        assert_zero_sign_inert(NORMS[name][0], [x, gamma, beta], g)
+        # a zero row and a zero channel at every step give x, gamma and
+        # beta exact zeros
+        for t, smooth in ((1, False), (1, True), (3, False), (3, True)):
+            x, gamma, beta, g = self.inputs(t)
+            g[:, 0, 0] = g[..., 3] = 0.0
+
+            def build(x, th, gamma, beta):
+                norm, train = _norm(name, gamma, beta)
+                with smooth_spike_mode() if smooth else \
+                        contextlib.nullcontext():
+                    return _fold(x, CASE_LIF, th, norm, train)
+
+            assert_zero_sign_inert(
+                build, [x, np.float32(CASE_LIF.v_th), gamma, beta], g)
 
     @pytest.mark.parametrize("name", sorted(NORMS))
     def test_one_node_over_input_and_affine(self, name):
         x0, gamma0, beta0, _ = self.inputs()
-        x, gamma, beta = (Tensor.param(a) for a in (x0, gamma0, beta0))
-        assert NORMS[name][0](x, gamma, beta)._parents == (x, gamma, beta)
+        x, th = Tensor.param(x0), Tensor.param(np.float32(CASE_LIF.v_th))
+        norm, train = _norm(name, Tensor.param(gamma0), Tensor.param(beta0))
+        out = _fold(x, CASE_LIF, th, norm, train)
+        assert out._parents == (x, th, norm.gamma, norm.beta)
 
 
 class TestSpikeThreshold:
@@ -724,24 +799,27 @@ class TestSoftplus:
 
 
 def test_composed_graph_matches_finite_differences():
-    """Reverse-mode on a mixed op chain vs central FD at float32 tolerances."""
+    """Reverse-mode on a mixed op chain, a norm→fold node among them, vs
+    central FD at float32 tolerances (smooth spikes: an exact backward)."""
     rng = np.random.default_rng(9090)
     x = Tensor.param(rng.standard_normal((3, 4)).astype(np.float32))
     w = Tensor.param(rng.standard_normal((4, 4)).astype(np.float32))
-    gamma = Tensor.param(np.ones(4, dtype=np.float32))
-    beta = Tensor.param(np.zeros(4, dtype=np.float32))
+    ln, _ = _norm("layer_norm", Tensor.param(np.ones(4, dtype=np.float32)),
+                  Tensor.param(np.zeros(4, dtype=np.float32)))
+    lif = LIFParams(tau=1.5, v_th=0.5)
 
     def forward():
-        y = layer_norm(matmul(x, w), gamma, beta)
+        y = lif_sequence(matmul(x, w), lif, ln, train=True)
         z = logsumexp(y * np.float32(2.0), axis=-1)
         return mean(z * z)
 
     def loss():
         return float(forward().data)
 
-    forward().backward()
-    for p in (x, w, gamma, beta):
-        fd = central_difference(loss, p, eps=1e-2)
+    with smooth_spike_mode():
+        forward().backward()
+    for p in (x, w, ln.gamma, ln.beta):
+        fd = smooth_central_difference(loss, p, eps=1e-2)
         an = p.grad.reshape(-1)
         err = np.abs(an - fd)
         tol = np.maximum(1e-3, 1e-2 * np.abs(fd))
