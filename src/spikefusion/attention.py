@@ -43,9 +43,9 @@ class SpikeSelfAttention(Module):
         record_matmul("q_proj", x_s, self.w_q.w, t, "spiking")
         record_matmul("k_proj", x_s, self.w_k.w, t, "spiking")
         record_matmul("v_proj", x_s, self.w_v.w, t, "spiking")
-        q = self.lif(self.w_q(x_s), norm=self.bn_q, train=train)
-        k = self.lif(self.w_k(x_s), norm=self.bn_k, train=train)
-        v = self.lif(self.w_v(x_s), norm=self.bn_v, train=train)
+        q = self.lif(x_s, linear=self.w_q, norm=self.bn_q, train=train)
+        k = self.lif(x_s, linear=self.w_k, norm=self.bn_k, train=train)
+        v = self.lif(x_s, linear=self.w_v, norm=self.bn_v, train=train)
         k_t = k.swapaxes(-1, -2)
         record_matmul("attn_scores", q, k_t, t, "spiking")
         scores = matmul(q, k_t)
@@ -53,7 +53,7 @@ class SpikeSelfAttention(Module):
         mixed = matmul(scores, v) * np.float32(self.scale)
         attn = self.lif(mixed, norm=self.bn_attn, train=train)
         record_matmul("attn_out", attn, self.w_a.w, t, "spiking")
-        return self.lif(self.w_a(attn), norm=self.bn_out, train=train)
+        return self.lif(attn, linear=self.w_a, norm=self.bn_out, train=train)
 
 
 class SpikeGatedMLP(Module):
@@ -75,12 +75,12 @@ class SpikeGatedMLP(Module):
         t = x_s.shape[0]
         record_matmul("gate_linear", x_s, self.w_g.w, t, "spiking")
         record_matmul("value_linear", x_s, self.w_p.w, t, "spiking")
-        gate = self.lif(self.w_g(x_s))
+        gate = self.lif(x_s, linear=self.w_g)
         value = self.w_p(x_s)
         gated = gate * value
         record_mask("gate_multiply")
         record_matmul("mlp_out", gated, self.w_o.w, t, "spiking")
-        return self.lif(self.w_o(gated))
+        return self.lif(gated, linear=self.w_o)
 
 
 class TemporalPool(Module):

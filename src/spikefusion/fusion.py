@@ -105,7 +105,7 @@ class _ProjectSpike(Module):
         self.lif = lif
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.lif(self.linear(x), norm=self.bn, train=True)
+        return self.lif(x, linear=self.linear, norm=self.bn, train=True)
 
 
 class SpikeCrossAttention(Module):
@@ -122,7 +122,7 @@ class SpikeCrossAttention(Module):
 
     def __call__(self, x_q: Tensor, x_kv: Tensor) -> Tensor:
         attn = qkv_attention(self.q(x_q), self.k(x_kv), self.v(x_kv))
-        return self.lif(self.out(attn), norm=self.bn_out, train=True)
+        return self.lif(attn, linear=self.out, norm=self.bn_out, train=True)
 
 
 class SpikeFusion(Module):

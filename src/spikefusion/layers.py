@@ -111,7 +111,7 @@ class Linear(Module):
 # one node.  Its output, the fold's drive, is ``(x - mu) / sd * gamma +
 # beta`` with ``mu = sum(x) / n`` and ``sd = sqrt(sum(xc * xc) / n + eps)``
 # over the normalised axes (``xc = x - mu``).  The node keeps ``mu`` and
-# ``sd``; its backward recomputes the drive and ``xc`` with the forward's
+# ``sd``; its backward recomputes ``xc`` and the drive with the forward's
 # own expressions, and ``_Norm.backward`` replays the graph of generic ops
 # (``tests/helpers.py``) in its order and rounding, not the closed form:
 #
@@ -166,23 +166,23 @@ class _Norm(Module):
         self.gamma = Tensor.param(np.ones(d, dtype=np.float32))
         self.beta = Tensor.param(np.zeros(d, dtype=np.float32))
 
-    def drive(self, x: np.ndarray, mu: np.ndarray,
-              sd: np.ndarray) -> np.ndarray:
-        """The norm's output ``(x - mu) / sd * gamma + beta``, one buffer."""
-        out = x - mu
-        out /= sd
+    def drive(self, xc: np.ndarray, sd: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+        """The norm's output ``xc / sd * gamma + beta`` over the centred input
+        ``xc = x - mu``, in one buffer: ``out``, which may be ``xc``."""
+        out = np.divide(xc, sd, out=out)
         out *= self.gamma.data
         out += self.beta.data
         return out
 
-    def backward(self, g: np.ndarray, x: Tensor, mu: np.ndarray,
+    def backward(self, g: np.ndarray, x: Tensor, xc: np.ndarray,
                  sd: np.ndarray, inv_n: np.float32 | None):
         """Hand ``x``, ``gamma`` and ``beta`` their gradients, given ``g``,
-        that of :meth:`drive`'s output, which becomes ``g_x`` in place."""
+        that of :meth:`drive`'s output over ``xc``.  ``g`` becomes ``g_x``
+        in place, and ``xc`` becomes scratch."""
         gamma, beta = self.gamma, self.beta
         if beta.requires_grad:
             beta._accumulate(_unbroadcast(g, beta.data.shape))
-        xc = x.data - mu
         if gamma.requires_grad:
             gamma._accumulate(_unbroadcast(g * (xc / sd), gamma.data.shape))
         if not x.requires_grad:
@@ -197,7 +197,7 @@ class _Norm(Module):
             g_xc += g_sq
         x._accumulate(g_xc)
         if inv_n is not None:
-            g_mu = _unbroadcast(-g_xc, mu.shape)
+            g_mu = _unbroadcast(-g_xc, sd.shape)
             x._accumulate(np.broadcast_to(g_mu * inv_n, x.data.shape))
 
 

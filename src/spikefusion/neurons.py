@@ -9,21 +9,26 @@ Membrane update per step, from ``v = v_reset``:
 The fold writes each step's membrane into one buffer in place, and does
 not compute the last step's reset, which feeds nothing.  The hard spike is
 the comparison ``h[t] >= v_th`` itself; the surrogate's ``h[t] - v_th`` is
-formed only where a smooth spike or a gradient needs it.  Every norm is
-the input stage of a fold (``norm=``), so no norm output is on the tape.
-The node keeps only its spikes and the norm's ``mu`` and ``sd``: its
-backward recomputes the norm's output from the input and replays the
-membrane from that and the spikes, so a tracked fold holds one input-sized
-array.
+formed only where a smooth spike or a gradient needs it.  A fold takes up
+to two input stages, in this order: a bias-free ``Linear`` (``linear=``),
+whose product ``x @ w`` the next stage takes, and a norm (``norm=``), whose
+output is the drive.  Every weight matmul and every norm that feeds a fold
+is such a stage, so neither output is on the tape.  The node keeps only its
+spikes and the norm's ``mu`` and ``sd``: its backward recomputes the
+product from the input, which the tape holds anyway as the node's parent,
+with the forward's own gemm, then the drive, and replays the membrane from
+that and the spikes, so a tracked fold holds one input-sized array.
 
-The T-step fold is one tape node over the input, the threshold and a norm's
-``gamma`` and ``beta``.  Its backward walks time in reverse, the arctangent
-surrogate slope standing in for the step's derivative and the reset
-detached:
+The T-step fold is one tape node over the input, a weight stage's ``w``,
+the threshold and a norm's ``gamma`` and ``beta``.  Its backward walks time
+in reverse, the arctangent surrogate slope standing in for the step's
+derivative and the reset detached:
 
     g_u = g_s[t] * slope(h[t] - v_th),   g_h = g_u + g_v * (1 - s[t]),
     g_x[t] = g_h / tau,                  g_v = g_h - g_h / tau.
 
+``g_x`` is the drive's gradient; the norm's backward and then the
+product's take it on to the node's parents, as their own nodes would.
 The threshold gets ``-sum(g_u)`` of each step, added in forward time order
 as the same graph of generic tensor ops adds them (the reverse order rounds
 differently from T = 3 on).  In smooth-spike mode the spike is the surrogate
@@ -40,10 +45,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, UsageError
-from .layers import Module, _Norm
+from .layers import Linear, Module, _Norm
 from .tensor import (
     Tensor,
     _make,
+    _product,
+    _product_backward,
     _unbroadcast,
     as_tensor,
     smooth_spikes_active,
@@ -81,9 +88,10 @@ class LIFParams:
                 f"LIF threshold {self.v_th} minus reset {self.v_reset} does not "
                 f"fit float32")
 
-    def __call__(self, x: Tensor, norm=None, train=False) -> Tensor:
+    def __call__(self, x: Tensor, norm=None, train=False,
+                 linear=None) -> Tensor:
         """The neuron: spikes of the LIF fold over ``x`` (see :func:`_fold`)."""
-        return lif_sequence(x, self, norm, train)
+        return lif_sequence(x, self, norm, train, linear)
 
 
 def surrogate_derivative(x: np.ndarray, alpha: float) -> np.ndarray:
@@ -122,31 +130,51 @@ def _membrane(x: np.ndarray, tau, v_reset, spikes):
 
 
 def _fold(x: Tensor, lif: LIFParams, v_th, norm: _Norm | None = None,
-          train: bool = False) -> Tensor:
+          train: bool = False, linear: Linear | None = None) -> Tensor:
     """Spikes of ``lif``'s membrane update folded over the leading time axis
-    of ``x``, or of ``norm``'s output over ``x`` (in ``train`` mode), firing
-    at ``v_th``.
+    of its drive, firing at ``v_th``.  The drive is ``x``, or ``x @ w`` for
+    ``linear``'s weight ``w``, or ``norm``'s output (in ``train`` mode) over
+    either.
 
-    One tape node over ``(x, threshold)`` and the norm's ``(gamma, beta)``.
-    ``v_th`` is a float or a (learnable) scalar tensor, finite: then
-    ``h >= v_th`` fires exactly where ``h - v_th >= 0`` (with gradual
+    One tape node over ``(x, w, threshold)`` and the norm's ``(gamma,
+    beta)``.  ``v_th`` is a float or a (learnable) scalar tensor, finite:
+    then ``h >= v_th`` fires exactly where ``h - v_th >= 0`` (with gradual
     underflow two distinct float32 values never differ by zero, and an
     overflow keeps its sign), so the hard spike needs no ``u``.  State starts
     at the reset potential and is private to this call.  The backward
-    recomputes the drive and replays ``_membrane`` from it and the spikes,
-    which gives each step's ``h`` with the forward's own bits.
+    recomputes the product and the drive and replays ``_membrane`` from
+    them and the spikes, which gives each step's ``h`` with the forward's
+    own bits.
     """
     x, th = as_tensor(x), as_tensor(v_th)
     if x.ndim < 1 or x.shape[0] == 0:
         raise UsageError("neuron fold: empty time axis")
     smooth = smooth_spikes_active()
     tau, v_reset = np.float32(lif.tau), np.float32(lif.v_reset)
-    parents, drive = (x, th), x.data
+    parents = (x,)
+    if linear is not None:
+        if linear.b is not None:
+            raise UsageError("neuron fold: a Linear stage takes no bias")
+        w = linear.w
+        parents += (w,)
+    parents += (th,)
     if norm is not None:
         parents += (norm.gamma, norm.beta)
-        mu, sd, inv_n = norm.moments(x.data, train)
-        drive = norm.drive(x.data, mu, sd)
-    spikes = np.empty(x.shape, dtype=np.float32)
+
+    def stage_input():
+        """What the norm stage takes: ``x``, or a fresh ``x @ w``."""
+        return x.data if linear is None else _product(x.data, w.data)
+
+    def centred(pre):
+        """``pre - mu``, in place over a fresh product."""
+        return np.subtract(pre, mu, out=None if linear is None else pre)
+
+    drive = stage_input()
+    if norm is not None:
+        mu, sd, inv_n = norm.moments(drive, train)
+        drive = centred(drive)
+        norm.drive(drive, sd, out=drive)
+    spikes = np.empty(drive.shape, dtype=np.float32)
     for t, h in enumerate(_membrane(drive, tau, v_reset, spikes)):
         if smooth:
             spikes[t] = surrogate_primitive(h - th.data, lif.surrogate_alpha)
@@ -154,7 +182,13 @@ def _fold(x: Tensor, lif: LIFParams, v_th, norm: _Norm | None = None,
             np.greater_equal(h, th.data, out=spikes[t])
 
     def bw(g):
-        drive = x.data if norm is None else norm.drive(x.data, mu, sd)
+        pre = drive = stage_input()
+        if norm is not None:
+            # centring a fresh product in place leaves ``pre`` holding ``xc``
+            # for the norm's backward; x's centred copy becomes the drive
+            drive = centred(pre)
+            drive = norm.drive(drive, sd,
+                               out=drive if linear is None else None)
         hs = [h.copy() for h in _membrane(drive, tau, v_reset, spikes)]
         del drive
         g_x = np.empty_like(spikes)
@@ -172,20 +206,28 @@ def _fold(x: Tensor, lif: LIFParams, v_th, norm: _Norm | None = None,
             if th.requires_grad:
                 g_th.append(_unbroadcast(-g_u, th.shape))
         del hs
+        # the product's gradient store: a local tensor stands in for the
+        # product's node
+        y = x if linear is None else Tensor(
+            pre, requires_grad=x.requires_grad or w.requires_grad)
         if norm is not None:
-            norm.backward(g_x, x, mu, sd, inv_n)
-        elif x.requires_grad:
-            x._accumulate(g_x)
+            xc = pre if linear is not None else centred(pre)
+            norm.backward(g_x, y, xc, sd, inv_n)
+        elif y.requires_grad:
+            y._accumulate(g_x)
+        del g_x
         for g_t in reversed(g_th):  # forward time order
             th._accumulate(g_t)
+        if y is not x and y.grad is not None:
+            _product_backward(y.grad, x, w)
 
     return _make(spikes, parents, bw)
 
 
 def lif_sequence(x: Tensor, params: LIFParams, norm: _Norm | None = None,
-                 train: bool = False) -> Tensor:
+                 train: bool = False, linear: Linear | None = None) -> Tensor:
     """Fold the LIF membrane update over the leading time axis of ``x``."""
-    return _fold(x, params, params.v_th, norm, train)
+    return _fold(x, params, params.v_th, norm, train, linear)
 
 
 @dataclass
@@ -210,12 +252,14 @@ class TLSNParams(Module):
     def effective_threshold(self) -> Tensor:
         return softplus(self.v_th_raw) + np.float32(self.lif.v_reset + THRESHOLD_FLOOR)
 
-    def __call__(self, x: Tensor, norm=None, train=False) -> Tensor:
-        return tlsn_forward(x, self, norm, train)
+    def __call__(self, x: Tensor, norm=None, train=False,
+                 linear=None) -> Tensor:
+        return tlsn_forward(x, self, norm, train, linear)
 
 
 def tlsn_forward(x: Tensor, params: TLSNParams, norm: _Norm | None = None,
-                 train: bool = False) -> Tensor:
+                 train: bool = False, linear: Linear | None = None) -> Tensor:
     """LIF fold with a learnable threshold; gradient reaches the threshold."""
-    return _fold(x, params.lif, params.effective_threshold(), norm, train)
+    return _fold(x, params.lif, params.effective_threshold(), norm, train,
+                 linear)
 

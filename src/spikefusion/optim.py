@@ -46,4 +46,4 @@ class AdamW:
             update = m_hat / (np.sqrt(v_hat) + EPS)
             if self.weight_decay:
                 update = update + self.weight_decay * p.data
-            p.data = (p.data - lr * update).astype(np.float32)
+            p.data -= lr * update

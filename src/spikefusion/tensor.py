@@ -20,11 +20,13 @@ there from its input and spikes.  The one exception is the
 pooled similarity (:mod:`spikefusion.alignment`): its forward saves
 routing indices from each block of the fine tensor while that block is
 alive, and asks ``_joins_tape`` first, so an untracked call saves none.
-The broadcast binary ops (``+ - * /`` and ``matmul``) are each
-``_binary`` given a numpy op and one gradient rule per operand.
+The broadcast binary ops ``+ - * /`` are each ``_binary`` given a numpy op
+and one gradient rule per operand.  ``matmul`` is ``_product`` and
+``_product_backward``, which the neuron fold's weight stage runs too.
 
 The other modules build fused ops the same way (the neuron fold with its
-norm stage, l2 normalisation, the pooled similarity, the contrastive loss).
+weight and norm stages, l2 normalisation, the pooled similarity, the
+contrastive loss).
 Each is one node whose hand-written backward replays the arithmetic of the
 graph of generic ops it replaced, in that graph's order, so its gradients
 are the same bits; those graphs are the test oracles.  Such a backward
@@ -316,37 +318,48 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 
 
 # -- linear algebra ------------------------------------------------------------
+#
+# The weight-matmul arithmetic has one home, shared by ``matmul`` and the
+# weight stage of the neuron fold (``neurons._fold``).
+
+
+def _product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` of >= 2-D operands."""
+    if x.ndim < 2 or w.ndim < 2:
+        raise UsageError(
+            f"matmul requires >=2-D operands, got shapes {x.shape} and "
+            f"{w.shape}")
+    if x.shape[-1] != w.shape[-2]:
+        raise UsageError(
+            f"matmul: inner axes differ for shapes {x.shape} and {w.shape}")
+    if w.ndim == 2 and x.ndim > 2:
+        # weight-matrix case: one gemm over the stacked rows (numpy would
+        # call gemm once per leading index), the same bits
+        rows = x.reshape(-1, x.shape[-1]) @ w
+        return rows.reshape(x.shape[:-1] + w.shape[-1:])
+    return x @ w
+
+
+def _product_backward(g: np.ndarray, x: Tensor, w: Tensor):
+    """Hand ``x`` and then ``w`` their gradients of ``x @ w``, given ``g``."""
+    if x.requires_grad:
+        # the input gradient stays batched: one gemm would change its bits
+        x._accumulate(_unbroadcast(g @ w.data.swapaxes(-1, -2), x.shape))
+    if w.requires_grad:
+        if w.ndim == 2 and g.ndim > 2:
+            # weight-matrix case: contract the batch in one gemm
+            g_w = (x.data.reshape(-1, x.shape[-1]).T
+                   @ g.reshape(-1, g.shape[-1]))
+        else:
+            g_w = x.data.swapaxes(-1, -2) @ g
+        w._accumulate(_unbroadcast(g_w, w.shape))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product, batched over broadcast leading axes."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise UsageError(
-            f"matmul requires >=2-D operands, got shapes {a.shape} and {b.shape}"
-        )
-    if a.shape[-1] != b.shape[-2]:
-        raise UsageError(
-            f"matmul: inner axes differ for shapes {a.shape} and {b.shape}"
-        )
-
-    def forward(x, w):
-        if w.ndim == 2 and x.ndim > 2:
-            # weight-matrix case: one gemm over the stacked rows (numpy
-            # would call gemm once per leading index), the same bits
-            rows = x.reshape(-1, x.shape[-1]) @ w
-            return rows.reshape(x.shape[:-1] + w.shape[-1:])
-        return x @ w
-
-    def grad_b(g, x, w):
-        if w.ndim == 2 and g.ndim > 2:
-            # weight-matrix case: contract the batch in one gemm
-            return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        return x.swapaxes(-1, -2) @ g
-
-    # the input gradient stays batched: one gemm would change its bits
-    return _binary(a, b, forward, lambda g, x, w: g @ w.swapaxes(-1, -2),
-                   grad_b)
+    return _make(_product(a.data, b.data), (a, b),
+                 lambda g: _product_backward(g, a, b))
 
 
 def stack(tensors, axis: int = 0) -> Tensor:

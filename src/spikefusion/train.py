@@ -149,9 +149,9 @@ def train(config: RunConfig, dataset: Dataset, out_dir: str | None = None,
                 raise FloatingPointError(
                     f"non-finite loss at step {step} ({breakdown})"
                 )
-            optimizer.zero_grad()
             total.backward()
             optimizer.step(lr_scale=scale)
+            optimizer.zero_grad()  # no gradient lives through a forward
             step += 1
             n_steps += 1
             line = " ".join(f"{k}={float(parts[k].data):.6f}"

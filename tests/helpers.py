@@ -179,6 +179,53 @@ def interior_nodes(out):
     return len(seen)
 
 
+def tape_bytes(loss):
+    """Bytes held by the tape behind ``loss``, each buffer counted once
+    (a view counts as its base): every interior node's value and the arrays
+    its backward closure keeps, and the value of every leaf that is not a
+    parameter (the inputs and constants).  Parameters belong to the model,
+    not the tape."""
+    buffers, seen_fns = {}, set()
+
+    def add(a):
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        buffers[id(a)] = a
+
+    def add_tensor(t):
+        if t._parents or not t.requires_grad:
+            add(t.data)
+
+    def scan(value):
+        if isinstance(value, np.ndarray):
+            add(value)
+        elif isinstance(value, Tensor):
+            add_tensor(value)
+        elif isinstance(value, (list, tuple)):
+            for v in value:
+                scan(v)
+        elif callable(value) and getattr(value, "__closure__", None):
+            if id(value) not in seen_fns:
+                seen_fns.add(id(value))
+                for cell in value.__closure__:
+                    try:
+                        scan(cell.cell_contents)
+                    except ValueError:  # a cell not yet bound
+                        pass
+
+    seen, todo = set(), [loss]
+    while todo:
+        node = todo.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        add_tensor(node)
+        if node._parents:
+            scan(node._backward)
+            todo.extend(node._parents)
+    return sum(a.nbytes for a in buffers.values())
+
+
 def traced(fn):
     """``fn()`` under tracemalloc, which sees numpy's buffers: returns its
     result, the bytes it allocated and still holds once it has returned,
@@ -358,9 +405,12 @@ def reference_norm(x, norm, train):
 
 
 def composed_fold(fold):
-    """A stand-in for ``neurons._fold`` (given as ``fold``) that runs a norm
-    stage as its own composed graph, then the fold node on its output."""
-    def run(x, lif, v_th, norm=None, train=False):
+    """A stand-in for ``neurons._fold`` (given as ``fold``) that runs a
+    weight stage as a generic ``matmul`` node and a norm stage as its own
+    composed graph, then the fold node on their output."""
+    def run(x, lif, v_th, norm=None, train=False, linear=None):
+        if linear is not None:
+            x = matmul(x, linear.w)
         if norm is not None:
             x = reference_norm(x, norm, train)
         return fold(x, lif, v_th)

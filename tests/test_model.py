@@ -15,7 +15,7 @@ from spikefusion.errors import UsageError
 from spikefusion.fusion import FUSION_KINDS
 from spikefusion.losses import infonce_pair
 from spikefusion.model import EVAL_BLOCK, RetrievalModel
-from spikefusion.tensor import Tensor, no_grad, smooth_spike_mode
+from spikefusion.tensor import Tensor, matmul, no_grad, smooth_spike_mode
 from spikefusion.train import evaluate_recall
 
 from helpers import (
@@ -25,6 +25,7 @@ from helpers import (
     reference_l2_normalize,
     reference_similarity,
     smooth_fd_audit,
+    tape_bytes,
     traced,
 )
 
@@ -35,6 +36,11 @@ def toy_model(fusion="scca", seed=8, **kw):
     base.update(kw)
     return RetrievalModel(RunConfig(**base), region_width=6, word_width=5,
                           n_regions=3, n_words=3)
+
+
+# the weights whose products feed a fold, as its weight stage
+FOLD_WEIGHTS = ("/w_q/w", "/w_k/w", "/w_v/w", "/w_a/w", "/w_g/w", "/w_o/w",
+                "/linear/w", "/out/w")
 
 
 def buffer_names(model):
@@ -242,15 +248,17 @@ class TestOneNodeGlue:
     @pytest.mark.parametrize("generator", GENERATOR_VARIANTS)
     @pytest.mark.parametrize("fusion", FUSION_KINDS + ("none",))
     def test_no_norm_output_is_an_interior_node(self, fusion, generator):
-        # every norm's gamma and beta are parents of one fold node alone, so
-        # no norm output is on the tape: a norm applied by itself again
-        # (``self.lif(self.bn(x))``) fails here
+        # every norm's gamma and beta, and every weight that feeds a fold,
+        # are parents of one fold node alone, so neither a norm output nor
+        # such a product is on the tape: a norm or a Linear applied by
+        # itself again (``self.lif(self.bn(x))``, ``self.lif(self.w_q(x))``)
+        # fails here
         regions, words = toy_batch()
         model = toy_model(fusion=fusion, generator=generator, lam=0.5)
         total, _ = model.training_losses(regions, words)
-        norm_params = {id(p): name for name, p in model.params().items()
-                       if name.endswith(("/gamma", "/beta"))}
-        consumers = {name: [] for name in norm_params.values()}
+        staged = {id(p): name for name, p in model.params().items()
+                  if name.endswith(("/gamma", "/beta") + FOLD_WEIGHTS)}
+        consumers = {name: [] for name in staged.values()}
         seen, todo = set(), [total]
         while todo:
             node = todo.pop()
@@ -258,22 +266,46 @@ class TestOneNodeGlue:
                 continue
             seen.add(id(node))
             for p in node._parents:
-                if id(p) in norm_params:
-                    consumers[norm_params[id(p)]].append(
+                if id(p) in staged:
+                    consumers[staged[id(p)]].append(
                         node._backward.__qualname__)
             todo.extend(node._parents)
+        # six per encoder, and four per cross-attention block
+        weights = [n for n in consumers if n.endswith(FOLD_WEIGHTS)]
+        assert len(weights) == {"sca": 20, "scsa": 16}.get(fusion, 12)
         assert consumers and all(
             kinds == ["_fold.<locals>.bw"] for kinds in consumers.values()), \
             consumers
 
     def test_interior_node_count_is_pinned(self):
-        # one node per norm→fold site, l2 normalisation, similarity and
-        # contrastive loss: 128 interior nodes (the 12 norms of this model
-        # have no node of their own), 428 with their composed graphs.  A
-        # change that composes one of them again changes this count.
+        # one node per weight→norm→fold site, l2 normalisation, similarity
+        # and contrastive loss: 116 interior nodes (the 12 norms and the 12
+        # fold-feeding weight products of this model have no node of their
+        # own), 428 with their composed graphs.  A change that composes one
+        # of them again changes this count.
         regions, words = toy_batch()
         total, _ = toy_model().training_losses(regions, words)
-        assert interior_nodes(total) == 128
+        assert interior_nodes(total) == 116
+
+
+class TestTapeBytes:
+    """The bytes the tape behind a loss holds (``helpers.tape_bytes``), the
+    yardstick of a training step's memory."""
+
+    def test_counts_each_buffer_once(self):
+        x = Tensor(np.ones((4, 8), dtype=np.float32))
+        w = Tensor.param(np.ones((8, 2), dtype=np.float32))
+        y = matmul(x.reshape((2, 2, 8)), w)
+        # x (its reshape a view of it), y, y * y and the sum; w is a
+        # parameter, which the model holds
+        assert tape_bytes((y * y).sum()) == 128 + 32 + 32 + 4
+
+    def test_toy_step_tape_is_bounded(self):
+        # an sca step keeps 27128 bytes after its forward, 76136 with the
+        # composed graphs of its folds' weight and norm stages
+        regions, words = toy_batch()
+        total, _ = toy_model(fusion="sca").training_losses(regions, words)
+        assert tape_bytes(total) <= 27128
 
 
 class TestEvalPath:

@@ -15,10 +15,11 @@ import pytest
 from spikefusion import energy
 from spikefusion import tensor as tensor_module
 from spikefusion.alignment import PoolConfig, l2_normalize, similarity
+from spikefusion.attention import SpikeGatedMLP, SpikeSelfAttention
 from spikefusion.encoding import GeneratorConfig, SpikeGenerator
 from spikefusion.errors import StateError, UsageError
 from spikefusion.fusion import _ProjectSpike
-from spikefusion.layers import BatchNorm, LayerNorm, RunningStats
+from spikefusion.layers import BatchNorm, LayerNorm, Linear, RunningStats
 from spikefusion.losses import infonce_pair
 from spikefusion.neurons import (
     LIFParams,
@@ -109,7 +110,7 @@ def normalized(norm, x, train=True):
     """The drive a fold with ``norm`` as its input stage feeds its neuron
     over the array ``x``, by the fold's own forward arithmetic."""
     mu, sd, _ = norm.moments(x, train)
-    return norm.drive(x, mu, sd)
+    return norm.drive(x - mu, sd)
 
 
 # the ops without a gradient test of their own, each applied to X_DATA
@@ -266,21 +267,36 @@ class TestForwardMemory:
         # the moments' centred scratch is gone before the drive is made
         assert self.norm_stage_units("layer_norm") < 1.25
 
-    @pytest.mark.parametrize("site", ["project-bn", "repeat-ln", "repeat-bn"])
+    @pytest.mark.parametrize("site", ["project-bn", "ssa-q", "mlp-gate",
+                                      "repeat-ln", "repeat-bn"])
     def test_tracked_norm_site_keeps_one_array_per_node(self, site):
-        # the site's linear or repeat output, and the spikes of its norm→fold
-        # node: two units, where a norm node of its own kept a third
+        # a weight site keeps the spikes of its one fold node, where a
+        # matmul node of its own kept its product as a second unit; a
+        # generator site keeps its repeat output and the spikes of its
+        # norm→fold node, where a norm node of its own kept a third
         rng = np.random.default_rng(0)
+        bound = 1.5
         if site == "project-bn":
             fn = _ProjectSpike(32, LIFParams(), rng)
+        elif site == "ssa-q":
+            ssa = SpikeSelfAttention(32, LIFParams(), rng)
+
+            def fn(x):
+                return ssa.lif(x, linear=ssa.w_q, norm=ssa.bn_q, train=True)
+        elif site == "mlp-gate":
+            mlp = SpikeGatedMLP(32, LIFParams(), rng)
+
+            def fn(x):
+                return mlp.lif(x, linear=mlp.w_g)
         else:
             gen = SpikeGenerator(GeneratorConfig(variant=site, t=2, d=32),
                                  LIFParams(), rng)
+            bound = 2.5
 
             def fn(x):
                 return gen(x[0], train=True)
         held, _ = self.units(fn, requires_grad=True)
-        assert held < 2.5
+        assert held < bound
 
 
 class TestElementwise:
@@ -739,6 +755,149 @@ class TestNormNode:
         norm, train = _norm(name, Tensor.param(gamma0), Tensor.param(beta0))
         out = _fold(x, CASE_LIF, th, norm, train)
         assert out._parents == (x, th, norm.gamma, norm.beta)
+
+
+def _linear(w):
+    """A bias-free ``Linear`` holding the tensor ``w``."""
+    linear = Linear(*w.shape, np.random.default_rng(0), bias=False)
+    linear.w = w
+    return linear
+
+
+class TestLinearStage:
+    """A bias-free ``Linear`` is the fold's first input stage, ahead of the
+    norm: one tape node over ``(x, w, threshold, gamma, beta)``, bit for bit
+    equal to a generic ``matmul`` node, the norm's composed graph and a fold
+    node: spikes and the gradients of every parent, for a LIF and a TLSN
+    neuron, T = 1, 2 and 3, hard and smooth spikes, with each norm or none."""
+
+    @staticmethod
+    def inputs(t=2):
+        rng = np.random.default_rng(61 + t)
+        x = rng.standard_normal((t, 3, 5, 4)).astype(np.float32)
+        x[..., 0] = x[..., 0] > 0  # a spike channel among float ones
+        w = rng.standard_normal((4, 6)).astype(np.float32)
+        gamma = rng.uniform(-1.5, 1.5, 6).astype(np.float32)
+        gamma[2] = 0.0
+        beta = rng.standard_normal(6).astype(np.float32)
+        g = rng.standard_normal((t, 3, 5, 6)).astype(np.float32)
+        g.reshape(-1)[::7] = -0.0
+        return x, w, gamma, beta, g
+
+    @staticmethod
+    def run(fold, name, neuron, x, w, gamma, beta, smooth):
+        """``fold`` (the node, or its composed stand-in) over ``x`` with the
+        weight ``w``, the norm ``name`` (or none) and ``neuron``'s
+        threshold: (spikes, threshold leaf, the leaves of the norm)."""
+        norm, train, affine = None, False, []
+        if name != "none":
+            norm, train = _norm(name, Tensor.param(gamma), Tensor.param(beta))
+            affine = [norm.gamma, norm.beta]
+        tlsn = TLSNParams.create(CASE_LIF)
+        th = tlsn.effective_threshold() if neuron == "tlsn" else CASE_LIF.v_th
+        with smooth_spike_mode() if smooth else contextlib.nullcontext():
+            spikes = fold(x, CASE_LIF, th, norm, train, linear=_linear(w))
+        return spikes, tlsn.v_th_raw, affine
+
+    @pytest.mark.parametrize("x_grad", [True, False], ids=["x", "no_x"])
+    @pytest.mark.parametrize("name", sorted(NORMS) + ["none"])
+    def test_bit_identical_to_composed_graph(self, name, x_grad):
+        for neuron, t, smooth in FOLD_CASES:
+            x0, w0, gamma0, beta0, g = self.inputs(t)
+            runs = []
+            for fold in (_fold, composed_fold(_fold)):
+                x = Tensor(x0.copy(), requires_grad=x_grad)
+                w = Tensor.param(w0.copy())
+                spikes, raw, affine = self.run(fold, name, neuron, x, w,
+                                               gamma0, beta0, smooth)
+                runs.append(bytes_after_backward(spikes, g, x, w, raw,
+                                                 *affine))
+            node, oracle = runs
+            rate = np.frombuffer(node[0], dtype=np.float32).mean()
+            assert 0 < rate < 1, (neuron, t, smooth)
+            assert node[2] is not None and (node[1] is not None) == x_grad
+            for what, a, b in zip(("spikes", "x", "w", "th", "gamma", "beta"),
+                                  node, oracle):
+                assert a == b, (what, neuron, t, smooth)
+
+    @pytest.mark.parametrize("name", sorted(NORMS) + ["none"])
+    def test_backward_ignores_the_sign_of_zero(self, name):
+        # a zero row and a zero channel at every step give x, w, gamma and
+        # beta exact zeros
+        for t, smooth in ((1, False), (1, True), (3, False), (3, True)):
+            x, w, gamma, beta, g = self.inputs(t)
+            g[:, 0, 0] = g[..., 3] = 0.0
+
+            def build(x, w, th, *affine):
+                norm, train = _norm(name, *affine) if affine else (None, False)
+                with smooth_spike_mode() if smooth else \
+                        contextlib.nullcontext():
+                    return _fold(x, CASE_LIF, th, norm, train, _linear(w))
+
+            affine = [] if name == "none" else [gamma, beta]
+            assert_zero_sign_inert(
+                build, [x, w, np.float32(CASE_LIF.v_th), *affine], g)
+
+    def test_smooth_gradients_match_finite_differences(self):
+        # Linear→BatchNorm→fold: the recomputed product, the norm and the
+        # membrane replay form an exact backward of the smooth forward
+        rng = np.random.default_rng(9191)
+        x = Tensor.param(rng.standard_normal((2, 3, 4)).astype(np.float32))
+        w = Tensor.param(rng.standard_normal((4, 5)).astype(np.float32))
+        norm, _ = _norm(
+            "batch_norm_train",
+            Tensor.param(rng.uniform(0.5, 1.5, 5).astype(np.float32)),
+            Tensor.param(rng.standard_normal(5).astype(np.float32) * 0.3))
+        upstream = Tensor(rng.standard_normal((2, 3, 5)).astype(np.float32))
+        lif = LIFParams(tau=1.5, v_th=0.5, v_reset=-0.2)
+
+        def forward():
+            return (lif_sequence(x, lif, norm, True, _linear(w))
+                    * upstream).sum()
+
+        def loss():
+            return float(forward().data)
+
+        with smooth_spike_mode():
+            forward().backward()
+        for p in (x, w, norm.gamma, norm.beta):
+            fd = smooth_central_difference(loss, p, eps=1e-2)
+            err = np.abs(p.grad.reshape(-1) - fd)
+            tol = np.maximum(1e-3, 1e-2 * np.abs(fd))
+            assert (err <= tol).all(), f"max err {err.max()}"
+
+    def test_one_node_over_input_weight_and_affine(self):
+        x0, w0, gamma0, beta0, _ = self.inputs()
+        x, th = Tensor.param(x0), Tensor.param(np.float32(CASE_LIF.v_th))
+        linear = _linear(Tensor.param(w0))
+        norm, train = _norm("batch_norm_train", Tensor.param(gamma0),
+                            Tensor.param(beta0))
+        out = _fold(x, CASE_LIF, th, norm, train, linear)
+        assert out._parents == (x, linear.w, th, norm.gamma, norm.beta)
+
+    def test_untracked_stage_matches_a_matmul_first(self):
+        # the eval path: no node, the product's own bits
+        x0, w0, gamma0, beta0, _ = self.inputs(3)
+        norm, _ = _norm("batch_norm_eval", Tensor(gamma0), Tensor(beta0))
+        with no_grad():
+            fused = lif_sequence(Tensor(x0), CASE_LIF, norm,
+                                 linear=_linear(Tensor.param(w0)))
+            composed = lif_sequence(matmul(Tensor(x0), Tensor(w0)), CASE_LIF,
+                                    norm)
+        assert fused._parents == ()
+        assert fused.data.tobytes() == composed.data.tobytes()
+
+    def test_a_biased_linear_is_rejected(self):
+        x = Tensor(np.zeros((2, 3, 4), dtype=np.float32))
+        with pytest.raises(UsageError, match="takes no bias"):
+            lif_sequence(x, CASE_LIF,
+                         linear=Linear(4, 6, np.random.default_rng(0)))
+
+    def test_inner_axes_must_agree(self):
+        x = Tensor(np.zeros((2, 3, 5), dtype=np.float32))
+        with pytest.raises(UsageError, match="inner axes differ"):
+            lif_sequence(x, CASE_LIF, linear=_linear(
+                Tensor(np.zeros((4, 6), dtype=np.float32))))
 
 
 class TestSpikeThreshold:
