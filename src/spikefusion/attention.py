@@ -38,22 +38,22 @@ class SpikeSelfAttention(Module):
         self.bn_out = BatchNorm(d)
         self.lif = lif
 
-    def __call__(self, x_s: Tensor, train: bool) -> Tensor:
+    def __call__(self, x_s: Tensor) -> Tensor:
         t = x_s.shape[0]
         record_matmul("q_proj", x_s, self.w_q.w, t, "spiking")
         record_matmul("k_proj", x_s, self.w_k.w, t, "spiking")
         record_matmul("v_proj", x_s, self.w_v.w, t, "spiking")
-        q = self.lif(x_s, linear=self.w_q, norm=self.bn_q, train=train)
-        k = self.lif(x_s, linear=self.w_k, norm=self.bn_k, train=train)
-        v = self.lif(x_s, linear=self.w_v, norm=self.bn_v, train=train)
+        q = self.lif(x_s, linear=self.w_q, norm=self.bn_q)
+        k = self.lif(x_s, linear=self.w_k, norm=self.bn_k)
+        v = self.lif(x_s, linear=self.w_v, norm=self.bn_v)
         k_t = k.swapaxes(-1, -2)
         record_matmul("attn_scores", q, k_t, t, "spiking")
         scores = matmul(q, k_t)
         record_matmul("attn_apply", scores, v, t, "spiking")
         mixed = matmul(scores, v) * np.float32(self.scale)
-        attn = self.lif(mixed, norm=self.bn_attn, train=train)
+        attn = self.lif(mixed, norm=self.bn_attn)
         record_matmul("attn_out", attn, self.w_a.w, t, "spiking")
-        return self.lif(attn, linear=self.w_a, norm=self.bn_out, train=train)
+        return self.lif(attn, linear=self.w_a, norm=self.bn_out)
 
 
 class SpikeGatedMLP(Module):
@@ -126,11 +126,11 @@ class UnimodalEncoder(Module):
         self.mlp = SpikeGatedMLP(cfg.d, lif, rng)
         self.pool = TemporalPool(cfg.t)
 
-    def __call__(self, x_raw: Tensor, train: bool = False) -> EncoderOutput:
+    def __call__(self, x_raw: Tensor) -> EncoderOutput:
         record_matmul("linear", x_raw, self.proj.w, 1, "float")
         x_f = self.proj(x_raw)
-        x_s = self.gen(x_f, train)
-        x_s1 = x_s + self.attn(x_s, train)
+        x_s = self.gen(x_f)
+        x_s1 = x_s + self.attn(x_s)
         x_s2 = x_s1 + self.mlp(x_s1)
         pooled = self.pool(x_s2)
         return EncoderOutput(features=x_f, pooled=pooled, spikes=x_s2)

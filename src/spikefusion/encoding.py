@@ -86,5 +86,5 @@ class SpikeGenerator(Module):
             x_f = x_f - _shift_tokens(x_f, 1)
         return repeat_steps(x_f, self.cfg.t)
 
-    def __call__(self, x_f: Tensor, train: bool = False) -> Tensor:
-        return self.tlsn(self.expand(x_f), norm=self.norm, train=train)
+    def __call__(self, x_f: Tensor) -> Tensor:
+        return self.tlsn(self.expand(x_f), norm=self.norm)

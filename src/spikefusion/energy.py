@@ -178,7 +178,7 @@ def energy_report(model, regions, words) -> EnergyReport:
     the training-only fusion module is never touched.
     """
     with no_grad(), recording() as layers:
-        model.encode(regions, words, train=False)
+        model.encode(regions, words)
     if not layers:
         raise UsageError("instrumented forward recorded no layers")
     return EnergyReport(layers)

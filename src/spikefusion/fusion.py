@@ -97,7 +97,7 @@ def qkv_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
 
 class _ProjectSpike(Module):
     """{Linear, BN, LIF} stage in front of the fusion attention products;
-    fusion runs only while training, so its batch norms use batch stats."""
+    fusion runs only in grad mode, so its batch norms use batch stats."""
 
     def __init__(self, d: int, lif: LIFParams, rng: np.random.Generator):
         self.linear = Linear(d, d, rng, bias=False)
@@ -105,7 +105,7 @@ class _ProjectSpike(Module):
         self.lif = lif
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.lif(x, linear=self.linear, norm=self.bn, train=True)
+        return self.lif(x, linear=self.linear, norm=self.bn)
 
 
 class SpikeCrossAttention(Module):
@@ -122,7 +122,7 @@ class SpikeCrossAttention(Module):
 
     def __call__(self, x_q: Tensor, x_kv: Tensor) -> Tensor:
         attn = qkv_attention(self.q(x_q), self.k(x_kv), self.v(x_kv))
-        return self.lif(attn, linear=self.out, norm=self.bn_out, train=True)
+        return self.lif(attn, linear=self.out, norm=self.bn_out)
 
 
 class SpikeFusion(Module):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StateError, UsageError
-from .tensor import Tensor, _unbroadcast, matmul
+from .tensor import Tensor, _grad_enabled, _unbroadcast, matmul
 
 
 class Module:
@@ -121,12 +121,9 @@ class Linear(Module):
 #             g_ss = sum(-g_xhat * xc / (sd * sd)) * (0.5 / sd) * (1 / n)
 #   x gets g_x, then sum(-g_x) * (1 / n) broadcast: two accumulations, as the
 #   graph's subtraction and mean each handed ``x`` one
-#
-# In eval mode ``mu`` and ``sd`` are constants and ``x`` gets g_xhat / sd
-# alone.
 
 _NORM_EPS = 1e-5
-_BN_MOMENTUM = 0.1  # weight of a train-mode batch in the running stats
+_BN_MOMENTUM = 0.1  # weight of a grad-mode batch in the running stats
 
 
 def _moments(xd: np.ndarray, axis):
@@ -159,8 +156,7 @@ class RunningStats:
 
 class _Norm(Module):
     """Affine norm over the last axis, only ever the input stage of a spiking
-    fold (``neuron(x, norm=..., train=...)``).  ``moments(x, train)`` gives
-    ``(mu, sd, inv_n)``; an ``inv_n`` of None makes them constants."""
+    fold (``neuron(x, norm=...)``); ``moments(x)`` is ``(mu, sd, inv_n)``."""
 
     def __init__(self, d: int):
         self.gamma = Tensor.param(np.ones(d, dtype=np.float32))
@@ -176,7 +172,7 @@ class _Norm(Module):
         return out
 
     def backward(self, g: np.ndarray, x: Tensor, xc: np.ndarray,
-                 sd: np.ndarray, inv_n: np.float32 | None):
+                 sd: np.ndarray, inv_n: np.float32):
         """Hand ``x``, ``gamma`` and ``beta`` their gradients, given ``g``,
         that of :meth:`drive`'s output over ``xc``.  ``g`` becomes ``g_x``
         in place, and ``xc`` becomes scratch."""
@@ -188,22 +184,19 @@ class _Norm(Module):
         if not x.requires_grad:
             return
         g_xhat = np.multiply(g, gamma.data, out=g)
-        if inv_n is not None:
-            g_sd = _unbroadcast(-g_xhat * xc / (sd * sd), sd.shape)
-            g_sq = np.multiply(g_sd * (0.5 / sd) * inv_n, xc, out=xc)
+        g_sd = _unbroadcast(-g_xhat * xc / (sd * sd), sd.shape)
+        g_sq = np.multiply(g_sd * (0.5 / sd) * inv_n, xc, out=xc)
         g_xc = np.divide(g_xhat, sd, out=g_xhat)
-        if inv_n is not None:
-            g_xc += g_sq
-            g_xc += g_sq
+        g_xc += g_sq
+        g_xc += g_sq
         x._accumulate(g_xc)
-        if inv_n is not None:
-            g_mu = _unbroadcast(-g_xc, sd.shape)
-            x._accumulate(np.broadcast_to(g_mu * inv_n, x.data.shape))
+        g_mu = _unbroadcast(-g_xc, sd.shape)
+        x._accumulate(np.broadcast_to(g_mu * inv_n, x.data.shape))
 
 
 class LayerNorm(_Norm):
-    def moments(self, x: np.ndarray, train: bool):
-        """Moments of each row; ``train`` is ignored (no running stats)."""
+    def moments(self, x: np.ndarray):
+        """Moments of each row."""
         return _moments(x, -1)[:3]
 
 
@@ -214,10 +207,10 @@ class BatchNorm(_Norm):
         super().__init__(d)
         self.stats = RunningStats()
 
-    def moments(self, x: np.ndarray, train: bool):
-        """Moments per channel over all leading axes, time too; train mode
-        folds the batch's into the running stats that eval mode uses."""
-        if train:
+    def moments(self, x: np.ndarray):
+        """Per-channel moments over all leading axes, time too: in grad mode
+        the batch's, folded into the running stats; those under no_grad()."""
+        if _grad_enabled.get():
             mu, sd, inv_n, var = _moments(x, tuple(range(x.ndim - 1)))
             self.stats.update(mu.reshape(-1), var.reshape(-1))
             return mu, sd, inv_n

@@ -26,7 +26,7 @@ def _pooled_in_chunks(encoder, x: Tensor, rows: np.ndarray | None) -> Tensor:
     n = x.shape[0] if rows is None else rows.size
     return Tensor(np.concatenate([
         encoder(x[lo:lo + EVAL_BLOCK] if rows is None
-                else x[rows[lo:lo + EVAL_BLOCK]], train=False).pooled.data
+                else x[rows[lo:lo + EVAL_BLOCK]]).pooled.data
         for lo in range(0, n, EVAL_BLOCK)]))
 
 
@@ -51,12 +51,12 @@ class RetrievalModel(Module):
             self.fusion = SpikeFusion(parts.fusion, config.d, config.t,
                                       parts.lif, rng, parts.comb_lif)
 
-    def encode(self, regions: Tensor, words: Tensor, train: bool):
+    def encode(self, regions: Tensor, words: Tensor):
         """Both encoders; ledger records are named ``region/`` / ``word/``."""
         with scope("region/"):
-            r_out = self.image(regions, train=train)
+            r_out = self.image(regions)
         with scope("word/"):
-            e_out = self.text(words, train=train)
+            e_out = self.text(words)
         return r_out, e_out
 
     def eval_similarity(self, regions: Tensor, words: Tensor,
@@ -78,7 +78,7 @@ class RetrievalModel(Module):
         """The objective on one batch; returns (total, parts dict).  Only
         terms with nonzero weight are computed (the fusion pass only when
         lambda < 1); ``total_loss`` counts the others as 0."""
-        r_out, e_out = self.encode(regions, words, train=True)
+        r_out, e_out = self.encode(regions, words)
         lam = self.loss_weights.lam
 
         def sim(e, r):
@@ -99,6 +99,5 @@ class RetrievalModel(Module):
         return total_loss(sims, self.loss_weights)
 
     def calibrate(self, regions: Tensor, words: Tensor):
-        """One train-mode pass to populate batch-norm running statistics."""
-        with no_grad():
-            self.encode(regions, words, train=True)
+        """Fill batch-norm running stats by a recorded forward, then drop it."""
+        self.encode(regions, words)

@@ -12,12 +12,14 @@ the comparison ``h[t] >= v_th`` itself; the surrogate's ``h[t] - v_th`` is
 formed only where a smooth spike or a gradient needs it.  A fold takes up
 to two input stages, in this order: a bias-free ``Linear`` (``linear=``),
 whose product ``x @ w`` the next stage takes, and a norm (``norm=``), whose
-output is the drive.  Every weight matmul and every norm that feeds a fold
-is such a stage, so neither output is on the tape.  The node keeps only its
-spikes and the norm's ``mu`` and ``sd``: its backward recomputes the
-product from the input, which the tape holds anyway as the node's parent,
-with the forward's own gemm, then the drive, and replays the membrane from
-that and the spikes, so a tracked fold holds one input-sized array.
+output is the drive.  A batch norm uses the batch's moments in grad mode
+and its running stats under ``no_grad()``.  Every weight matmul and every
+norm that feeds a fold is such a stage, so neither output is on the tape.
+The node keeps only its spikes and the norm's ``mu`` and ``sd``: its
+backward recomputes the product from the input, which the tape holds
+anyway as the node's parent, with the forward's own gemm, then the drive,
+and replays the membrane from that and the spikes, so a tracked fold holds
+one input-sized array.
 
 The T-step fold is one tape node over the input, a weight stage's ``w``,
 the threshold and a norm's ``gamma`` and ``beta``.  Its backward walks time
@@ -88,10 +90,9 @@ class LIFParams:
                 f"LIF threshold {self.v_th} minus reset {self.v_reset} does not "
                 f"fit float32")
 
-    def __call__(self, x: Tensor, norm=None, train=False,
-                 linear=None) -> Tensor:
+    def __call__(self, x: Tensor, norm=None, linear=None) -> Tensor:
         """The neuron: spikes of the LIF fold over ``x`` (see :func:`_fold`)."""
-        return lif_sequence(x, self, norm, train, linear)
+        return lif_sequence(x, self, norm, linear)
 
 
 def surrogate_derivative(x: np.ndarray, alpha: float) -> np.ndarray:
@@ -130,11 +131,10 @@ def _membrane(x: np.ndarray, tau, v_reset, spikes):
 
 
 def _fold(x: Tensor, lif: LIFParams, v_th, norm: _Norm | None = None,
-          train: bool = False, linear: Linear | None = None) -> Tensor:
+          linear: Linear | None = None) -> Tensor:
     """Spikes of ``lif``'s membrane update folded over the leading time axis
     of its drive, firing at ``v_th``.  The drive is ``x``, or ``x @ w`` for
-    ``linear``'s weight ``w``, or ``norm``'s output (in ``train`` mode) over
-    either.
+    ``linear``'s weight ``w``, or ``norm``'s output over either.
 
     One tape node over ``(x, w, threshold)`` and the norm's ``(gamma,
     beta)``.  ``v_th`` is a float or a (learnable) scalar tensor, finite:
@@ -171,7 +171,7 @@ def _fold(x: Tensor, lif: LIFParams, v_th, norm: _Norm | None = None,
 
     drive = stage_input()
     if norm is not None:
-        mu, sd, inv_n = norm.moments(drive, train)
+        mu, sd, inv_n = norm.moments(drive)
         drive = centred(drive)
         norm.drive(drive, sd, out=drive)
     spikes = np.empty(drive.shape, dtype=np.float32)
@@ -225,9 +225,9 @@ def _fold(x: Tensor, lif: LIFParams, v_th, norm: _Norm | None = None,
 
 
 def lif_sequence(x: Tensor, params: LIFParams, norm: _Norm | None = None,
-                 train: bool = False, linear: Linear | None = None) -> Tensor:
+                 linear: Linear | None = None) -> Tensor:
     """Fold the LIF membrane update over the leading time axis of ``x``."""
-    return _fold(x, params, params.v_th, norm, train, linear)
+    return _fold(x, params, params.v_th, norm, linear)
 
 
 @dataclass
@@ -252,14 +252,12 @@ class TLSNParams(Module):
     def effective_threshold(self) -> Tensor:
         return softplus(self.v_th_raw) + np.float32(self.lif.v_reset + THRESHOLD_FLOOR)
 
-    def __call__(self, x: Tensor, norm=None, train=False,
-                 linear=None) -> Tensor:
-        return tlsn_forward(x, self, norm, train, linear)
+    def __call__(self, x: Tensor, norm=None, linear=None) -> Tensor:
+        return tlsn_forward(x, self, norm, linear)
 
 
 def tlsn_forward(x: Tensor, params: TLSNParams, norm: _Norm | None = None,
-                 train: bool = False, linear: Linear | None = None) -> Tensor:
+                 linear: Linear | None = None) -> Tensor:
     """LIF fold with a learnable threshold; gradient reaches the threshold."""
-    return _fold(x, params.lif, params.effective_threshold(), norm, train,
-                 linear)
+    return _fold(x, params.lif, params.effective_threshold(), norm, linear)
 

@@ -154,9 +154,9 @@ def train(config: RunConfig, dataset: Dataset, out_dir: str | None = None,
             optimizer.zero_grad()  # no gradient lives through a forward
             step += 1
             n_steps += 1
-            line = " ".join(f"{k}={float(parts[k].data):.6f}"
-                            for k in LOSS_NAMES)
             if log_fn is not None:
+                line = " ".join(f"{k}={float(parts[k].data):.6f}"
+                                for k in LOSS_NAMES)
                 log_fn(f"step={step} epoch={epoch} "
                        f"lr={config.lr_encoder * scale:.2e} {line}")
             for k, v in parts.items():

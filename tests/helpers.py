@@ -12,6 +12,7 @@ from spikefusion.layers import BatchNorm
 from spikefusion.neurons import surrogate_derivative, surrogate_primitive
 from spikefusion.tensor import (
     Tensor,
+    _grad_enabled,
     _make,
     as_tensor,
     matmul,
@@ -367,15 +368,16 @@ def reference_layer_norm(x, gamma, beta, eps=1e-5):
     return xhat * gamma + beta
 
 
-def reference_batch_norm(x, gamma, beta, stats, train, momentum=0.1,
+def reference_batch_norm(x, gamma, beta, stats, batch_stats, momentum=0.1,
                          eps=1e-5):
     """A ``BatchNorm`` stage of ``spikefusion.neurons._fold`` as a graph of
-    generic tape ops; train mode updates ``stats`` as the stage does."""
+    generic tape ops: with ``batch_stats`` it normalises by the batch's
+    moments and updates ``stats`` as the stage does, else by ``stats``."""
     if not eps > 0:
         raise UsageError(f"batch_norm: eps must be > 0, got {eps}")
     x = as_tensor(x)
     axes = tuple(range(x.ndim - 1))
-    if train:
+    if batch_stats:
         mu = mean(x, axis=axes, keepdims=True)
         xc = x - mu
         var = mean(xc * xc, axis=axes, keepdims=True)
@@ -395,12 +397,14 @@ def reference_batch_norm(x, gamma, beta, stats, train, momentum=0.1,
     return xhat * gamma + beta
 
 
-def reference_norm(x, norm, train):
+def reference_norm(x, norm):
     """The composed graph of ``norm`` (a ``LayerNorm`` or ``BatchNorm``
-    block) over ``x``: the drive its fused fold feeds the neuron."""
+    block) over ``x``: the drive its fused fold feeds the neuron.  A batch
+    norm takes the batch's moments in grad mode and its running stats under
+    ``no_grad()``, as the fold's stage does."""
     if isinstance(norm, BatchNorm):
         return reference_batch_norm(x, norm.gamma, norm.beta, norm.stats,
-                                    train)
+                                    _grad_enabled.get())
     return reference_layer_norm(x, norm.gamma, norm.beta)
 
 
@@ -408,11 +412,11 @@ def composed_fold(fold):
     """A stand-in for ``neurons._fold`` (given as ``fold``) that runs a
     weight stage as a generic ``matmul`` node and a norm stage as its own
     composed graph, then the fold node on their output."""
-    def run(x, lif, v_th, norm=None, train=False, linear=None):
+    def run(x, lif, v_th, norm=None, linear=None):
         if linear is not None:
             x = matmul(x, linear.w)
         if norm is not None:
-            x = reference_norm(x, norm, train)
+            x = reference_norm(x, norm)
         return fold(x, lif, v_th)
     return run
 

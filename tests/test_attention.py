@@ -12,7 +12,7 @@ from spikefusion.attention import (
 from spikefusion.encoding import GeneratorConfig
 from spikefusion.errors import UsageError
 from spikefusion.neurons import LIFParams
-from spikefusion.tensor import Tensor, matmul
+from spikefusion.tensor import Tensor, matmul, no_grad
 
 RNG = np.random.default_rng(99)
 LIF = LIFParams()
@@ -26,13 +26,13 @@ class TestSpikeSelfAttention:
     def test_zeros_propagate(self):
         attn = SpikeSelfAttention(8, LIF, np.random.default_rng(0))
         x = Tensor(np.zeros((2, 3, 4, 8), dtype=np.float32))
-        out = attn(x, train=True)
+        out = attn(x)
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_shape_preserved_and_binary(self):
         attn = SpikeSelfAttention(8, LIF, np.random.default_rng(1))
         x = Tensor(binary((2, 3, 4, 8)))
-        out = attn(x, train=True)
+        out = attn(x)
         assert out.shape == (2, 3, 4, 8)
         assert set(np.unique(out.data)) <= {0.0, 1.0}
 
@@ -114,19 +114,18 @@ class TestUnimodalEncoder:
             2048, GeneratorConfig(variant="repeat-ln", t=2, d=1024), LIF,
             np.random.default_rng(0))
         x = Tensor(RNG.standard_normal((2, 36, 2048)).astype(np.float32))
-        out = enc(x, train=True)
+        out = enc(x)
         assert out.pooled.shape == (2, 36, 1024)
         assert out.spikes.shape == (2, 2, 36, 1024)
 
     def test_zero_features_give_zero_embedding(self):
         enc = make_encoder()
-        out = enc(Tensor(np.zeros((3, 4, 10), dtype=np.float32)), train=True)
+        out = enc(Tensor(np.zeros((3, 4, 10), dtype=np.float32)))
         np.testing.assert_array_equal(out.pooled.data, 0.0)
 
     def test_unimodal_forward_returns_pooled_and_spikes(self):
         enc = make_encoder()
-        out = enc(Tensor(RNG.standard_normal((3, 4, 10)).astype(np.float32)),
-                  train=True)
+        out = enc(Tensor(RNG.standard_normal((3, 4, 10)).astype(np.float32)))
         assert out.pooled.shape == (3, 4, 8)
         assert out.spikes.shape == (2, 3, 4, 8)
         assert set(np.unique(out.spikes.data)) <= {0.0, 1.0, 2.0}
@@ -145,7 +144,8 @@ class TestUnimodalEncoder:
                 "buffer/running_mean": np.zeros(8, dtype=np.float32),
                 "buffer/running_var": np.ones(8, dtype=np.float32)})
         x_s = Tensor(binary((2, 2, 4, 8), p=0.7))
-        ssa_out = enc.attn(x_s, train=False)
+        with no_grad():
+            ssa_out = enc.attn(x_s)
         residual = (x_s + ssa_out).data
         assert residual.max() == 2.0
         # recompute the gate from the residual and compare with the module
@@ -159,7 +159,7 @@ class TestUnimodalEncoder:
             enc = make_encoder(seed=seed)
             rng = np.random.default_rng(seed)
             x = Tensor(rng.standard_normal((4, 4, 10)).astype(np.float32))
-            out = enc(x, train=True)
+            out = enc(x)
             (out.pooled * out.pooled).sum().backward()
             got = {name: p.grad is not None and np.abs(p.grad).sum() > 0
                    for name, p in enc.params().items()}
@@ -173,7 +173,8 @@ class TestUnimodalEncoder:
     def test_eval_forward_is_deterministic(self):
         enc = make_encoder(seed=2)
         x = Tensor(RNG.standard_normal((3, 4, 10)).astype(np.float32))
-        enc(x, train=True)  # prime batch-norm stats
-        a = enc(x, train=False).pooled.data
-        b = enc(x, train=False).pooled.data
+        enc(x)  # prime batch-norm stats
+        with no_grad():
+            a = enc(x).pooled.data
+            b = enc(x).pooled.data
         assert np.array_equal(a, b)

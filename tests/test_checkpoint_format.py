@@ -58,14 +58,13 @@ def toy_batch(seed, b=3, k=4):
 
 def array_names(fusion, generator):
     """Checkpoint array names of a model after batch-norm calibration and
-    one train-mode fusion pass (which initializes the fusion buffers)."""
+    one recorded training pass (which initializes the fusion buffers)."""
     cfg = RunConfig(d=8, t=2, heads=2, batch=3, seed=0, fusion=fusion,
                     generator=generator)
     model = RetrievalModel(cfg, 6, 5, 4, 4)
     regions, words = toy_batch(seed=1)
     model.calibrate(regions, words)
-    with no_grad():
-        model.training_losses(regions, words)
+    model.training_losses(regions, words)
     return sorted(model.state())
 
 

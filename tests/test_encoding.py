@@ -11,7 +11,7 @@ from spikefusion.encoding import (
 from spikefusion.errors import ConfigError, UsageError
 from spikefusion.layers import Linear
 from spikefusion.neurons import LIFParams
-from spikefusion.tensor import Tensor
+from spikefusion.tensor import Tensor, no_grad
 
 from helpers import reference_norm
 
@@ -24,10 +24,10 @@ def make_generator(variant, t=2, d=8, seed=0):
                           LIF, np.random.default_rng(seed))
 
 
-def drive(gen, x, train):
+def drive(gen, x):
     """The normalised drive ``gen``'s fused norm→TLSN node feeds its neuron,
     from the norm's composed graph (bit for bit the node's own)."""
-    return reference_norm(gen.expand(x), gen.norm, train)
+    return reference_norm(gen.expand(x), gen.norm)
 
 
 class TestProjection:
@@ -71,14 +71,14 @@ class TestConfig:
 class TestGenerate:
     def test_zero_features_repeat_ln_stay_silent(self):
         gen = make_generator("repeat-ln")
-        spikes = gen(Tensor(np.zeros((4, 8), dtype=np.float32)), train=True)
+        spikes = gen(Tensor(np.zeros((4, 8), dtype=np.float32)))
         np.testing.assert_array_equal(spikes.data, np.zeros((2, 4, 8)))
 
     @pytest.mark.parametrize("variant", GENERATOR_VARIANTS)
     def test_shape_and_codomain(self, variant):
         gen = make_generator(variant, t=3, d=8)
         x = Tensor(RNG.standard_normal((5, 8)).astype(np.float32))
-        spikes = gen(x, train=True)
+        spikes = gen(x)
         assert spikes.shape == (3, 5, 8)
         assert set(np.unique(spikes.data)) <= {0.0, 1.0}
 
@@ -86,20 +86,21 @@ class TestGenerate:
     def test_batched_shape(self, variant):
         gen = make_generator(variant, t=2, d=8)
         x = Tensor(RNG.standard_normal((3, 5, 8)).astype(np.float32))
-        assert gen(x, train=True).shape == (2, 3, 5, 8)
+        assert gen(x).shape == (2, 3, 5, 8)
 
     @pytest.mark.parametrize("variant", ["repeat-ln", "repeat-bn", "conv-bn",
                                          "delta-bn"])
     def test_repeating_expansions_share_the_drive(self, variant):
         gen = make_generator(variant, t=2)
         x = Tensor(RNG.standard_normal((4, 8)).astype(np.float32))
-        pre = drive(gen, x, train=True)
+        pre = drive(gen, x)
         np.testing.assert_array_equal(pre.data[0], pre.data[1])
 
     def test_linear_steps_differ(self):
         gen = make_generator("linear-ln", t=2)
         x = Tensor(RNG.standard_normal((4, 8)).astype(np.float32))
-        pre = drive(gen, x, train=False)
+        with no_grad():
+            pre = drive(gen, x)
         assert not np.array_equal(pre.data[0], pre.data[1])
 
     def test_spike_slices_differ_only_through_membrane_state(self):
@@ -107,9 +108,10 @@ class TestGenerate:
         # the two slices must come from membrane carry-over
         gen = make_generator("repeat-ln", t=2, seed=3)
         x = Tensor(RNG.standard_normal((6, 8)).astype(np.float32))
-        pre = drive(gen, x, train=False)
+        with no_grad():
+            pre = drive(gen, x)
+            spikes = gen(x).data
         np.testing.assert_array_equal(pre.data[0], pre.data[1])
-        spikes = gen(x, train=False).data
         # a neuron that fired at step 0 was reset to the initial state and
         # sees the same drive again, so it must fire at step 1 as well
         fired0 = spikes[0] == 1.0

@@ -312,7 +312,7 @@ class TestEnergyReport:
 
     def test_empty_recording_rejected(self):
         class NoOpModel:
-            def encode(self, r, w, train):
+            def encode(self, r, w):
                 return None, None
 
         with pytest.raises(UsageError):

@@ -3,7 +3,10 @@
 Every name a ``spikefusion`` module imports is used in that module, every
 private module-level name is read in its own module, and every name the
 package ``__init__`` imports is exported in ``__all__``.  Every error type
-is raised somewhere and is one that the CLI reports as one line.
+is raised somewhere and is one that the CLI reports as one line.  Grad
+mode alone picks batch-norm statistics: no function takes a ``train``
+flag, and only ``BatchNorm.moments`` reads the grad-mode switch outside
+``tensor``.
 """
 
 import ast
@@ -108,3 +111,37 @@ def test_every_error_type_is_raised_and_reported():
     assert [name for name in classes
             if not issubclass(getattr(errors, name), ValueError)
             and getattr(errors, name) is not errors.StateError] == []
+
+
+def functions(tree, prefix=""):
+    """Yield (qualified name, node) for every function, methods included."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + node.name, node
+            yield from functions(node, f"{prefix}{node.name}.")
+        elif isinstance(node, ast.ClassDef):
+            yield from functions(node, f"{prefix}{node.name}.")
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__"])
+def test_no_function_takes_a_train_flag(module):
+    takes = [name for name, node in functions(parse(module))
+             for arg in ast.walk(node.args) if isinstance(arg, ast.arg)
+             and arg.arg == "train"]
+    assert takes == []
+
+
+def grad_mode_reads(tree):
+    """How many times ``tree`` reads ``_grad_enabled`` (imports excluded)."""
+    return sum(isinstance(n, ast.Name) and n.id == "_grad_enabled"
+               or isinstance(n, ast.Attribute) and n.attr == "_grad_enabled"
+               for n in ast.walk(tree))
+
+
+def test_grad_mode_is_read_only_where_it_picks_norm_statistics():
+    moments = dict(functions(parse("layers")))["BatchNorm.moments"]
+    assert grad_mode_reads(moments) > 0
+    reads = {module: grad_mode_reads(parse(module))
+             for module in MODULES + ["__init__"] if module != "tensor"}
+    assert reads == {module: grad_mode_reads(moments) * (module == "layers")
+                     for module in reads}

@@ -1,5 +1,7 @@
 """Full-model wiring: registries, gradient flow, toy finite differences."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from spikefusion.alignment import POOL_MODES, similarity
 from spikefusion.config import RunConfig
 from spikefusion.data import Dataset
 from spikefusion.encoding import GENERATOR_VARIANTS
-from spikefusion.errors import UsageError
+from spikefusion.errors import StateError, UsageError
 from spikefusion.fusion import FUSION_KINDS
 from spikefusion.losses import infonce_pair
 from spikefusion.model import EVAL_BLOCK, RetrievalModel
@@ -137,7 +139,7 @@ class TestGradientFlow:
         model = RetrievalModel(
             RunConfig(d=16, t=2, batch=3, heads=2, seed=1, temperature=0.2,
                       alpha=0.5, fusion=kind, comb_tau=1.0), 8, 7, 4, 4)
-        r_out, e_out = model.encode(regions, words, train=True)
+        r_out, e_out = model.encode(regions, words)
         r_bar, e_bar = model.fusion.fuse_and_pool(r_out.spikes, e_out.spikes)
         tau = 0.2
         loss = (infonce_pair(similarity(e_out.pooled, r_bar, model.pool_cfg), tau)
@@ -330,6 +332,31 @@ class TestEvalPath:
         assert np.isfinite(total.data)
 
 
+class TestGradModeStats:
+    """Grad mode picks the batch norms' statistics: a recorded forward
+    uses and folds in the batch's, ``no_grad()`` uses the running stats."""
+
+    def test_training_losses_under_no_grad_needs_running_stats(self):
+        with no_grad(), pytest.raises(StateError, match="running stats"):
+            toy_model().training_losses(*toy_batch())
+
+    def test_calibrate_is_a_recorded_forward_it_drops(self, monkeypatch):
+        model = toy_model()
+        encode, outputs = model.encode, []
+
+        def spy(regions, words):
+            out = encode(regions, words)
+            outputs.extend(weakref.ref(o.pooled) for o in out)
+            assert all(o.pooled.requires_grad for o in out)
+            return out
+
+        monkeypatch.setattr(model, "encode", spy)
+        model.calibrate(*toy_batch())
+        assert len(outputs) == 2
+        assert all(ref() is None for ref in outputs)
+        assert buffer_names(model)
+
+
 class TestTiledScoring:
     """``eval_similarity`` scores the gallery in one ``similarity`` call,
     whose node walks the fine tensor in blocks."""
@@ -345,7 +372,7 @@ class TestTiledScoring:
         regions, words = toy_batch(seed=5, b=pairs)
         model.calibrate(regions, words)
         with no_grad():
-            r_out, e_out = model.encode(regions, words, train=False)
+            r_out, e_out = model.encode(regions, words)
             full = reference_similarity(e_out.pooled, r_out.pooled,
                                         model.pool_cfg)
         scores = model.eval_similarity(regions, words)

@@ -51,6 +51,7 @@ from helpers import (
     mean,
     negative_zeros,
     reduce_max,
+    reference_batch_norm,
     smooth_central_difference,
     sqrt,
     traced,
@@ -80,36 +81,45 @@ def _affine(d):
 
 
 def _primed_stats(d):
-    """Running stats as one train-mode batch leaves them (eval mode's)."""
+    """Running stats as one grad-mode batch leaves them (no_grad's)."""
     stats = RunningStats()
     stats.update(np.linspace(-0.5, 0.5, d).astype(np.float32),
                  np.linspace(0.5, 2.0, d).astype(np.float32))
     return stats
 
 
-# the norm stages a fold takes: name -> (block, train), for a width d
+# the norm stages a fold takes: name -> block, for a width d; an eval batch
+# norm holds primed stats and runs under ``no_grad()`` (see ``_mode``)
 NORMS = {
-    "layer_norm": (LayerNorm, True),
-    "batch_norm_train": (BatchNorm, True),
-    "batch_norm_eval": (BatchNorm, False),
+    "layer_norm": LayerNorm,
+    "batch_norm_train": BatchNorm,
+    "batch_norm_eval": BatchNorm,
 }
+# the norms a fold on the tape takes: grad mode picks batch moments
+RECORDED_NORMS = ["batch_norm_train", "layer_norm"]
 
 
 def _norm(name, gamma, beta):
     """The ``NORMS`` block ``name`` holding the tensors ``gamma`` and
-    ``beta`` (eval batch norm with primed stats), and its train flag."""
-    block, train = NORMS[name]
-    norm = block(gamma.shape[0])
+    ``beta`` (eval batch norm with primed stats)."""
+    norm = NORMS[name](gamma.shape[0])
     norm.gamma, norm.beta = gamma, beta
-    if not train:
+    if name == "batch_norm_eval":
         norm.stats = _primed_stats(gamma.shape[0])
-    return norm, train
+    return norm
 
 
-def normalized(norm, x, train=True):
+def _mode(name):
+    """The grad mode the norm ``name`` runs in: ``no_grad()`` for an eval
+    batch norm, the ambient mode otherwise."""
+    return no_grad() if name == "batch_norm_eval" else contextlib.nullcontext()
+
+
+def normalized(norm, x):
     """The drive a fold with ``norm`` as its input stage feeds its neuron
-    over the array ``x``, by the fold's own forward arithmetic."""
-    mu, sd, _ = norm.moments(x, train)
+    over the array ``x``, by the fold's own forward arithmetic in the
+    current grad mode."""
+    mu, sd, _ = norm.moments(x)
     return norm.drive(x - mu, sd)
 
 
@@ -148,11 +158,10 @@ TAPE_OPS = {
     "pooled_similarity": lambda x: similarity(
         x.reshape((3, 1, 4)), x.reshape((1, 3, 4)), PoolConfig()),
     "layer_norm_fold": lambda x: lif_sequence(
-        x, SPIKE, *_norm("layer_norm", *_affine(4))),
-    "batch_norm_train_fold": lambda x: lif_sequence(
-        x, SPIKE, *_norm("batch_norm_train", *_affine(4))),
-    "batch_norm_eval_fold": lambda x: lif_sequence(
-        x, SPIKE, *_norm("batch_norm_eval", *_affine(4))),
+        x, SPIKE, _norm("layer_norm", *_affine(4))),
+    # primed stats: the fold runs in grad mode and under no_grad() alike
+    "batch_norm_fold": lambda x: lif_sequence(
+        x, SPIKE, _norm("batch_norm_eval", *_affine(4))),
     "l2_normalize": l2_normalize,
     "infonce_pair": lambda x: infonce_pair(x[:, :3], 0.5),
 }
@@ -255,8 +264,9 @@ class TestForwardMemory:
 
     def norm_stage_units(self, name):
         """Units a norm stage adds to the peak of an untracked fold."""
-        fused = self.units(lambda x: lif_sequence(
-            x, LIFParams(), *_norm(name, *_affine(32))))[1]
+        with _mode(name):
+            fused = self.units(lambda x: lif_sequence(
+                x, LIFParams(), _norm(name, *_affine(32))))[1]
         return fused - self.units(lambda x: lif_sequence(x, LIFParams()))[1]
 
     def test_eval_batch_norm(self):
@@ -282,7 +292,7 @@ class TestForwardMemory:
             ssa = SpikeSelfAttention(32, LIFParams(), rng)
 
             def fn(x):
-                return ssa.lif(x, linear=ssa.w_q, norm=ssa.bn_q, train=True)
+                return ssa.lif(x, linear=ssa.w_q, norm=ssa.bn_q)
         elif site == "mlp-gate":
             mlp = SpikeGatedMLP(32, LIFParams(), rng)
 
@@ -294,7 +304,7 @@ class TestForwardMemory:
             bound = 2.5
 
             def fn(x):
-                return gen(x[0], train=True)
+                return gen(x[0])
         held, _ = self.units(fn, requires_grad=True)
         assert held < bound
 
@@ -573,7 +583,7 @@ class TestLayerNorm:
 
     def _ln(self, d):
         return _norm("layer_norm", Tensor(np.ones(d, dtype=np.float32)),
-                     Tensor(np.zeros(d, dtype=np.float32)))[0]
+                     Tensor(np.zeros(d, dtype=np.float32)))
 
     def test_constant_row_maps_to_zero(self):
         ln = self._ln(6)
@@ -585,8 +595,8 @@ class TestLayerNorm:
         np.testing.assert_allclose(out, 0.0, atol=1e-4)
 
     def test_affine_collapse(self):
-        ln, _ = _norm("layer_norm", Tensor(np.zeros(4, dtype=np.float32)),
-                      Tensor(np.full(4, 2.5, dtype=np.float32)))
+        ln = _norm("layer_norm", Tensor(np.zeros(4, dtype=np.float32)),
+                   Tensor(np.full(4, 2.5, dtype=np.float32)))
         out = normalized(ln, RNG.standard_normal((3, 4)).astype(np.float32))
         np.testing.assert_allclose(out, 2.5, atol=1e-6)
 
@@ -606,13 +616,13 @@ class TestLayerNorm:
         # the fused node in smooth mode, where its backward is exact
         gamma = RNG.uniform(0.5, 1.5, 6).astype(np.float32)
         beta = RNG.standard_normal(6).astype(np.float32)
-        ln, _ = _norm("layer_norm", Tensor.param(gamma), Tensor.param(beta))
+        ln = _norm("layer_norm", Tensor.param(gamma), Tensor.param(beta))
         x = Tensor.param(RNG.standard_normal((2, 6)).astype(np.float32))
         weights = RNG.standard_normal((2, 6)).astype(np.float32)
         lif = LIFParams(tau=1.5, v_th=0.5)
 
         def forward():
-            return (lif_sequence(x, lif, ln, train=True) * weights).sum()
+            return (lif_sequence(x, lif, ln) * weights).sum()
 
         def loss():
             return float(forward().data)
@@ -627,7 +637,7 @@ class TestLayerNorm:
 class TestBatchNorm:
     def _bn(self, d, beta_val=0.0):
         return _norm("batch_norm_train", Tensor(np.ones(d, dtype=np.float32)),
-                     Tensor(np.full(d, beta_val, dtype=np.float32)))[0]
+                     Tensor(np.full(d, beta_val, dtype=np.float32)))
 
     def test_zero_input_zero_bias_gives_zero(self):
         out = normalized(self._bn(4), np.zeros((2, 3, 4), dtype=np.float32))
@@ -643,16 +653,44 @@ class TestBatchNorm:
         bn = self._bn(5)
         normalized(bn, RNG.standard_normal((6, 5)).astype(np.float32))
         x = Tensor(RNG.standard_normal((4, 5)).astype(np.float32))
-        a = lif_sequence(x, SPIKE, bn, train=False)
-        b = lif_sequence(x, SPIKE, bn, train=False)
-        assert np.array_equal(a.data, b.data)
-        assert np.array_equal(normalized(bn, x.data, train=False),
-                              normalized(bn, x.data, train=False))
+        with no_grad():
+            a = lif_sequence(x, SPIKE, bn)
+            b = lif_sequence(x, SPIKE, bn)
+            assert np.array_equal(a.data, b.data)
+            assert np.array_equal(normalized(bn, x.data),
+                                  normalized(bn, x.data))
 
     def test_eval_without_stats_raises(self):
-        with pytest.raises(StateError):
-            lif_sequence(Tensor(np.zeros((2, 3))), SPIKE, self._bn(3),
-                         train=False)
+        with no_grad(), pytest.raises(StateError):
+            lif_sequence(Tensor(np.zeros((2, 3))), SPIKE, self._bn(3))
+
+    def test_grad_mode_uses_batch_moments_and_updates_stats(self):
+        x = RNG.standard_normal((2, 3, 4)).astype(np.float32) * 2.0 + 0.5
+        gamma, beta = _affine(4)
+        bn = _norm("batch_norm_train", gamma, beta)
+        spikes = lif_sequence(Tensor(x), SPIKE, bn)
+        stats = RunningStats()
+        drive = reference_batch_norm(x, gamma, beta, stats, batch_stats=True)
+        assert spikes.data.tobytes() == \
+            lif_sequence(drive, SPIKE).data.tobytes()
+        assert bn.stats.initialized
+        assert bn.stats.mean.tobytes() == stats.mean.tobytes()
+        assert bn.stats.var.tobytes() == stats.var.tobytes()
+
+    def test_no_grad_uses_running_stats_and_leaves_them(self):
+        x = RNG.standard_normal((2, 3, 4)).astype(np.float32) * 2.0 + 0.5
+        gamma, beta = _affine(4)
+        bn = _norm("batch_norm_train", gamma, beta)
+        lif_sequence(Tensor(x), SPIKE, bn)  # grad mode: fills the stats
+        before = bn.stats.mean.tobytes(), bn.stats.var.tobytes()
+        y = x[:, :1] * np.float32(3.0)  # far from the stats' batch
+        with no_grad():
+            spikes = lif_sequence(Tensor(y), SPIKE, bn)
+        drive = reference_batch_norm(y, gamma, beta, bn.stats,
+                                     batch_stats=False)
+        assert spikes.data.tobytes() == \
+            lif_sequence(drive, SPIKE).data.tobytes()
+        assert (bn.stats.mean.tobytes(), bn.stats.var.tobytes()) == before
 
     def test_statistics_pool_leading_axes(self):
         x = RNG.standard_normal((3, 4, 5, 2)).astype(np.float32)
@@ -688,18 +726,22 @@ class TestNormNode:
     @staticmethod
     def run(fold, name, neuron, x, gamma, beta, smooth):
         """``fold`` (the node, or its composed stand-in) over ``x`` with the
-        norm ``name`` and ``neuron``'s threshold: (spikes, threshold leaf,
-        norm block)."""
-        norm, train = _norm(name, Tensor.param(gamma), Tensor.param(beta))
+        norm ``name`` and ``neuron``'s threshold, in the norm's grad mode:
+        (spikes, threshold leaf, norm block)."""
+        norm = _norm(name, Tensor.param(gamma), Tensor.param(beta))
         tlsn = TLSNParams.create(CASE_LIF)
-        th = tlsn.effective_threshold() if neuron == "tlsn" else CASE_LIF.v_th
-        with smooth_spike_mode() if smooth else contextlib.nullcontext():
-            spikes = fold(x, CASE_LIF, th, norm, train)
+        with _mode(name), \
+                smooth_spike_mode() if smooth else contextlib.nullcontext():
+            th = (tlsn.effective_threshold() if neuron == "tlsn"
+                  else CASE_LIF.v_th)
+            spikes = fold(x, CASE_LIF, th, norm)
         return spikes, tlsn.v_th_raw, norm
 
     @pytest.mark.parametrize("x_grad", [True, False], ids=["x", "no_x"])
     @pytest.mark.parametrize("name", sorted(NORMS))
     def test_bit_identical_to_composed_graph(self, name, x_grad):
+        # an eval batch norm is never on the tape: its spikes alone compare
+        recorded = name in RECORDED_NORMS
         for neuron, t, smooth in FOLD_CASES:
             x0, gamma0, beta0, g = self.inputs(t)
             runs = []
@@ -707,8 +749,10 @@ class TestNormNode:
                 x = Tensor(x0.copy(), requires_grad=x_grad)
                 spikes, raw, norm = self.run(fold, name, neuron, x, gamma0,
                                              beta0, smooth)
+                assert spikes.requires_grad == recorded
                 runs.append(bytes_after_backward(
-                    spikes, g, x, norm.gamma, norm.beta, raw))
+                    spikes, g, x, norm.gamma, norm.beta, raw)
+                    if recorded else [spikes.data.tobytes()])
             node, oracle = runs
             rate = np.frombuffer(node[0], dtype=np.float32).mean()
             assert 0 < rate < 1, (neuron, t, smooth)
@@ -721,17 +765,17 @@ class TestNormNode:
             x0, gamma0, beta0, _ = self.inputs(t)
             stats = []
             for fold in (_fold, composed_fold(_fold)):
-                norm, _ = _norm("batch_norm_train", Tensor(gamma0),
-                                Tensor(beta0))
+                norm = _norm("batch_norm_train", Tensor(gamma0),
+                             Tensor(beta0))
                 x = x0
                 for _ in range(2):
-                    fold(Tensor(x), CASE_LIF, CASE_LIF.v_th, norm, True)
+                    fold(Tensor(x), CASE_LIF, CASE_LIF.v_th, norm)
                     x = x * np.float32(1.5) - np.float32(0.25)
                 stats.append((norm.stats.mean.tobytes(),
                               norm.stats.var.tobytes()))
             assert stats[0] == stats[1], t
 
-    @pytest.mark.parametrize("name", sorted(NORMS))
+    @pytest.mark.parametrize("name", RECORDED_NORMS)
     def test_backward_ignores_the_sign_of_zero(self, name):
         # a zero row and a zero channel at every step give x, gamma and
         # beta exact zeros
@@ -740,20 +784,20 @@ class TestNormNode:
             g[:, 0, 0] = g[..., 3] = 0.0
 
             def build(x, th, gamma, beta):
-                norm, train = _norm(name, gamma, beta)
+                norm = _norm(name, gamma, beta)
                 with smooth_spike_mode() if smooth else \
                         contextlib.nullcontext():
-                    return _fold(x, CASE_LIF, th, norm, train)
+                    return _fold(x, CASE_LIF, th, norm)
 
             assert_zero_sign_inert(
                 build, [x, np.float32(CASE_LIF.v_th), gamma, beta], g)
 
-    @pytest.mark.parametrize("name", sorted(NORMS))
+    @pytest.mark.parametrize("name", RECORDED_NORMS)
     def test_one_node_over_input_and_affine(self, name):
         x0, gamma0, beta0, _ = self.inputs()
         x, th = Tensor.param(x0), Tensor.param(np.float32(CASE_LIF.v_th))
-        norm, train = _norm(name, Tensor.param(gamma0), Tensor.param(beta0))
-        out = _fold(x, CASE_LIF, th, norm, train)
+        norm = _norm(name, Tensor.param(gamma0), Tensor.param(beta0))
+        out = _fold(x, CASE_LIF, th, norm)
         assert out._parents == (x, th, norm.gamma, norm.beta)
 
 
@@ -788,20 +832,25 @@ class TestLinearStage:
     def run(fold, name, neuron, x, w, gamma, beta, smooth):
         """``fold`` (the node, or its composed stand-in) over ``x`` with the
         weight ``w``, the norm ``name`` (or none) and ``neuron``'s
-        threshold: (spikes, threshold leaf, the leaves of the norm)."""
-        norm, train, affine = None, False, []
+        threshold, in the norm's grad mode: (spikes, threshold leaf, the
+        leaves of the norm)."""
+        norm, affine = None, []
         if name != "none":
-            norm, train = _norm(name, Tensor.param(gamma), Tensor.param(beta))
+            norm = _norm(name, Tensor.param(gamma), Tensor.param(beta))
             affine = [norm.gamma, norm.beta]
         tlsn = TLSNParams.create(CASE_LIF)
-        th = tlsn.effective_threshold() if neuron == "tlsn" else CASE_LIF.v_th
-        with smooth_spike_mode() if smooth else contextlib.nullcontext():
-            spikes = fold(x, CASE_LIF, th, norm, train, linear=_linear(w))
+        with _mode(name), \
+                smooth_spike_mode() if smooth else contextlib.nullcontext():
+            th = (tlsn.effective_threshold() if neuron == "tlsn"
+                  else CASE_LIF.v_th)
+            spikes = fold(x, CASE_LIF, th, norm, linear=_linear(w))
         return spikes, tlsn.v_th_raw, affine
 
     @pytest.mark.parametrize("x_grad", [True, False], ids=["x", "no_x"])
     @pytest.mark.parametrize("name", sorted(NORMS) + ["none"])
     def test_bit_identical_to_composed_graph(self, name, x_grad):
+        # an eval batch norm is never on the tape: its spikes alone compare
+        recorded = name in RECORDED_NORMS + ["none"]
         for neuron, t, smooth in FOLD_CASES:
             x0, w0, gamma0, beta0, g = self.inputs(t)
             runs = []
@@ -810,17 +859,21 @@ class TestLinearStage:
                 w = Tensor.param(w0.copy())
                 spikes, raw, affine = self.run(fold, name, neuron, x, w,
                                                gamma0, beta0, smooth)
+                assert spikes.requires_grad == recorded
                 runs.append(bytes_after_backward(spikes, g, x, w, raw,
-                                                 *affine))
+                                                 *affine)
+                            if recorded else [spikes.data.tobytes()])
             node, oracle = runs
             rate = np.frombuffer(node[0], dtype=np.float32).mean()
             assert 0 < rate < 1, (neuron, t, smooth)
-            assert node[2] is not None and (node[1] is not None) == x_grad
+            if recorded:
+                assert node[2] is not None
+                assert (node[1] is not None) == x_grad
             for what, a, b in zip(("spikes", "x", "w", "th", "gamma", "beta"),
                                   node, oracle):
                 assert a == b, (what, neuron, t, smooth)
 
-    @pytest.mark.parametrize("name", sorted(NORMS) + ["none"])
+    @pytest.mark.parametrize("name", RECORDED_NORMS + ["none"])
     def test_backward_ignores_the_sign_of_zero(self, name):
         # a zero row and a zero channel at every step give x, w, gamma and
         # beta exact zeros
@@ -829,10 +882,10 @@ class TestLinearStage:
             g[:, 0, 0] = g[..., 3] = 0.0
 
             def build(x, w, th, *affine):
-                norm, train = _norm(name, *affine) if affine else (None, False)
+                norm = _norm(name, *affine) if affine else None
                 with smooth_spike_mode() if smooth else \
                         contextlib.nullcontext():
-                    return _fold(x, CASE_LIF, th, norm, train, _linear(w))
+                    return _fold(x, CASE_LIF, th, norm, _linear(w))
 
             affine = [] if name == "none" else [gamma, beta]
             assert_zero_sign_inert(
@@ -844,7 +897,7 @@ class TestLinearStage:
         rng = np.random.default_rng(9191)
         x = Tensor.param(rng.standard_normal((2, 3, 4)).astype(np.float32))
         w = Tensor.param(rng.standard_normal((4, 5)).astype(np.float32))
-        norm, _ = _norm(
+        norm = _norm(
             "batch_norm_train",
             Tensor.param(rng.uniform(0.5, 1.5, 5).astype(np.float32)),
             Tensor.param(rng.standard_normal(5).astype(np.float32) * 0.3))
@@ -852,7 +905,7 @@ class TestLinearStage:
         lif = LIFParams(tau=1.5, v_th=0.5, v_reset=-0.2)
 
         def forward():
-            return (lif_sequence(x, lif, norm, True, _linear(w))
+            return (lif_sequence(x, lif, norm, _linear(w))
                     * upstream).sum()
 
         def loss():
@@ -870,15 +923,15 @@ class TestLinearStage:
         x0, w0, gamma0, beta0, _ = self.inputs()
         x, th = Tensor.param(x0), Tensor.param(np.float32(CASE_LIF.v_th))
         linear = _linear(Tensor.param(w0))
-        norm, train = _norm("batch_norm_train", Tensor.param(gamma0),
-                            Tensor.param(beta0))
-        out = _fold(x, CASE_LIF, th, norm, train, linear)
+        norm = _norm("batch_norm_train", Tensor.param(gamma0),
+                     Tensor.param(beta0))
+        out = _fold(x, CASE_LIF, th, norm, linear)
         assert out._parents == (x, linear.w, th, norm.gamma, norm.beta)
 
     def test_untracked_stage_matches_a_matmul_first(self):
         # the eval path: no node, the product's own bits
         x0, w0, gamma0, beta0, _ = self.inputs(3)
-        norm, _ = _norm("batch_norm_eval", Tensor(gamma0), Tensor(beta0))
+        norm = _norm("batch_norm_eval", Tensor(gamma0), Tensor(beta0))
         with no_grad():
             fused = lif_sequence(Tensor(x0), CASE_LIF, norm,
                                  linear=_linear(Tensor.param(w0)))
@@ -963,12 +1016,12 @@ def test_composed_graph_matches_finite_differences():
     rng = np.random.default_rng(9090)
     x = Tensor.param(rng.standard_normal((3, 4)).astype(np.float32))
     w = Tensor.param(rng.standard_normal((4, 4)).astype(np.float32))
-    ln, _ = _norm("layer_norm", Tensor.param(np.ones(4, dtype=np.float32)),
-                  Tensor.param(np.zeros(4, dtype=np.float32)))
+    ln = _norm("layer_norm", Tensor.param(np.ones(4, dtype=np.float32)),
+               Tensor.param(np.zeros(4, dtype=np.float32)))
     lif = LIFParams(tau=1.5, v_th=0.5)
 
     def forward():
-        y = lif_sequence(matmul(x, w), lif, ln, train=True)
+        y = lif_sequence(matmul(x, w), lif, ln)
         z = logsumexp(y * np.float32(2.0), axis=-1)
         return mean(z * z)
 
