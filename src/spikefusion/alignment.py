@@ -126,6 +126,9 @@ def similarity(e_tokens: Tensor, r_tokens: Tensor, cfg: PoolConfig) -> Tensor:
         raise UsageError(
             f"embedding widths differ: {e_tokens.shape[-1]} vs {r_tokens.shape[-1]}"
         )
+    if 0 in e_tokens.shape + r_tokens.shape:
+        raise UsageError(f"token sets must be non-empty; got {e_tokens.shape} "
+                         f"and {r_tokens.shape}")
     return _pooled(l2_normalize(e_tokens), l2_normalize(r_tokens), cfg)
 
 

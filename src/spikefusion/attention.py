@@ -92,7 +92,6 @@ class TemporalPool(Module):
 
     def __init__(self, t: int):
         self.w = Tensor.param(np.zeros(t, dtype=np.float32))
-        self.t = t
 
     def weights(self) -> Tensor:
         e = self.w.exp()
@@ -100,11 +99,11 @@ class TemporalPool(Module):
 
     def __call__(self, x_s: Tensor) -> Tensor:
         x_s = as_tensor(x_s)
-        if x_s.shape[0] != self.t:
+        t = self.w.shape[0]
+        if x_s.shape[0] != t:
             raise UsageError(
-                f"temporal pool got {x_s.shape[0]} steps, expected {self.t}"
-            )
-        w = self.weights().reshape((self.t,) + (1,) * (x_s.ndim - 1))
+                f"temporal pool got {x_s.shape[0]} steps, expected {t}")
+        w = self.weights().reshape((t,) + (1,) * (x_s.ndim - 1))
         return (w * x_s).sum(axis=0)
 
 

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import parse_config
-from .errors import UsageError
+from .config import RunConfig, parse_config
+from .errors import ConfigError, UsageError
 from .model import RetrievalModel
 
 MAGIC = "spikefusion-checkpoint v1"
@@ -39,7 +39,7 @@ MAGIC = "spikefusion-checkpoint v1"
 class Checkpoint:
     arrays: dict[str, np.ndarray]
     epoch: int
-    config_text: str
+    config: RunConfig
 
 
 def save_checkpoint(path, model, epoch: int = 0):
@@ -105,6 +105,10 @@ def load_checkpoint(path) -> Checkpoint:
         entries = [_index_entry(line) for line in lines[pos + 1:]]
     except (IndexError, ValueError) as exc:
         raise UsageError(f"{path}: malformed checkpoint header ({exc})") from exc
+    try:
+        config = parse_config(config_text)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: config snapshot: {exc}") from exc
     arrays: dict[str, np.ndarray] = {}
     for name, shape, offset, nbytes in entries:
         if name in arrays:
@@ -113,7 +117,7 @@ def load_checkpoint(path) -> Checkpoint:
             raise UsageError(f"{path}: array {name!r} overruns the payload")
         flat = np.frombuffer(payload[offset:offset + nbytes], dtype="<f4")
         arrays[name] = flat.reshape(shape)
-    return Checkpoint(arrays=arrays, epoch=epoch, config_text=config_text)
+    return Checkpoint(arrays=arrays, epoch=epoch, config=config)
 
 
 def _header_int(line: str, key: str) -> int:
@@ -138,8 +142,7 @@ def _index_entry(line: str):
 
 def restore_model(checkpoint: Checkpoint, region_width: int, word_width: int):
     """Rebuild a model from a checkpoint's config snapshot and arrays."""
-    config = parse_config(checkpoint.config_text)
-    model = RetrievalModel(config, region_width, word_width)
+    model = RetrievalModel(checkpoint.config, region_width, word_width)
     model.load_state({name: a for name, a in checkpoint.arrays.items()
                       if not name.startswith(("adam_m/", "adam_v/"))})
     return model

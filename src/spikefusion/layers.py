@@ -2,14 +2,13 @@
 
 ``Module`` finds a block's parameters and batch-norm running stats by
 walking its attributes in insertion order, PyTorch ``state_dict`` style.
-``state()`` names a parameter by its ``/``-joined attribute path and a
-running stat ``buffer/<path>running_mean|var``: the checkpoint array names,
-so renaming an attribute of any block is a checkpoint format change.
+``state()`` names each array by its ``/``-joined attribute path, and a
+batch norm's ``running_mean`` and ``running_var`` by ``buffer/`` plus
+theirs: the checkpoint array names, so renaming an attribute of any block
+is a checkpoint format change.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,16 +17,16 @@ from .tensor import Tensor, _grad_enabled, _unbroadcast, matmul
 
 
 class Module:
-    """Registry base for every parameter-owning block.
-
-    The walk visits child modules, lists of them (list attribute ``x`` yields
-    children ``x0``, ``x1``, ...), parameter tensors, and the ``BatchNorm``
-    blocks, whose running stats join the state once initialized.
+    """Registry base for every parameter-owning block: a state name is its
+    array's attribute path, behind ``buffer/`` for a batch norm's
+    ``running_mean``/``running_var``.  The walk visits child modules, lists
+    of them (list attribute ``x`` yields children ``x0``, ``x1``, ...),
+    parameter tensors and ``BatchNorm`` blocks.
     """
 
     def _walk(self, prefix: str = ""):
         """Yield (name, tensor) for parameters and (prefix, block) for each
-        block holding running stats, depth first in attribute order."""
+        batch norm, depth first in attribute order."""
         for name, value in vars(self).items():
             if isinstance(value, Module):
                 yield from value._walk(f"{prefix}{name}/")
@@ -37,22 +36,20 @@ class Module:
                         yield from child._walk(f"{prefix}{name}{i}/")
             elif isinstance(value, Tensor):
                 yield prefix + name, value
-            elif isinstance(value, RunningStats):
-                yield prefix, self
 
     def params(self) -> dict[str, Tensor]:
         return {n: v for n, v in self._walk() if isinstance(v, Tensor)}
 
     def state(self) -> dict[str, np.ndarray]:
         """Every array a checkpoint holds: the parameters, and the running
-        stats of each initialized batch norm."""
+        stats of each batch norm that has them."""
         arrays: dict[str, np.ndarray] = {}
         for name, value in self._walk():
             if isinstance(value, Tensor):
                 arrays[name] = value.data
-            elif value.stats.initialized:
-                arrays[f"buffer/{name}running_mean"] = value.stats.mean
-                arrays[f"buffer/{name}running_var"] = value.stats.var
+            elif value.running_mean is not None:
+                arrays[f"buffer/{name}running_mean"] = value.running_mean
+                arrays[f"buffer/{name}running_var"] = value.running_var
         return arrays
 
     def load_state(self, arrays: dict[str, np.ndarray]):
@@ -66,10 +63,9 @@ class Module:
                 continue
             names = (f"buffer/{name}running_mean", f"buffer/{name}running_var")
             if names[0] in arrays or names[1] in arrays:
-                value.stats.mean, value.stats.var = (
+                value.running_mean, value.running_var = (
                     _required(arrays, n, "buffer", value.gamma.shape)
                     for n in names)
-                value.stats.initialized = True
         stray = sorted(arrays.keys() - self.state().keys())
         if stray:
             raise UsageError(f"checkpoint array {stray[0]!r} is neither a "
@@ -137,23 +133,6 @@ def _moments(xd: np.ndarray, axis):
     return mu, np.sqrt(var + np.float32(_NORM_EPS)), inv_n, var
 
 
-@dataclass
-class RunningStats:
-    """Per-channel running mean/variance shared by all time steps."""
-
-    mean: np.ndarray | None = None
-    var: np.ndarray | None = None
-    initialized: bool = False
-
-    def update(self, mean: np.ndarray, var: np.ndarray):
-        if self.initialized:
-            mean = (1.0 - _BN_MOMENTUM) * self.mean + _BN_MOMENTUM * mean
-            var = (1.0 - _BN_MOMENTUM) * self.var + _BN_MOMENTUM * var
-        else:
-            mean, var = mean.copy(), var.copy()
-        self.mean, self.var, self.initialized = mean, var, True
-
-
 class _Norm(Module):
     """Affine norm over the last axis, only ever the input stage of a spiking
     fold (``neuron(x, norm=...)``); ``moments(x)`` is ``(mu, sd, inv_n)``."""
@@ -201,22 +180,29 @@ class LayerNorm(_Norm):
 
 
 class BatchNorm(_Norm):
-    """Channel batch norm with stats pooled over time, batch and token axes."""
+    """Channel batch norm with stats pooled over time, batch and token axes;
+    ``running_mean`` and ``running_var`` are None until a grad-mode batch."""
 
     def __init__(self, d: int):
         super().__init__(d)
-        self.stats = RunningStats()
+        self.running_mean = self.running_var = None
+
+    def _walk(self, prefix: str = ""):
+        yield from super()._walk(prefix)
+        yield prefix, self
 
     def moments(self, x: np.ndarray):
         """Per-channel moments over all leading axes, time too: in grad mode
         the batch's, folded into the running stats; those under no_grad()."""
         if _grad_enabled.get():
             mu, sd, inv_n, var = _moments(x, tuple(range(x.ndim - 1)))
-            self.stats.update(mu.reshape(-1), var.reshape(-1))
+            mean, var = mu.reshape(-1), var.reshape(-1)
+            if self.running_mean is not None:
+                mean = (1 - _BN_MOMENTUM) * self.running_mean + _BN_MOMENTUM * mean
+                var = (1 - _BN_MOMENTUM) * self.running_var + _BN_MOMENTUM * var
+            self.running_mean, self.running_var = mean, var
             return mu, sd, inv_n
-        if not self.stats.initialized:
-            raise StateError(
-                "batch_norm: eval mode requires initialized running stats")
-        mu = self.stats.mean.astype(np.float32)
-        sd = np.sqrt(self.stats.var.astype(np.float32) + np.float32(_NORM_EPS))
-        return mu, sd, None
+        if self.running_mean is None:
+            raise StateError("batch_norm: eval mode requires running stats")
+        sd = np.sqrt(self.running_var + np.float32(_NORM_EPS))
+        return self.running_mean, sd, None

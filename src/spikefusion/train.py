@@ -31,8 +31,9 @@ def recall_from_similarity(s: np.ndarray) -> dict[str, float]:
     last.  Non-finite scores raise ``FloatingPointError``.
     """
     s = np.asarray(s)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise UsageError(f"similarity matrix must be square, got {s.shape}")
+    if s.ndim != 2 or s.shape[0] != s.shape[1] or s.size == 0:
+        raise UsageError(
+            f"similarity matrix must be square and non-empty, got {s.shape}")
     n_bad = int((~np.isfinite(s)).sum())
     if n_bad:
         raise FloatingPointError(

@@ -355,26 +355,22 @@ def reference_fold(x, tau, v_th, v_reset, alpha=2.0):
 # -- normalisations and the contrastive loss composed from generic ops ------
 
 
-def reference_layer_norm(x, gamma, beta, eps=1e-5):
+def reference_layer_norm(x, gamma, beta):
     """A ``LayerNorm`` stage of ``spikefusion.neurons._fold`` as a graph of
     generic tape ops."""
-    if not eps > 0:
-        raise UsageError(f"layer_norm: eps must be > 0, got {eps}")
     x = as_tensor(x)
     mu = mean(x, axis=-1, keepdims=True)
     xc = x - mu
     var = mean(xc * xc, axis=-1, keepdims=True)
-    xhat = xc / sqrt(var + np.float32(eps))
+    xhat = xc / sqrt(var + np.float32(1e-5))
     return xhat * gamma + beta
 
 
-def reference_batch_norm(x, gamma, beta, stats, batch_stats, momentum=0.1,
-                         eps=1e-5):
+def reference_batch_norm(x, norm, batch_stats):
     """A ``BatchNorm`` stage of ``spikefusion.neurons._fold`` as a graph of
-    generic tape ops: with ``batch_stats`` it normalises by the batch's
-    moments and updates ``stats`` as the stage does, else by ``stats``."""
-    if not eps > 0:
-        raise UsageError(f"batch_norm: eps must be > 0, got {eps}")
+    generic tape ops over ``norm``'s gamma and beta: with ``batch_stats`` it
+    normalises by the batch's moments and updates ``norm``'s running stats
+    as the stage does, else by those stats."""
     x = as_tensor(x)
     axes = tuple(range(x.ndim - 1))
     if batch_stats:
@@ -382,19 +378,18 @@ def reference_batch_norm(x, gamma, beta, stats, batch_stats, momentum=0.1,
         xc = x - mu
         var = mean(xc * xc, axis=axes, keepdims=True)
         m, v = mu.data.reshape(-1), var.data.reshape(-1)
-        if not stats.initialized:
-            stats.mean, stats.var, stats.initialized = m.copy(), v.copy(), True
+        if norm.running_mean is None:
+            norm.running_mean, norm.running_var = m.copy(), v.copy()
         else:
-            stats.mean = (1.0 - momentum) * stats.mean + momentum * m
-            stats.var = (1.0 - momentum) * stats.var + momentum * v
-        xhat = xc / sqrt(var + np.float32(eps))
+            norm.running_mean = 0.9 * norm.running_mean + 0.1 * m
+            norm.running_var = 0.9 * norm.running_var + 0.1 * v
+        xhat = xc / sqrt(var + np.float32(1e-5))
     else:
-        if not stats.initialized:
-            raise StateError("batch_norm: eval mode requires initialized running stats")
-        mu = stats.mean.astype(np.float32)
-        sd = np.sqrt(stats.var.astype(np.float32) + np.float32(eps))
-        xhat = (x - Tensor(mu)) / Tensor(sd)
-    return xhat * gamma + beta
+        if norm.running_mean is None:
+            raise StateError("batch_norm: eval mode requires running stats")
+        sd = np.sqrt(norm.running_var + np.float32(1e-5))
+        xhat = (x - Tensor(norm.running_mean)) / Tensor(sd)
+    return xhat * norm.gamma + norm.beta
 
 
 def reference_norm(x, norm):
@@ -403,8 +398,7 @@ def reference_norm(x, norm):
     norm takes the batch's moments in grad mode and its running stats under
     ``no_grad()``, as the fold's stage does."""
     if isinstance(norm, BatchNorm):
-        return reference_batch_norm(x, norm.gamma, norm.beta, norm.stats,
-                                    _grad_enabled.get())
+        return reference_batch_norm(x, norm, _grad_enabled.get())
     return reference_layer_norm(x, norm.gamma, norm.beta)
 
 
@@ -421,13 +415,11 @@ def composed_fold(fold):
     return run
 
 
-def reference_l2_normalize(x, eps=1e-2):
+def reference_l2_normalize(x):
     """``spikefusion.alignment.l2_normalize`` as a graph of generic tape ops."""
-    if not eps > 0:
-        raise UsageError(f"l2_normalize: eps must be > 0, got {eps}")
     x = as_tensor(x)
     ss = (x * x).sum(axis=-1, keepdims=True)
-    return x / sqrt(clip_min(ss, eps))
+    return x / sqrt(clip_min(ss, 1e-2))
 
 
 def reference_infonce_pair(s, temperature):

@@ -96,6 +96,17 @@ class TestFineSimilarity:
                    cfg)
 
     @pytest.mark.parametrize("e_shape, r_shape", [
+        ((2, 0, 4), (2, 3, 4)), ((2, 3, 4), (2, 0, 4)),
+        ((0, 3, 4), (2, 3, 4)), ((2, 3, 4), (0, 3, 4)),
+        ((2, 3, 0), (2, 3, 0))],
+        ids=["no_words", "no_regions", "no_captions", "no_images", "no_width"])
+    def test_empty_token_sets_rejected(self, e_shape, r_shape):
+        # a (0, 2) matrix ranks nothing, and a 0-token block divides by 0
+        with pytest.raises(UsageError, match="non-empty"):
+            similarity(Tensor(np.ones(e_shape)), Tensor(np.ones(r_shape)),
+                       PoolConfig())
+
+    @pytest.mark.parametrize("e_shape, r_shape", [
         ((2, 3), (1, 2, 3)), ((1, 2, 3), (1, 1, 2, 3))])
     def test_token_sets_must_be_3d(self, e_shape, r_shape):
         cfg = PoolConfig(alpha=0.1, mode="biha")

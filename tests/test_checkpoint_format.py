@@ -126,6 +126,13 @@ def test_checkpoint_with_adam_moments_restores_bit_identical():
     np.testing.assert_array_equal(sim, np.load(FIXTURE_SIM_PATH))
 
 
+def test_restored_running_stats_are_float32():
+    model = restore_model(load_checkpoint(MOMENTS_FIXTURE_PATH), 6, 5)
+    buffers = [a for n, a in model.state().items() if n.startswith("buffer/")]
+    assert buffers
+    assert all(a.dtype == np.float32 for a in buffers)
+
+
 def test_restored_arrays_are_private_and_writable():
     checkpoint = load_checkpoint(FIXTURE_PATH)
     restored = restore_model(checkpoint, 6, 5).state()

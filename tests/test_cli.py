@@ -129,8 +129,7 @@ def test_train_seed_flag_overrides_the_config_seed(workspace):
     rc = main(["train", "--seed", "7", "--data", str(data_dir), "--config",
                str(config_path), "--out", str(run_dir)])
     assert rc == 0
-    config_text = load_checkpoint(run_dir / "best.ckpt").config_text
-    assert "seed = 7" in config_text.splitlines()
+    assert load_checkpoint(run_dir / "best.ckpt").config.seed == 7
 
 
 def test_train_to_an_out_path_that_is_a_file_fails_before_a_step(workspace):
@@ -399,6 +398,22 @@ def test_eval_names_a_checkpoint_whose_header_is_not_utf8(fixture_workspace):
     assert_one_line_error(rc, err)
     assert f"{fixture_workspace / 'under_test.ckpt'}: not a checkpoint file" \
         in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    ("alphx = 0.5", "line 7: unknown config key 'alphx'"),
+    ("alpha = -1", "pool alpha must be > 0"),
+])
+def test_eval_names_the_checkpoint_of_a_bad_config_snapshot(
+        fixture_workspace, edit, message):
+    """A config error in the snapshot names the file and says that its line
+    counts from the snapshot's start."""
+    lines = [edit if line == "alpha = 0.5" else line for line in HEADER_LINES]
+    assert lines != HEADER_LINES
+    rc, err = eval_checkpoint(fixture_workspace, with_header(lines))
+    assert_one_line_error(rc, err)
+    path = fixture_workspace / "under_test.ckpt"
+    assert f"error: {path}: config snapshot: {message}" in err
 
 
 @pytest.mark.parametrize("move, grow, message", [

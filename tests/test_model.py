@@ -1,5 +1,6 @@
 """Full-model wiring: registries, gradient flow, toy finite differences."""
 
+import re
 import weakref
 
 import numpy as np
@@ -17,6 +18,7 @@ from spikefusion.errors import StateError, UsageError
 from spikefusion.fusion import FUSION_KINDS
 from spikefusion.losses import infonce_pair
 from spikefusion.model import EVAL_BLOCK, RetrievalModel
+from spikefusion.optim import AdamW
 from spikefusion.tensor import Tensor, matmul, no_grad, smooth_spike_mode
 from spikefusion.train import evaluate_recall
 
@@ -94,6 +96,28 @@ class TestRegistry:
         arrays[extra] = np.zeros(8, dtype=np.float32)
         with pytest.raises(UsageError, match=f"'{extra}' is neither"):
             model.load_state(arrays)
+
+    @pytest.mark.parametrize("fusion", FUSION_KINDS)
+    def test_every_array_name_is_its_attribute_path(self, fusion):
+        # past the buffer/ prefix of running stats, each name walks the
+        # attributes to the array; a list child step0 is step[0]
+        model = toy_model(fusion)
+        total, _ = model.training_losses(*toy_batch())
+        total.backward()
+        AdamW(model.params(), lambda name: 1e-3).step()
+        assert buffer_names(model)
+        for name, array in model.state().items():
+            node = model
+            for part in name.removeprefix("buffer/").split("/"):
+                if hasattr(node, part):
+                    node = getattr(node, part)
+                else:
+                    match = re.fullmatch(r"(\w*?)(\d+)", part)
+                    assert match, name
+                    node = getattr(node, match[1])[int(match[2])]
+            if isinstance(node, Tensor):
+                node = node.data
+            assert node is array, name
 
     def test_load_rejects_half_a_running_stats_pair(self):
         model = toy_model()

@@ -19,7 +19,7 @@ from spikefusion.attention import SpikeGatedMLP, SpikeSelfAttention
 from spikefusion.encoding import GeneratorConfig, SpikeGenerator
 from spikefusion.errors import StateError, UsageError
 from spikefusion.fusion import _ProjectSpike
-from spikefusion.layers import BatchNorm, LayerNorm, Linear, RunningStats
+from spikefusion.layers import BatchNorm, LayerNorm, Linear
 from spikefusion.losses import infonce_pair
 from spikefusion.neurons import (
     LIFParams,
@@ -80,12 +80,12 @@ def _affine(d):
             Tensor(np.full(d, 0.25, dtype=np.float32)))
 
 
-def _primed_stats(d):
-    """Running stats as one grad-mode batch leaves them (no_grad's)."""
-    stats = RunningStats()
-    stats.update(np.linspace(-0.5, 0.5, d).astype(np.float32),
-                 np.linspace(0.5, 2.0, d).astype(np.float32))
-    return stats
+def _prime_stats(norm):
+    """Give ``norm`` running stats, as one grad-mode batch leaves them
+    (no_grad's)."""
+    d = norm.gamma.shape[0]
+    norm.running_mean = np.linspace(-0.5, 0.5, d).astype(np.float32)
+    norm.running_var = np.linspace(0.5, 2.0, d).astype(np.float32)
 
 
 # the norm stages a fold takes: name -> block, for a width d; an eval batch
@@ -105,7 +105,7 @@ def _norm(name, gamma, beta):
     norm = NORMS[name](gamma.shape[0])
     norm.gamma, norm.beta = gamma, beta
     if name == "batch_norm_eval":
-        norm.stats = _primed_stats(gamma.shape[0])
+        _prime_stats(norm)
     return norm
 
 
@@ -639,6 +639,19 @@ class TestBatchNorm:
         return _norm("batch_norm_train", Tensor(np.ones(d, dtype=np.float32)),
                      Tensor(np.full(d, beta_val, dtype=np.float32)))
 
+    def test_fresh_norm_has_no_running_stats(self):
+        bn = self._bn(3)
+        assert bn.running_mean is None and bn.running_var is None
+        assert bn.state().keys() == {"gamma", "beta"}
+
+    def test_running_stats_stay_float32(self):
+        bn = self._bn(4)
+        for step in range(4):
+            x = RNG.standard_normal((2, 3, 4)).astype(np.float32) + step
+            lif_sequence(Tensor(x), SPIKE, bn)
+            assert bn.running_mean.dtype == np.float32, step
+            assert bn.running_var.dtype == np.float32, step
+
     def test_zero_input_zero_bias_gives_zero(self):
         out = normalized(self._bn(4), np.zeros((2, 3, 4), dtype=np.float32))
         np.testing.assert_allclose(out, 0.0, atol=1e-6)
@@ -669,28 +682,26 @@ class TestBatchNorm:
         gamma, beta = _affine(4)
         bn = _norm("batch_norm_train", gamma, beta)
         spikes = lif_sequence(Tensor(x), SPIKE, bn)
-        stats = RunningStats()
-        drive = reference_batch_norm(x, gamma, beta, stats, batch_stats=True)
+        ref = _norm("batch_norm_train", gamma, beta)
+        drive = reference_batch_norm(x, ref, batch_stats=True)
         assert spikes.data.tobytes() == \
             lif_sequence(drive, SPIKE).data.tobytes()
-        assert bn.stats.initialized
-        assert bn.stats.mean.tobytes() == stats.mean.tobytes()
-        assert bn.stats.var.tobytes() == stats.var.tobytes()
+        assert bn.running_mean.tobytes() == ref.running_mean.tobytes()
+        assert bn.running_var.tobytes() == ref.running_var.tobytes()
 
     def test_no_grad_uses_running_stats_and_leaves_them(self):
         x = RNG.standard_normal((2, 3, 4)).astype(np.float32) * 2.0 + 0.5
         gamma, beta = _affine(4)
         bn = _norm("batch_norm_train", gamma, beta)
         lif_sequence(Tensor(x), SPIKE, bn)  # grad mode: fills the stats
-        before = bn.stats.mean.tobytes(), bn.stats.var.tobytes()
+        before = bn.running_mean.tobytes(), bn.running_var.tobytes()
         y = x[:, :1] * np.float32(3.0)  # far from the stats' batch
         with no_grad():
             spikes = lif_sequence(Tensor(y), SPIKE, bn)
-        drive = reference_batch_norm(y, gamma, beta, bn.stats,
-                                     batch_stats=False)
+        drive = reference_batch_norm(y, bn, batch_stats=False)
         assert spikes.data.tobytes() == \
             lif_sequence(drive, SPIKE).data.tobytes()
-        assert (bn.stats.mean.tobytes(), bn.stats.var.tobytes()) == before
+        assert (bn.running_mean.tobytes(), bn.running_var.tobytes()) == before
 
     def test_statistics_pool_leading_axes(self):
         x = RNG.standard_normal((3, 4, 5, 2)).astype(np.float32)
@@ -771,8 +782,8 @@ class TestNormNode:
                 for _ in range(2):
                     fold(Tensor(x), CASE_LIF, CASE_LIF.v_th, norm)
                     x = x * np.float32(1.5) - np.float32(0.25)
-                stats.append((norm.stats.mean.tobytes(),
-                              norm.stats.var.tobytes()))
+                stats.append((norm.running_mean.tobytes(),
+                              norm.running_var.tobytes()))
             assert stats[0] == stats[1], t
 
     @pytest.mark.parametrize("name", RECORDED_NORMS)
