@@ -74,11 +74,12 @@ class PoolConfig:
     mode: str = "biha"
 
     def __post_init__(self):
-        # compared, not cast: a NaN fails, and an alpha beyond float32 makes
-        # every score NaN
-        if not 0 < self.alpha <= FLOAT32_MAX:
-            raise ConfigError(
-                f"pool alpha must be > 0, finite and fit float32, got {self.alpha}")
+        # compared, not cast: a NaN fails, and an alpha or 1/alpha beyond
+        # float32 makes every score NaN
+        if not (0 < self.alpha <= FLOAT32_MAX
+                and 1 / self.alpha <= FLOAT32_MAX):
+            raise ConfigError(f"pool alpha must be > 0 and alpha and 1/alpha "
+                              f"must fit float32, got {self.alpha}")
         if self.mode not in POOL_MODES:
             raise ConfigError(
                 f"unknown alignment mode {self.mode!r}; expected one of {POOL_MODES}"

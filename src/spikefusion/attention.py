@@ -25,7 +25,7 @@ class SpikeSelfAttention(Module):
     """Spike Q/K/V attention with binary outputs, shapes (T, B, K, D)."""
 
     def __init__(self, d: int, lif: LIFParams, rng: np.random.Generator,
-                 scale: float = 0.125):
+                 scale: float):
         self.scale = scale
         self.w_q = Linear(d, d, rng, bias=False)
         self.w_k = Linear(d, d, rng, bias=False)
@@ -40,19 +40,15 @@ class SpikeSelfAttention(Module):
 
     def __call__(self, x_s: Tensor) -> Tensor:
         t = x_s.shape[0]
-        record_matmul("q_proj", x_s, self.w_q.w, t, "spiking")
-        record_matmul("k_proj", x_s, self.w_k.w, t, "spiking")
-        record_matmul("v_proj", x_s, self.w_v.w, t, "spiking")
         q = self.lif(x_s, linear=self.w_q, norm=self.bn_q)
         k = self.lif(x_s, linear=self.w_k, norm=self.bn_k)
         v = self.lif(x_s, linear=self.w_v, norm=self.bn_v)
         k_t = k.swapaxes(-1, -2)
-        record_matmul("attn_scores", q, k_t, t, "spiking")
+        record_matmul(self.path + "attn_scores", q, k_t, t, "spiking")
         scores = matmul(q, k_t)
-        record_matmul("attn_apply", scores, v, t, "spiking")
+        record_matmul(self.path + "attn_apply", scores, v, t, "spiking")
         mixed = matmul(scores, v) * np.float32(self.scale)
         attn = self.lif(mixed, norm=self.bn_attn)
-        record_matmul("attn_out", attn, self.w_a.w, t, "spiking")
         return self.lif(attn, linear=self.w_a, norm=self.bn_out)
 
 
@@ -72,14 +68,12 @@ class SpikeGatedMLP(Module):
         self.lif = lif
 
     def __call__(self, x_s: Tensor) -> Tensor:
-        t = x_s.shape[0]
-        record_matmul("gate_linear", x_s, self.w_g.w, t, "spiking")
-        record_matmul("value_linear", x_s, self.w_p.w, t, "spiking")
         gate = self.lif(x_s, linear=self.w_g)
+        record_matmul(self.w_p.path + "w", x_s, self.w_p.w, x_s.shape[0],
+                      "spiking")
         value = self.w_p(x_s)
         gated = gate * value
-        record_mask("gate_multiply")
-        record_matmul("mlp_out", gated, self.w_o.w, t, "spiking")
+        record_mask(self.path + "gate_multiply")
         return self.lif(gated, linear=self.w_o)
 
 
@@ -118,7 +112,7 @@ class UnimodalEncoder(Module):
     """Linear projection, spike generator, one {SSA + SG-MLP} block, pooling."""
 
     def __init__(self, d_raw: int, cfg: GeneratorConfig, lif: LIFParams,
-                 rng: np.random.Generator, scale: float = 0.125):
+                 rng: np.random.Generator, scale: float):
         self.proj = Linear(d_raw, cfg.d, rng)
         self.gen = SpikeGenerator(cfg, lif, rng)
         self.attn = SpikeSelfAttention(cfg.d, lif, rng, scale)
@@ -126,7 +120,7 @@ class UnimodalEncoder(Module):
         self.pool = TemporalPool(cfg.t)
 
     def __call__(self, x_raw: Tensor) -> EncoderOutput:
-        record_matmul("linear", x_raw, self.proj.w, 1, "float")
+        record_matmul(self.proj.path + "w", x_raw, self.proj.w, 1, "float")
         x_f = self.proj(x_raw)
         x_s = self.gen(x_f)
         x_s1 = x_s + self.attn(x_s)

@@ -4,7 +4,8 @@ Six variants combine a temporal expansion (repeat the features, per-step
 linear maps, a kernel-3 convolution over the token axis, or a first
 difference along tokens) with a normalization (layer norm or batch norm),
 followed by a threshold-learnable spiking neuron.  The energy ledger records
-each per-step map or conv tap as a float layer ``gen_step{i}``/``gen_tap{i}``.
+each per-step map or conv tap as a float layer named by its weight's path
+(``gen/step0/w``, ``gen/tap0/w``).
 """
 
 from __future__ import annotations
@@ -72,9 +73,8 @@ class SpikeGenerator(Module):
     def expand(self, x_f: Tensor) -> Tensor:
         """Temporal expansion producing a (T, ..., K, D) float tensor."""
         x_f = as_tensor(x_f)
-        for kind, maps in (("step", self.step), ("tap", self.tap)):
-            for i, m in enumerate(maps):
-                record_matmul(f"gen_{kind}{i}", x_f, m.w, 1, "float")
+        for m in self.step + self.tap:
+            record_matmul(m.path + "w", x_f, m.w, 1, "float")
         if self.base == "linear":
             return stack([m(x_f) for m in self.step], axis=0)
         if self.base == "conv":

@@ -14,15 +14,17 @@ spike train and FLOPs counts a single time step.  Dense float layers cost
 and the report only sums rows.
 
 Layers record themselves with ``record_*`` calls, which append to the
-ledger of the enclosing :func:`recording` and do nothing outside one.  The
-training-only fusion ops record too, with time folded into their batch
-(t = 1), so their ``flops`` is the whole multiply count; the report runs
-the inference path and never contains them.
+ledger of the enclosing :func:`recording` and do nothing outside one.  A
+row is named by model path: a weight's row by the weight's checkpoint name
+(``image/attn/w_q/w``), another product by its block's ``Module.path``
+plus the op (``image/attn/attn_scores``).  The training-only fusion
+functions record too, under bare op names and with time folded into their
+batch (t = 1), so their ``flops`` is the whole multiply count; the report
+runs the inference path and never contains them.
 """
 
 from __future__ import annotations
 
-import contextlib
 from contextvars import ContextVar
 from dataclasses import dataclass
 
@@ -126,7 +128,6 @@ class EnergyReport:
 
 _ledger: ContextVar[list[LayerLedger] | None] = ContextVar("energy_ledger",
                                                           default=None)
-_scope: ContextVar[str] = ContextVar("energy_scope", default="")
 
 
 def recording():
@@ -136,13 +137,6 @@ def recording():
     calls do nothing, so training never computes occupancies.
     """
     return _context_set(_ledger, [])
-
-
-@contextlib.contextmanager
-def scope(prefix: str):
-    """Prefix the names recorded in the block (``"region/"``); nests."""
-    with _context_set(_scope, _scope.get() + prefix):
-        yield
 
 
 def record_matmul(name: str, a: Tensor, b: Tensor, t: int, kind: str):
@@ -158,16 +152,14 @@ def record_matmul(name: str, a: Tensor, b: Tensor, t: int, kind: str):
     if kind == "spiking":
         batch //= t
     rate = occupancy(a) if kind == "spiking" else 1.0
-    layers.append(LayerLedger(_scope.get() + name, kind, batch * m * n * k,
-                              rate, t))
+    layers.append(LayerLedger(name, kind, batch * m * n * k, rate, t))
 
 
 def record_mask(name: str, multiplies: int = 0):
     """A binary mask multiply: counted, but free in the energy model."""
     layers = _ledger.get()
     if layers is not None:
-        layers.append(LayerLedger(_scope.get() + name, "mask", multiplies,
-                                  0.0))
+        layers.append(LayerLedger(name, "mask", multiplies, 0.0))
 
 
 def energy_report(model, regions, words) -> EnergyReport:

@@ -1,11 +1,12 @@
 """Parameter-owning building blocks and the registry that names their state.
 
-``Module`` finds a block's parameters and batch-norm running stats by
-walking its attributes in insertion order, PyTorch ``state_dict`` style.
-``state()`` names each array by its ``/``-joined attribute path, and a
-batch norm's ``running_mean`` and ``running_var`` by ``buffer/`` plus
-theirs: the checkpoint array names, so renaming an attribute of any block
-is a checkpoint format change.
+``Module`` finds a block's parameters and child blocks by walking its
+attributes in insertion order, PyTorch ``state_dict`` style.  ``state()``
+names each array by its ``/``-joined attribute path, and a batch norm's
+``running_mean`` and ``running_var`` by ``buffer/`` plus theirs: the
+checkpoint array names, so renaming an attribute of any block is a
+checkpoint format change.  The energy ledger names its rows by the same
+paths (``Module.path``).
 """
 
 from __future__ import annotations
@@ -20,13 +21,17 @@ class Module:
     """Registry base for every parameter-owning block: a state name is its
     array's attribute path, behind ``buffer/`` for a batch norm's
     ``running_mean``/``running_var``.  The walk visits child modules, lists
-    of them (list attribute ``x`` yields children ``x0``, ``x1``, ...),
-    parameter tensors and ``BatchNorm`` blocks.
+    of them (list attribute ``x`` yields children ``x0``, ``x1``, ...) and
+    parameter tensors.  ``path`` is the block's own path with a trailing
+    ``/`` (``image/attn/``), set by the model that owns it; a block built
+    on its own keeps ``""``.
     """
 
+    path = ""
+
     def _walk(self, prefix: str = ""):
-        """Yield (name, tensor) for parameters and (prefix, block) for each
-        batch norm, depth first in attribute order."""
+        """Yield (name, tensor) for each parameter and (prefix, block) for
+        each block, this one last, depth first in attribute order."""
         for name, value in vars(self).items():
             if isinstance(value, Module):
                 yield from value._walk(f"{prefix}{name}/")
@@ -36,6 +41,7 @@ class Module:
                         yield from child._walk(f"{prefix}{name}{i}/")
             elif isinstance(value, Tensor):
                 yield prefix + name, value
+        yield prefix, self
 
     def params(self) -> dict[str, Tensor]:
         return {n: v for n, v in self._walk() if isinstance(v, Tensor)}
@@ -47,7 +53,8 @@ class Module:
         for name, value in self._walk():
             if isinstance(value, Tensor):
                 arrays[name] = value.data
-            elif value.running_mean is not None:
+            elif (isinstance(value, BatchNorm)
+                  and value.running_mean is not None):
                 arrays[f"buffer/{name}running_mean"] = value.running_mean
                 arrays[f"buffer/{name}running_var"] = value.running_var
         return arrays
@@ -60,6 +67,7 @@ class Module:
         for name, value in self._walk():
             if isinstance(value, Tensor):
                 value.data = _required(arrays, name, "parameter", value.shape)
+            if not isinstance(value, BatchNorm):
                 continue
             names = (f"buffer/{name}running_mean", f"buffer/{name}running_var")
             if names[0] in arrays or names[1] in arrays:
@@ -186,10 +194,6 @@ class BatchNorm(_Norm):
     def __init__(self, d: int):
         super().__init__(d)
         self.running_mean = self.running_var = None
-
-    def _walk(self, prefix: str = ""):
-        yield from super()._walk(prefix)
-        yield prefix, self
 
     def moments(self, x: np.ndarray):
         """Per-channel moments over all leading axes, time too: in grad mode

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, UsageError
+from .neurons import FLOAT32_MAX
 from .tensor import Tensor, _first_gradient, _make, _unbroadcast, as_tensor
 
 _HALF = np.float32(0.5)
@@ -58,10 +59,9 @@ class LossWeights:
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigError(f"lambda must be in [0, 1], got {self.lam}")
-        if not self.temperature > 0:
-            raise ConfigError(
-                f"temperature must be > 0, got {self.temperature}"
-            )
+        if not (self.temperature > 0 and 1 / self.temperature <= FLOAT32_MAX):
+            raise ConfigError(f"temperature must be > 0 and 1/temperature "
+                              f"must fit float32, got {self.temperature}")
 
 
 def infonce_pair(s: Tensor, temperature: float) -> Tensor:

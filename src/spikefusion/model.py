@@ -8,7 +8,6 @@ import numpy as np
 from .alignment import similarity
 from .attention import UnimodalEncoder
 from .config import RunConfig
-from .energy import scope
 from .fusion import SpikeFusion
 from .layers import Module
 # infonce_pair is unused here; perfbench/workloads.py wraps it as a global
@@ -50,14 +49,13 @@ class RetrievalModel(Module):
                 parts.fusion.check_token_counts(n_regions, n_words)
             self.fusion = SpikeFusion(parts.fusion, config.d, config.t,
                                       parts.lif, rng, parts.comb_lif)
+        for path, block in self._walk():
+            if isinstance(block, Module):
+                block.path = path
 
     def encode(self, regions: Tensor, words: Tensor):
-        """Both encoders; ledger records are named ``region/`` / ``word/``."""
-        with scope("region/"):
-            r_out = self.image(regions)
-        with scope("word/"):
-            e_out = self.text(words)
-        return r_out, e_out
+        """Both encoders; their ledger rows are named by model path."""
+        return self.image(regions), self.text(words)
 
     def eval_similarity(self, regions: Tensor, words: Tensor,
                         rows: np.ndarray | None = None) -> Tensor:

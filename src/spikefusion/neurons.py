@@ -11,10 +11,11 @@ not compute the last step's reset, which feeds nothing.  The hard spike is
 the comparison ``h[t] >= v_th`` itself; the surrogate's ``h[t] - v_th`` is
 formed only where a smooth spike or a gradient needs it.  A fold takes up
 to two input stages, in this order: a bias-free ``Linear`` (``linear=``),
-whose product ``x @ w`` the next stage takes, and a norm (``norm=``), whose
-output is the drive.  A batch norm uses the batch's moments in grad mode
-and its running stats under ``no_grad()``.  Every weight matmul and every
-norm that feeds a fold is such a stage, so neither output is on the tape.
+whose product ``x @ w`` the next stage takes and the energy ledger bills
+under ``w``'s path, and a norm (``norm=``), whose output is the drive.  A
+batch norm uses the batch's moments in grad mode and its running stats
+under ``no_grad()``.  Every weight matmul and every norm that feeds a fold
+is such a stage, so neither output is on the tape.
 The node keeps only its spikes and the norm's ``mu`` and ``sd``: its
 backward recomputes the product from the input, which the tape holds
 anyway as the node's parent, with the forward's own gemm, then the drive,
@@ -46,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .energy import record_matmul
 from .errors import ConfigError, UsageError
 from .layers import Linear, Module, _Norm
 from .tensor import (
@@ -156,6 +158,7 @@ def _fold(x: Tensor, lif: LIFParams, v_th, norm: _Norm | None = None,
         if linear.b is not None:
             raise UsageError("neuron fold: a Linear stage takes no bias")
         w = linear.w
+        record_matmul(linear.path + "w", x, w, x.shape[0], "spiking")
         parents += (w,)
     parents += (th,)
     if norm is not None:

@@ -24,13 +24,13 @@ def binary(shape, p=0.4, rng=RNG):
 
 class TestSpikeSelfAttention:
     def test_zeros_propagate(self):
-        attn = SpikeSelfAttention(8, LIF, np.random.default_rng(0))
+        attn = SpikeSelfAttention(8, LIF, np.random.default_rng(0), 0.125)
         x = Tensor(np.zeros((2, 3, 4, 8), dtype=np.float32))
         out = attn(x)
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_shape_preserved_and_binary(self):
-        attn = SpikeSelfAttention(8, LIF, np.random.default_rng(1))
+        attn = SpikeSelfAttention(8, LIF, np.random.default_rng(1), 0.125)
         x = Tensor(binary((2, 3, 4, 8)))
         out = attn(x)
         assert out.shape == (2, 3, 4, 8)
@@ -104,7 +104,7 @@ class TestTemporalPool:
 
 def make_encoder(d_raw=10, d=8, t=2, seed=0):
     return UnimodalEncoder(d_raw, GeneratorConfig(variant="repeat-ln", t=t, d=d),
-                           LIF, np.random.default_rng(seed))
+                           LIF, np.random.default_rng(seed), 0.125)
 
 
 class TestUnimodalEncoder:
@@ -112,7 +112,7 @@ class TestUnimodalEncoder:
         # regions (B, 36, 2048) -> pooled (B, 36, 1024) at T=2, D=1024
         enc = UnimodalEncoder(
             2048, GeneratorConfig(variant="repeat-ln", t=2, d=1024), LIF,
-            np.random.default_rng(0))
+            np.random.default_rng(0), 0.125)
         x = Tensor(RNG.standard_normal((2, 36, 2048)).astype(np.float32))
         out = enc(x)
         assert out.pooled.shape == (2, 36, 1024)

@@ -504,10 +504,14 @@ def test_out_path_that_is_a_directory_fails_before_any_work(
 
 @pytest.mark.parametrize("line", ["tau = nan", "temperature = inf",
                                   "comb_tau = 0.5", "v_th = 0.005",
-                                  "v_th = 1e39", "d = 0"])
+                                  "v_th = 1e39", "d = 0", "alpha = 1e-40",
+                                  "temperature = 1e-40"])
 def test_train_rejects_out_of_range_config(workspace, line):
     tmp_path, data_dir, config_path = workspace
-    config_path.write_text(CONFIG_TEXT + line + "\n")
+    key = line.split()[0]  # replaces the key's line in CONFIG_TEXT, if any
+    config_path.write_text("".join(
+        kept + "\n" for kept in CONFIG_TEXT.splitlines()
+        if not kept.startswith(key + " ")) + line + "\n")
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
@@ -515,6 +519,7 @@ def test_train_rejects_out_of_range_config(workspace, line):
                    str(config_path), "--out", str(tmp_path / "run")])
     assert_one_line_error(rc, err.getvalue())
     assert str(config_path) in err.getvalue()
+    assert "already set" not in err.getvalue()
     assert not (tmp_path / "run").exists()
 
 

@@ -17,9 +17,10 @@ from spikefusion.energy import (
     record_mask,
     record_matmul,
     recording,
-    scope,
 )
+from spikefusion.encoding import GENERATOR_VARIANTS
 from spikefusion.errors import StateError, UsageError
+from spikefusion.layers import Linear, Module
 from spikefusion.model import RetrievalModel
 from spikefusion.tensor import Tensor
 
@@ -157,15 +158,6 @@ class TestRecording:
         record_mask("mask", 10)
         assert layers == []
 
-    def test_scopes_compose(self):
-        with recording() as layers:
-            with scope("a/"):
-                with scope("b/"):
-                    record_mask("m")
-                record_mask("m")
-            record_mask("m")
-        assert [l.name for l in layers] == ["a/b/m", "a/m", "m"]
-
     def test_nested_recording_keeps_its_own_records(self):
         with recording() as outer:
             record_mask("before")
@@ -180,7 +172,6 @@ class TestRecording:
         with pytest.raises(StateError):
             energy_report(tiny_model(), regions, words)  # no calibration
         assert energy._ledger.get() is None
-        assert energy._scope.get() == ""
         model = tiny_model()
         model.calibrate(regions, words)
         text = energy_report(model, regions, words).render()
@@ -188,8 +179,9 @@ class TestRecording:
             assert text == fh.read().rstrip("\n")
 
 
-def tiny_model(seed=0):
-    cfg = RunConfig(d=8, t=2, batch=4, heads=2, seed=seed, alpha=0.1)
+def tiny_model(seed=0, **config):
+    cfg = RunConfig(d=8, t=2, batch=4, heads=2, seed=seed, alpha=0.1,
+                    **config)
     return RetrievalModel(cfg, region_width=6, word_width=5,
                           n_regions=4, n_words=4)
 
@@ -207,11 +199,12 @@ class TestEnergyReport:
         model.calibrate(regions, words)
         report = energy_report(model, regions, words)
         names = [l.name for l in report.layers]
-        for modality in ("region", "word"):
-            assert f"{modality}/linear" in names
-            for suffix in ("q_proj", "k_proj", "v_proj", "attn_scores",
-                           "attn_apply", "attn_out", "gate_linear",
-                           "value_linear", "mlp_out", "gate_multiply"):
+        for modality in ("image", "text"):
+            assert f"{modality}/proj/w" in names
+            for suffix in ("attn/w_q/w", "attn/w_k/w", "attn/w_v/w",
+                           "attn/attn_scores", "attn/attn_apply",
+                           "attn/w_a/w", "mlp/w_g/w", "mlp/w_p/w",
+                           "mlp/w_o/w", "mlp/gate_multiply"):
                 assert f"{modality}/{suffix}" in names
 
     def test_gate_multiply_is_free(self):
@@ -304,11 +297,11 @@ class TestEnergyReport:
         report = energy_report(model, regions, words)
         assert report.mac_ops == macs
         float_rows = [l.name for l in report.layers if l.kind == "float"]
-        maps = {"linear": "gen_step0 gen_step1",
-                "conv": "gen_tap0 gen_tap1 gen_tap2"}.get(
+        maps = {"linear": "gen/step0/ gen/step1/",
+                "conv": "gen/tap0/ gen/tap1/ gen/tap2/"}.get(
                     generator.split("-")[0], "").split()
-        assert float_rows == [f"{m}/{n}" for m in ("region", "word")
-                              for n in ["linear"] + maps]
+        assert float_rows == [f"{m}/{n}w" for m in ("image", "text")
+                              for n in ["proj/"] + maps]
 
     def test_empty_recording_rejected(self):
         class NoOpModel:
@@ -318,3 +311,56 @@ class TestEnergyReport:
         with pytest.raises(UsageError):
             energy_report(NoOpModel(), Tensor(np.zeros((2, 2, 2))),
                           Tensor(np.zeros((2, 2, 2))))
+
+
+# the ops a block records under its own path, beside its weights' rows
+BLOCK_OPS = ("attn_scores", "attn_apply", "gate_multiply")
+
+
+def linear_weights(model, under=""):
+    """The checkpoint name of every ``Linear`` weight whose path starts
+    with ``under``."""
+    return {path + "w" for path, block in model._walk()
+            if isinstance(block, Linear) and path.startswith(under)}
+
+
+def assert_named_by_path(model, names):
+    """A weight row is its weight's checkpoint name; any other row is a
+    block's path plus one op."""
+    state = model.state()
+    paths = {path for path, block in model._walk() if isinstance(block, Module)}
+    for name in names:
+        path, op = name.rsplit("/", 1)
+        if op == "w":
+            assert name in state, name
+        else:
+            assert path + "/" in paths and op in BLOCK_OPS, name
+
+
+class TestRowNames:
+    """One name per layer: the ledger names each row by model path."""
+
+    @pytest.mark.parametrize("fusion", ["scca", "sca", "scsa", "none"])
+    @pytest.mark.parametrize("generator", GENERATOR_VARIANTS)
+    def test_report_rows_are_model_paths(self, generator, fusion):
+        model = tiny_model(generator=generator, fusion=fusion)
+        regions, words = calibration_batch()
+        model.calibrate(regions, words)
+        names = [l.name for l in energy_report(model, regions, words).layers]
+        assert len(set(names)) == len(names)
+        assert_named_by_path(model, names)
+        # every encoder weight is billed
+        assert {n for n in names if n.endswith("/w")} == (
+            linear_weights(model) - linear_weights(model, "fusion/"))
+
+    def test_fusion_fold_rows_are_model_paths(self):
+        model = tiny_model(fusion="sca")
+        with recording() as layers:
+            model.training_losses(*calibration_batch())
+        names = [l.name for l in layers]
+        assert_named_by_path(model, [n for n in names if "/" in n])
+        assert {n for n in names if n.startswith("fusion/")} == (
+            linear_weights(model, "fusion/"))
+        # the module-level fusion functions keep bare op names
+        assert {n for n in names if "/" not in n} <= {"qk", "qk_v", "kv",
+                                                      "q_kv"}

@@ -6,7 +6,8 @@ package ``__init__`` imports is exported in ``__all__``.  Every error type
 is raised somewhere and is one that the CLI reports as one line.  Grad
 mode alone picks batch-norm statistics: no function takes a ``train``
 flag, and only ``BatchNorm.moments`` reads the grad-mode switch outside
-``tensor``.
+``tensor``.  No ``record_*`` call outside the module-level fusion functions
+names its ledger row by a string literal.
 """
 
 import ast
@@ -145,3 +146,15 @@ def test_grad_mode_is_read_only_where_it_picks_norm_statistics():
              for module in MODULES + ["__init__"] if module != "tensor"}
     assert reads == {module: grad_mode_reads(moments) * (module == "layers")
                      for module in reads}
+
+
+def test_ledger_rows_are_named_by_model_path():
+    """Only the module-level fusion functions name a ledger row by a string
+    literal; every other name derives from a block's ``path``."""
+    literal = {(module, name) for module in MODULES
+               for name, node in functions(parse(module))
+               for call in ast.walk(node) if isinstance(call, ast.Call)
+               and isinstance(call.func, ast.Name)
+               and call.func.id in ("record_matmul", "record_mask")
+               and isinstance(call.args[0], (ast.Constant, ast.JoinedStr))}
+    assert literal == {("fusion", "comb_mask"), ("fusion", "qkv_attention")}

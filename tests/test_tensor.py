@@ -289,7 +289,7 @@ class TestForwardMemory:
         if site == "project-bn":
             fn = _ProjectSpike(32, LIFParams(), rng)
         elif site == "ssa-q":
-            ssa = SpikeSelfAttention(32, LIFParams(), rng)
+            ssa = SpikeSelfAttention(32, LIFParams(), rng, 0.125)
 
             def fn(x):
                 return ssa.lif(x, linear=ssa.w_q, norm=ssa.bn_q)
@@ -397,8 +397,7 @@ class TestElementwise:
         block raises, and yields what it always has."""
         cases = [(no_grad, (), tensor_module._grad_enabled, None),
                  (smooth_spike_mode, (), tensor_module._smooth_spikes, None),
-                 (energy.recording, (), energy._ledger, []),
-                 (energy.scope, ("a/",), energy._scope, None)]
+                 (energy.recording, (), energy._ledger, [])]
         for switch, args, var, yielded in cases:
             before = var.get()
             with pytest.raises(RuntimeError):
